@@ -4,13 +4,14 @@ These pin the ``chunked`` kernel explicitly and time the workloads the
 tentpole optimization moves onto fixed-width 64-bit limbs: boolean algebra
 at three synthetic scales (16k / 131k / 1M points — below, at and far
 beyond ``BITSET_POINT_LIMIT``), the knowledge/everyone sweeps, and the
-common-knowledge greatest fixpoint, plus the pure-Python limb backend for
-the no-numpy configuration.  The same workloads feed the bench-regression
-job through ``benchmarks/regression.py``, so a chunked slowdown fails CI
-via ``repro-eba bench-compare``.
+common-knowledge greatest fixpoint.  The same workloads feed the
+bench-regression job through ``benchmarks/regression.py``, so a chunked
+slowdown fails CI via ``repro-eba bench-compare``.
 """
 
 import random
+
+import numpy
 
 from repro.knowledge.formulas import Exists
 from repro.knowledge.nonrigid import NONFAULTY
@@ -21,13 +22,12 @@ from repro.knowledge.semantics import (
 )
 from repro.model import kernels
 from repro.model.builder import crash_system
-from repro.model.chunked import ChunkedAssignment, force_python_backend
+from repro.model.chunked import ChunkedAssignment, _tail_mask
 from repro.model.system import BitsetAssignment, TruthAssignment
 
 #: Synthetic assignment shapes: (num_runs, width) — 16k, 131k, ~1M and
 #: ~10M points, i.e. below, at, past and far past BITSET_POINT_LIMIT.
-#: The 10M cell is the ROADMAP item-3 scale the 2-D limb-matrix mode
-#: targets; its operands are drawn directly as 64-bit limbs because
+#: The 10M cell's operands are drawn directly as 64-bit limbs because
 #: per-row Python construction dominates there.
 SYNTHETIC_SHAPES = {
     "16k": (1 << 12, 4),
@@ -72,30 +72,19 @@ def _synthetic_pair(shape_key, builder):
 
 
 def _chunked_operand(shape_key, seed):
-    """A random chunked operand built straight from 64-bit limbs.
+    """A random chunked operand drawn as uint64 limbs in one call.
 
-    On the numpy backend the operand is drawn as uint64 limbs in one
-    call (row-by-row Python packing dominates construction at the 10M
-    scale); the pure-Python backend keeps the row path.
+    Row-by-row Python packing dominates construction at the 10M scale.
     """
-    from repro.model import chunked as chunked_mod
-
     num_runs, width = SYNTHETIC_SHAPES[shape_key]
-    if chunked_mod.backend_name() == "numpy":
-        import numpy
-
-        num_bits = num_runs * width
-        rng = numpy.random.default_rng(seed)
-        limbs = rng.integers(
-            0, 1 << 64, size=-(-num_bits // 64), dtype=numpy.uint64
-        )
-        if num_bits % 64:
-            limbs[-1] &= numpy.uint64(chunked_mod._tail_mask(num_bits))
-        return ChunkedAssignment(limbs, num_runs, width)
-    shape = _Shape(num_runs, width)
-    return ChunkedAssignment.from_rows(
-        shape, _random_rows(num_runs, width, seed=seed)
+    num_bits = num_runs * width
+    rng = numpy.random.default_rng(seed)
+    limbs = rng.integers(
+        0, 1 << 64, size=-(-num_bits // 64), dtype=numpy.uint64
     )
+    if num_bits % 64:
+        limbs[-1] &= numpy.uint64(_tail_mask(num_bits))
+    return ChunkedAssignment(limbs, num_runs, width)
 
 
 def _algebra_loop(phi, psi, rounds=50):
@@ -131,13 +120,6 @@ def test_bitset_algebra_1m(benchmark):
     """The big-int kernel on the same 1M-point workload, for the A/B."""
     phi, psi = _synthetic_pair("1m", BitsetAssignment)
     benchmark(lambda: _algebra_loop(phi, psi))
-
-
-def test_chunked_python_backend_algebra_131k(benchmark):
-    """The pure-Python limb backend (numpy absent) at the mid scale."""
-    with force_python_backend():
-        phi, psi = _synthetic_pair("131k", ChunkedAssignment)
-        benchmark(lambda: _algebra_loop(phi, psi))
 
 
 def _fresh_operand(system):
@@ -191,64 +173,6 @@ def test_chunked_beats_reference_on_common_fixpoint():
         f"{reference / chunked:.1f}x faster ({chunked:.4f}s vs "
         f"{reference:.4f}s)"
     )
-
-
-def test_matrix_fixpoint_lockstep_beats_scalar_loop():
-    """Acceptance guard for the 2-D limb-matrix mode: ``fixpoint_many``
-    iterating an 8-formula panel in lockstep beats the same panel run as
-    8 scalar fixpoints by >=2x (best of 3 rounds each), with
-    bit-identical rows and iteration counts."""
-    import time
-
-    import pytest
-
-    from repro.knowledge.semantics import _member_limbs, eval_knows
-
-    system = crash_system(4, 1, 3)
-    with kernels.use_kernel(kernels.CHUNKED):
-        index = system.chunked_index()
-        if not index.matrix_capable():
-            pytest.skip("limb-matrix mode needs the numpy backend")
-        masks = _member_limbs(system, index, NONFAULTY)
-        base = Exists(1).evaluate(system)
-        panel, acc = [], base
-        for processor in range(system.n):
-            acc = eval_knows(system, processor, acc)
-            panel.append(acc.disjoin(base).limbs)
-            panel.append(acc.negate().disjoin(base).limbs)
-
-        def post(limbs):
-            return limbs
-
-        def scalar_loop():
-            return [index.fixpoint(masks, phi, post) for phi in panel]
-
-        def lockstep():
-            return index.fixpoint_many(masks, panel, post)
-
-        lockstep()  # warm
-        scalar_rows = scalar_loop()
-        rows, iters = lockstep()
-        for (s_limbs, s_iters), m_limbs, m_iters in zip(
-            scalar_rows, rows, iters
-        ):
-            assert [int(x) for x in s_limbs] == [int(x) for x in m_limbs]
-            assert s_iters == m_iters
-
-        def best_of(fn, rounds=3):
-            best = float("inf")
-            for _ in range(rounds):
-                start = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        scalar = best_of(scalar_loop)
-        matrix = best_of(lockstep)
-        assert matrix * 2 <= scalar, (
-            f"lockstep fixpoint_many only {scalar / matrix:.1f}x faster "
-            f"({matrix:.4f}s vs {scalar:.4f}s for {len(panel)} rows)"
-        )
 
 
 def test_chunked_pack_unpack_round_trip(benchmark):

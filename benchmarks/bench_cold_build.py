@@ -10,7 +10,7 @@ rounds would defeat):
    ``ViewTable`` objects — followed by the limb-shard evaluation core
    (``LimbBlockPartition`` construction plus the NONFAULTY
    component-label sweep over every block, exactly what the batch plans
-   and the planner seed from);
+   seed from);
 2. **object graph** (the limb-shard baseline): the same cell and the
    same evaluation, but built through ``SystemProvider.get`` — per-point
    scenario enumeration, view interning, run construction — with the
@@ -49,9 +49,9 @@ def _evaluate(arrays) -> int:
 
     Builds the block partition and sweeps NONFAULTY component labels
     over every block (welded with ``merge_component_labels``) — the
-    Corollary 3.3 reachability pass the E4/E9/E21 plans and the
-    planner's block seeding are built on.  Returns the number of
-    labelled runs so the work cannot be dead-code-eliminated.
+    Corollary 3.3 reachability pass the E4/E9/E21 plans are built on.
+    Returns the number of labelled runs so the work cannot be
+    dead-code-eliminated.
     """
     from repro.model.partition import (
         LimbBlockPartition,

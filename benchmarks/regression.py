@@ -106,28 +106,6 @@ def _bench_kernel_reference_fixpoint() -> None:
     _kernel_fixpoint_bench("reference")
 
 
-def _bench_kernel_chunked_fixpoint_native() -> None:
-    """Chunked fixpoint with the optional C inner loop engaged.
-
-    Only timed when the native backend compiles on this machine (the
-    entry is simply absent otherwise — ``compare_snapshots`` treats an
-    added/removed bench as informational, never a regression), so the
-    numbers quantify the native-vs-numpy gap without making CI depend on
-    a C compiler.
-    """
-    import os
-
-    previous = os.environ.get("REPRO_CHUNKED_BACKEND")
-    os.environ["REPRO_CHUNKED_BACKEND"] = "native"
-    try:
-        _kernel_fixpoint_bench("chunked")
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_CHUNKED_BACKEND", None)
-        else:
-            os.environ["REPRO_CHUNKED_BACKEND"] = previous
-
-
 _CHUNKED_1M_PAIR = []
 
 
@@ -174,10 +152,8 @@ def _bench_kernel_chunked_algebra_10m() -> None:
     """Limb-array boolean algebra at the 10M-point synthetic scale.
 
     The ROADMAP item-3 cell: operands are drawn directly as uint64 limbs
-    (cached across rounds) so the timing is the algebra loop itself.
-    Requires the numpy limb backend; on the pure-Python backend the bench
-    degrades to the (much slower) row-construction path, so it is built
-    through ``bench_chunked._chunked_operand`` which handles both.
+    (cached across rounds, through ``bench_chunked._chunked_operand``) so
+    the timing is the algebra loop itself.
     """
     import importlib.util
     import os
@@ -281,7 +257,6 @@ BENCH_KERNELS: Dict[str, Optional[tuple]] = {
     "kernel_bitset_common_fixpoint": ("bitset", "crash-n4t1h3"),
     "kernel_chunked_common_fixpoint": ("chunked", "crash-n4t1h3"),
     "kernel_reference_common_fixpoint": ("reference", "crash-n4t1h3"),
-    "kernel_chunked_fixpoint_native": ("chunked", "crash-n4t1h3"),
     "kernel_bitset_everyone_sweep": ("bitset", "crash-n4t1h3"),
     "extend_omission_h2_to_h3": None,
     "enumerate_omission_system_h3": None,
@@ -373,24 +348,15 @@ def take_snapshot(
     per-entry effective kernels (``meta["entry_kernels"]``) — see
     :func:`entry_kernels` for why the latter is the trustworthy one.
     """
-    from repro.model import native
-
     timings: Dict[str, float] = dict(extra or {})
     for name, seconds in timings.items():
         print(f"{name:<40} {seconds:.6f}s (extra)", flush=True)
-    benches = dict(MICRO_BENCHES)
-    if native.available():
-        benches["kernel_chunked_fixpoint_native"] = (
-            _bench_kernel_chunked_fixpoint_native
-        )
-    for name, bench in benches.items():
+    for name, bench in MICRO_BENCHES.items():
         timings[name] = best_of(bench, rounds)
         print(f"{name:<40} {timings[name]:.6f}s", flush=True)
+    from repro.model.chunked import backend_name
     from repro.model.kernels import active_kernel
 
-    backend = "numpy"
-    if native.requested() and native.available():
-        backend = "native"
     return BenchSnapshot(
         label=label,
         timings=timings,
@@ -400,7 +366,7 @@ def take_snapshot(
             "machine": platform.machine(),
             "kernel": active_kernel(),
             "entry_kernels": entry_kernels(sorted(timings), extra_kernels),
-            "chunked_backend": backend,
+            "chunked_backend": backend_name(),
         },
     )
 

@@ -121,8 +121,6 @@ def _cmd_run(
     run_all: bool,
     skip: List[str],
     json_path: str = None,
-    *,
-    plan: bool = False,
 ) -> int:
     skip = [normalize_experiment_id(eid) for eid in skip]
     selected = (
@@ -136,14 +134,9 @@ def _cmd_run(
         return 2
     failures = 0
     exported = []
-    from contextlib import nullcontext
-
-    from .knowledge.planner import use_planner
-
     for experiment_id in selected:
         start = time.perf_counter()
-        with use_planner() if plan else nullcontext():
-            result = run_experiment(experiment_id)
+        result = run_experiment(experiment_id)
         elapsed = time.perf_counter() - start
         print(result.render())
         print(f"(took {elapsed:.1f}s)")
@@ -1125,11 +1118,6 @@ def _dispatch(argv: List[str] = None) -> int:
         "--stats", action="store_true",
         help="print instrumentation totals after the run",
     )
-    run_parser.add_argument(
-        "--plan", action="store_true",
-        help="route formula portfolios through the fused evaluation "
-        "planner (batched kernel sweeps; identical verdicts)",
-    )
     subparsers.add_parser("protocols", help="show the protocol registry")
     stats_parser = subparsers.add_parser(
         "stats", help="show instrumentation and system-cache state"
@@ -1461,9 +1449,7 @@ def _dispatch(argv: List[str] = None) -> int:
             args.journal,
         )
     else:
-        status = _cmd_run(
-            args.ids, args.all, args.skip, args.json, plan=args.plan
-        )
+        status = _cmd_run(args.ids, args.all, args.skip, args.json)
     if getattr(args, "stats", False):
         print()
         _print_stats()

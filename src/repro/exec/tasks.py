@@ -94,37 +94,6 @@ def pack_run_levels(values: Iterable[bool]) -> int:
     return int.from_bytes(bytes(data), "little")
 
 
-def mask_bytes(mask: int, count: int) -> bytes:
-    """Little-endian bytes of a run-level mask, for O(1) per-bit reads."""
-    return mask.to_bytes((count + 7) // 8 or 1, "little")
-
-
-def mask_bit(data: bytes, index: int) -> int:
-    """Bit *index* of a mask serialized by :func:`mask_bytes`."""
-    return (data[index >> 3] >> (index & 7)) & 1
-
-
-def cbox_bits(components: List[int], phi: int) -> int:
-    """Run-level ``C□`` truth from component labels and run-level φ bits.
-
-    A run's value is the AND of φ over its reachability component; label
-    ``-1`` (no nonfaulty member occurrence anywhere in the run) is
-    vacuously true — the same contract as
-    :func:`repro.knowledge.semantics.eval_continual_common_components`.
-    """
-    phi_bytes = mask_bytes(phi, len(components))
-    component_ok: Dict[int, bool] = {}
-    for run_index, label in enumerate(components):
-        if label != -1:
-            component_ok[label] = bool(
-                component_ok.get(label, True)
-                and mask_bit(phi_bytes, run_index)
-            )
-    return pack_run_levels(
-        label == -1 or component_ok[label] for label in components
-    )
-
-
 # -- E9 tasks --------------------------------------------------------------
 
 
@@ -204,7 +173,9 @@ def _task_components(params: Dict[str, Any]) -> Dict[str, Any]:
     barrier merges the blocks
     (:func:`~repro.model.partition.merge_component_labels`); the merged
     labels may differ in value from the monolithic union-find scan's, but
-    the partition (all that ``cbox_bits`` consumes) is identical.
+    the partition (all that
+    :func:`~repro.model.partition.cbox_mask_from_labels` consumes) is
+    identical.
     """
     partition: LimbBlockPartition = worker_context("partition")
     nf_limbs = worker_context("nf_limbs")

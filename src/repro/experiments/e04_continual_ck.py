@@ -32,7 +32,6 @@ from ..knowledge.formulas import (
     Not,
 )
 from ..knowledge.nonrigid import NONFAULTY
-from ..knowledge.planner import prefetch
 from ..metrics.tables import render_table
 from ..model.builder import crash_system, omission_system
 from .framework import ExperimentResult
@@ -49,19 +48,6 @@ def run(n: int = 3, t: int = 1, horizon: int = None) -> ExperimentResult:
     ):
         phis = [Exists(0), Exists(1), AllStarted(1), Not(Exists(0))]
         psis = [Exists(1), Not(Exists(1))]
-        # Under --plan, fuse the portfolio the checks below re-evaluate:
-        # the C fixpoints iterate in lockstep and the run-level C□ nodes
-        # share one component labelling.  Verdicts are unchanged — the
-        # checks then hit the seeded cache.
-        prefetch(
-            system,
-            [ContinualCommon(NONFAULTY, phi) for phi in phis]
-            + [Common(NONFAULTY, phi) for phi in phis]
-            + [
-                Common(NONFAULTY, Exists(1)),
-                ContinualCommon(NONFAULTY, Exists(1), force_fixpoint=True),
-            ],
-        )
         failures = []
         failures += check_continual_common_k45(system, NONFAULTY, phis, psis)
         for phi in phis:

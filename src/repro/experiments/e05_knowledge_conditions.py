@@ -20,7 +20,6 @@ from ..core.specs import check_nontrivial_agreement
 from ..knowledge.explain import explain
 from ..knowledge.formulas import ContinualCommon, Decided, Exists
 from ..knowledge.nonrigid import nonfaulty_and_ones
-from ..knowledge.planner import prefetch
 from ..metrics.tables import render_table
 from ..model.builder import crash_system, omission_system
 from ..protocols.chain_fip import chain_pair
@@ -36,17 +35,6 @@ def _check_pair(system, pair):
     spec = check_nontrivial_agreement(protocol.outcome(system))
     sticky = protocol.sticky_pair(system)
     cond_a, cond_b = proposition_4_3_conditions(sticky)
-    # Under --plan, evaluate both Proposition 4.3 conditions of every
-    # processor through one fused plan (shared C□ components, one
-    # believes sweep per processor); the validity loop then cache-hits.
-    prefetch(
-        system,
-        [
-            cond(processor)
-            for processor in range(system.n)
-            for cond in (cond_a, cond_b)
-        ],
-    )
     necessary_ok = all(
         cond(processor).is_valid(system)
         for processor in range(system.n)

@@ -34,7 +34,6 @@ from typing import List, Tuple
 
 from ..knowledge.formulas import Believes, ContinualCommon, Exists
 from ..knowledge.nonrigid import nonfaulty_and_zeros
-from ..knowledge.planner import prefetch
 from ..metrics.tables import render_table
 from ..model.builder import omission_system
 from ..model.config import InitialConfiguration, uniform_configuration
@@ -149,12 +148,6 @@ def run(n: int = 4, t: int = 2, horizon: int = 2) -> ExperimentResult:
     # Mechanism: C□_{N∧Z^{Λ,1}} ∃1 fails at every perturbed run r'_m.
     sticky_first = fip(first).sticky_pair(system)
     cbox = ContinualCommon(nonfaulty_and_zeros(sticky_first), Exists(1))
-    # Under --plan, evaluate C□ and every processor's belief in it
-    # through one plan; the probes below then cache-hit.
-    prefetch(
-        system,
-        [cbox] + [Believes(processor, cbox) for processor in range(n)],
-    )
     cbox_truth = cbox.evaluate(system)
     perturbed_rows: List[List[object]] = []
     for label, config, pattern in perturbed_cases(n, horizon):

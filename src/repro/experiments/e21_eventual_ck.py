@@ -34,7 +34,6 @@ from ..knowledge.formulas import (
     Implies,
 )
 from ..knowledge.nonrigid import NONFAULTY
-from ..knowledge.planner import prefetch
 from ..metrics.tables import render_table
 from ..model.builder import crash_system, omission_system
 from ..protocols.f_lambda import f_lambda_2_pair
@@ -55,21 +54,6 @@ def run(n: int = 3, t: int = 1, horizon: int = None) -> ExperimentResult:
     ):
         ec_zero = EventualCommon(NONFAULTY, Exists(0))
         ec_one = EventualCommon(NONFAULTY, Exists(1))
-        # Under --plan, the two C◇ fixpoints iterate in lockstep over a
-        # shared frontier and each processor's pair of beliefs fuses
-        # into one sweep; the evaluations below then cache-hit.
-        prefetch(
-            system,
-            [
-                Implies(Eventually(Common(NONFAULTY, Exists(1))), ec_one),
-                Implies(ContinualCommon(NONFAULTY, Exists(1)), ec_one),
-            ]
-            + [
-                Believes(processor, operand)
-                for processor in range(system.n)
-                for operand in (ec_zero, ec_one)
-            ],
-        )
         implication_1 = Implies(
             Eventually(Common(NONFAULTY, Exists(1))), ec_one
         ).is_valid(system)

@@ -13,34 +13,20 @@ omission enumerations (~1.2M points, Proposition 6.3) run on a packed
 fast path at all — the single-integer bitset kernel degrades
 quadratically there and the reference layout is pure-Python per point.
 
-Two interchangeable limb backends:
-
-* **numpy** (auto-detected at import; requires ``numpy >= 2.0`` for
-  ``np.bitwise_count``) — limbs are one ``uint64`` ndarray; group sweeps
-  are vectorized gather / segmented-reduce (``np.bitwise_or.reduceat``)
-  / scatter (``np.bitwise_or.at``) passes over a flattened
-  ``(limb index, limb value)`` entry table;
-* **pure Python** — limbs are a plain list of ints; same algorithms,
-  scalar loops.  Selected when numpy is unavailable or when the
-  ``REPRO_CHUNKED_BACKEND`` environment variable is set to ``python``
-  (tests use :func:`force_python_backend`).
-
-On top of the numpy backend sits an optional **matrix mode**
-(``REPRO_CHUNKED_BACKEND=matrix`` requests it explicitly; the fused
-planner uses it whenever :func:`matrix_supported`): F formula buffers
-stack into one ``(F, limbs)`` uint64 matrix and the ``*_many`` sweeps
-on :class:`ChunkedIndex` run all F knowledge tests — or all F fixpoints
-in lockstep, sharing one dirty frontier per round — through a single
-gather/segmented-reduce pass per processor.
+Limbs are one ``uint64`` numpy array (``numpy >= 2.0``, for
+``np.bitwise_count``); group sweeps are vectorized gather /
+segmented-reduce (``np.bitwise_or.reduceat``) / scatter
+(``np.bitwise_or.at``) passes over a flattened ``(limb index, limb
+value)`` entry table.
 
 The fixpoint evaluators (``C`` / ``C□`` / ``C◇``) run the same
 downward iteration as the bitset kernel but carry a **dirty-limb
 frontier** between iterations: the limbs the eliminated set (``delta``)
 actually touches select candidate state groups through a lazily built
 limb→groups map, so late iterations re-examine only groups whose points
-changed instead of rescanning every state (the numpy backend switches to
-one vectorized full-table pass when the frontier is wide, which is the
-same work at lower constant factor).
+changed instead of rescanning every state (a wide frontier switches to
+one vectorized full-table pass, which is the same work at lower constant
+factor).
 
 Import order: this module imports :mod:`repro.model.system` (for the
 :class:`TruthAssignment` base class); ``system`` only imports *this*
@@ -50,9 +36,9 @@ cycle.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Callable, Container, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .. import obs, trace
 from ..errors import ConfigurationError
@@ -62,89 +48,15 @@ from .views import ViewId
 LIMB_BITS = 64
 LIMB_MASK = (1 << LIMB_BITS) - 1
 
-#: Environment variable forcing the limb backend.  ``python`` / ``py`` /
-#: ``list`` pins the pure-Python backend; ``matrix`` pins the numpy
-#: backend *and* marks the batched ``(F, limbs)`` matrix sweeps as
-#: explicitly requested (the fused planner then refuses to fall back
-#: silently); anything else means auto (numpy when importable).
-BACKEND_ENV = "REPRO_CHUNKED_BACKEND"
-
-#: Env value requesting the 2-D limb-matrix mode explicitly.
-MATRIX = "matrix"
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _numpy  # type: ignore
-    if not hasattr(_numpy, "bitwise_count"):  # numpy < 2.0
-        _numpy = None  # type: ignore[assignment]
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _numpy = None  # type: ignore[assignment]
-
-
-def _backend_from_env():
-    raw = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if raw in ("py", "python", "list"):
-        return None
-    return _numpy
-
-
-#: The backend new limb buffers are built with (toggled by
-#: :func:`force_python_backend`); per-buffer operations dispatch on the
-#: buffer's own type, so existing values stay coherent across a toggle.
-_active_numpy = _backend_from_env()
-
 
 def backend_name() -> str:
-    """``"numpy"`` or ``"python"`` — the backend new buffers use."""
-    return "numpy" if _active_numpy is not None else "python"
-
-
-def matrix_supported() -> bool:
-    """True when batched ``(F, limbs)`` matrix sweeps are available.
-
-    Matrix mode rides the numpy backend: the axis-agnostic limb helpers
-    treat the *last* axis as the limb axis, so a stack of F formula
-    buffers flows through the same gather/segmented-reduce passes as a
-    single buffer.  Selection precedence mirrors the scalar backend:
-    ``force_python_backend`` (and ``REPRO_CHUNKED_BACKEND=python``)
-    disables it, ``REPRO_CHUNKED_BACKEND=matrix`` requests it
-    explicitly, and otherwise it is available whenever numpy is.
-    """
-    return _active_numpy is not None
-
-
-def matrix_requested() -> bool:
-    """True when ``REPRO_CHUNKED_BACKEND=matrix`` insists on matrix mode."""
-    raw = os.environ.get(BACKEND_ENV, "").strip().lower()
-    return raw == MATRIX
-
-
-@contextmanager
-def force_python_backend() -> Iterator[None]:
-    """Build chunked values with the pure-Python limb backend (tests).
-
-    Only affects buffers created inside the block; indexes built before
-    entering keep their backend, so tests should build fresh systems
-    inside the block when they need end-to-end pure-Python coverage.
-    """
-    global _active_numpy
-    saved = _active_numpy
-    _active_numpy = None
-    try:
-        yield
-    finally:
-        _active_numpy = saved
+    """The limb backend: always ``"numpy"`` (kept for bench metadata)."""
+    return "numpy"
 
 
 # -- limb-buffer primitives ---------------------------------------------------
 #
-# Buffers are either a plain list of ints (pure-Python backend) or one
-# uint64 ndarray (numpy backend).  Every helper dispatches on the
-# *buffer's* type so values from both backends behave, whichever backend
-# is currently active.
-
-def _is_py(limbs) -> bool:
-    return isinstance(limbs, list)
-
+# Buffers are uint64 ndarrays whose last axis is the limb axis.
 
 def _nlimbs(num_bits: int) -> int:
     return max(1, (num_bits + LIMB_BITS - 1) // LIMB_BITS)
@@ -155,95 +67,24 @@ def _tail_mask(num_bits: int) -> int:
     return LIMB_MASK if rem == 0 else (1 << rem) - 1
 
 
-def _freeze(limbs: List[int]):
-    """Adopt a built-as-list buffer into the active backend."""
-    if _active_numpy is not None:
-        return _active_numpy.array(limbs, dtype=_active_numpy.uint64)
-    return limbs
-
-
-def _coerce(limbs, to_python: bool):
-    """Convert a buffer to the requested backend (no-op when it matches)."""
-    if to_python:
-        return limbs if _is_py(limbs) else [int(x) for x in limbs]
-    if _is_py(limbs):
-        return _numpy.array(limbs, dtype=_numpy.uint64)
-    return limbs
-
-
-def _and(a, b):
-    if _is_py(a):
-        return [x & y for x, y in zip(a, b)]
-    return a & b
-
-
-def _or(a, b):
-    if _is_py(a):
-        return [x | y for x, y in zip(a, b)]
-    return a | b
-
-
-def _andnot(a, b):
-    """``a & ~b`` limbwise (stays within the tail because ``a`` does)."""
-    if _is_py(a):
-        return [x & ~y for x, y in zip(a, b)]
-    return a & ~b
+def _array(limbs: List[int]):
+    """Adopt a built-as-list buffer as a uint64 array."""
+    return np.array(limbs, dtype=np.uint64)
 
 
 def _not(a, tail: int):
-    """Complement within the valid bit range (tail limb masked).
-
-    Axis-agnostic on the numpy branch: the last axis is the limb axis,
-    so ``(F, limbs)`` matrix stacks complement row-wise.
-    """
-    if _is_py(a):
-        out = [~x & LIMB_MASK for x in a]
-        out[-1] &= tail
-        return out
+    """Complement within the valid bit range (tail limb masked)."""
     out = ~a
-    out[..., -1] &= _numpy.uint64(tail)
+    out[..., -1] &= np.uint64(tail)
     return out
 
 
-def _eq(a, b) -> bool:
-    if _is_py(a):
-        return a == b
-    return bool((a == b).all())
-
-
-def _any(a) -> bool:
-    if _is_py(a):
-        return any(a)
-    return bool(a.any())
-
-
 def _popcount(a) -> int:
-    if _is_py(a):
-        return sum(x.bit_count() for x in a)
-    return int(_numpy.bitwise_count(a).sum(dtype=_numpy.int64))
+    return int(np.bitwise_count(a).sum(dtype=np.int64))
 
 
 def _shift_down(a, k: int):
-    """Limb buffer logically shifted toward bit 0 by *k* bits.
-
-    Axis-agnostic on the numpy branch (last axis = limb axis), so
-    matrix stacks shift every row in one pass.
-    """
-    if _is_py(a):
-        n = len(a)
-        q, r = divmod(k, LIMB_BITS)
-        out = [0] * n
-        if q < n:
-            if r == 0:
-                out[: n - q] = a[q:]
-            else:
-                inv = LIMB_BITS - r
-                for i in range(n - q):
-                    lo = a[i + q] >> r
-                    hi = (a[i + q + 1] << inv) & LIMB_MASK if i + q + 1 < n else 0
-                    out[i] = lo | hi
-        return out
-    np = _numpy
+    """Limb buffer logically shifted toward bit 0 by *k* bits."""
     n = a.shape[-1]
     q, r = divmod(k, LIMB_BITS)
     out = np.zeros(a.shape, np.uint64)
@@ -260,26 +101,7 @@ def _shift_down(a, k: int):
 
 
 def _shift_up(a, k: int, tail: int):
-    """Limb buffer shifted away from bit 0 by *k* bits, tail-masked.
-
-    Axis-agnostic on the numpy branch (last axis = limb axis).
-    """
-    if _is_py(a):
-        n = len(a)
-        q, r = divmod(k, LIMB_BITS)
-        out = [0] * n
-        if q < n:
-            if r == 0:
-                out[q:] = a[: n - q]
-            else:
-                inv = LIMB_BITS - r
-                for i in range(q, n):
-                    lo = (a[i - q] << r) & LIMB_MASK
-                    hi = a[i - q - 1] >> inv if i - q - 1 >= 0 else 0
-                    out[i] = lo | hi
-        out[-1] &= tail
-        return out
-    np = _numpy
+    """Limb buffer shifted away from bit 0 by *k* bits, tail-masked."""
     n = a.shape[-1]
     q, r = divmod(k, LIMB_BITS)
     out = np.zeros(a.shape, np.uint64)
@@ -319,8 +141,7 @@ def _window_int(limbs, pos: int, width: int) -> int:
 
 
 def _extract_windows(limbs, num_runs: int, width: int):
-    """Vectorized per-run windows (numpy buffers, ``width <= 64``)."""
-    np = _numpy
+    """Vectorized per-run windows (``width <= 64``)."""
     pos = np.arange(num_runs, dtype=np.int64) * width
     idx = pos >> 6
     off = (pos & 63).astype(np.uint64)
@@ -383,7 +204,7 @@ class ChunkedAssignment(TruthAssignment):
             limbs[-1] = _tail_mask(num_bits)
         else:
             limbs = [0] * _nlimbs(num_bits)
-        return ChunkedAssignment(_freeze(limbs), num_runs, width)
+        return ChunkedAssignment(_array(limbs), num_runs, width)
 
     @staticmethod
     def from_rows(
@@ -392,7 +213,7 @@ class ChunkedAssignment(TruthAssignment):
         width = system.horizon + 1
         num_runs = len(system.runs)
         return ChunkedAssignment(
-            _freeze(_pack_rows_to_limbs(rows, width, num_runs)),
+            _array(_pack_rows_to_limbs(rows, width, num_runs)),
             num_runs,
             width,
         )
@@ -408,7 +229,7 @@ class ChunkedAssignment(TruthAssignment):
         for run_index, value in enumerate(run_levels):
             if value:
                 _or_window(limbs, run_index * width, block)
-        return ChunkedAssignment(_freeze(limbs), num_runs, width)
+        return ChunkedAssignment(_array(limbs), num_runs, width)
 
     def _replace(self, limbs) -> "ChunkedAssignment":
         """Same shape, different limb buffer."""
@@ -443,9 +264,9 @@ class ChunkedAssignment(TruthAssignment):
 
     def run_levels(self) -> List[bool]:
         limbs = self.limbs
-        if not _is_py(limbs) and self.width <= LIMB_BITS:
+        if self.width <= LIMB_BITS:
             win = _extract_windows(limbs, self.num_runs, self.width)
-            return ((win & _numpy.uint64(1)) != 0).tolist()
+            return ((win & np.uint64(1)) != 0).tolist()
         width = self.width
         return [
             bool((int(limbs[pos >> 6]) >> (pos & 63)) & 1)
@@ -456,8 +277,7 @@ class ChunkedAssignment(TruthAssignment):
         if isinstance(other, ChunkedAssignment):
             if self.num_runs != other.num_runs or self.width != other.width:
                 return False
-            mine = self.limbs
-            return _eq(mine, _coerce(other.limbs, to_python=_is_py(mine)))
+            return bool((self.limbs == other.limbs).all())
         if isinstance(other, TruthAssignment):
             return self.to_rows() == other.to_rows()
         return NotImplemented
@@ -469,27 +289,23 @@ class ChunkedAssignment(TruthAssignment):
 
     def _limbs_of(self, other: "TruthAssignment"):
         if isinstance(other, ChunkedAssignment):
-            limbs = other.limbs
-        else:
-            limbs = _pack_rows_to_limbs(
-                other.to_rows(), self.width, self.num_runs
-            )
-        return _coerce(limbs, to_python=_is_py(self.limbs))
+            return other.limbs
+        return _array(
+            _pack_rows_to_limbs(other.to_rows(), self.width, self.num_runs)
+        )
 
     def negate(self) -> "ChunkedAssignment":
         return self._replace(_not(self.limbs, _tail_mask(self.num_bits)))
 
     def conjoin(self, other: "TruthAssignment") -> "ChunkedAssignment":
-        return self._replace(_and(self.limbs, self._limbs_of(other)))
+        return self._replace(self.limbs & self._limbs_of(other))
 
     def disjoin(self, other: "TruthAssignment") -> "ChunkedAssignment":
-        return self._replace(_or(self.limbs, self._limbs_of(other)))
+        return self._replace(self.limbs | self._limbs_of(other))
 
     def implies(self, other: "TruthAssignment") -> "ChunkedAssignment":
         tail = _tail_mask(self.num_bits)
-        return self._replace(
-            _or(_not(self.limbs, tail), self._limbs_of(other))
-        )
+        return self._replace(_not(self.limbs, tail) | self._limbs_of(other))
 
     def is_valid(self) -> bool:
         return _popcount(self.limbs) == self.num_bits
@@ -507,8 +323,8 @@ class ChunkedIndex:
       limb index and ``_val[p][k]`` the limb's bits belonging to one
       state group; ``_starts[p]`` delimits the groups.  ``K_p φ`` is then
       one *sparse* subset test per group — only the limbs the group's
-      points occupy are touched, and the numpy backend runs all groups
-      of a processor in one gather/segmented-reduce/scatter pass;
+      points occupy are touched, and all groups of a processor run in
+      one gather/segmented-reduce/scatter pass;
     * ``group_views[p]`` / ``view_owner`` — the view behind each group,
       for decision-state extraction;
     * ``member_masks`` — per nonrigid-set cache key, the per-processor
@@ -538,7 +354,6 @@ class ChunkedIndex:
         "_rstarts",
         "_sizes",
         "_limb_groups_cache",
-        "_native_starts",
         "fresh_limbs",
     )
 
@@ -556,7 +371,7 @@ class ChunkedIndex:
         for run_index in range(num_runs):
             pos = run_index * width
             col0[pos >> 6] |= 1 << (pos & 63)
-        self.col0 = _freeze(col0)
+        self.col0 = _array(col0)
         self.view_owner: Dict[ViewId, int] = {}
         self.view_slot: Dict[ViewId, Tuple[int, int]] = {}
         self.group_views: List[List[ViewId]] = [[] for _ in range(system.n)]
@@ -571,7 +386,6 @@ class ChunkedIndex:
         self._limb_groups_cache: List[Optional[Dict[int, List[int]]]] = (
             [None] * n
         )
-        self._native_starts: List[object] = [None] * n
         #: When this index was produced by :meth:`extend_points`, the sorted
         #: limb indices containing the extension's new (time == horizon)
         #: points — the dirty-limb frontier seeded by one horizon step.
@@ -579,25 +393,11 @@ class ChunkedIndex:
 
     # -- shape helpers -----------------------------------------------------
 
-    @property
-    def _py(self) -> bool:
-        return _is_py(self.col0)
-
     def _zeros(self):
-        if self._py:
-            return [0] * self.nlimbs
-        return _numpy.zeros(self.nlimbs, _numpy.uint64)
+        return np.zeros(self.nlimbs, np.uint64)
 
     def _ones(self):
-        limbs = [LIMB_MASK] * self.nlimbs
-        limbs[-1] = self.tail
-        if self._py:
-            return limbs
-        return _numpy.array(limbs, dtype=_numpy.uint64)
-
-    def _adopt(self, limbs):
-        """Coerce a limb buffer to this index's backend."""
-        return _coerce(limbs, to_python=self._py)
+        return _not(self._zeros(), self.tail)
 
     def wrap(self, limbs) -> ChunkedAssignment:
         """A :class:`ChunkedAssignment` of this system around *limbs*."""
@@ -640,19 +440,10 @@ class ChunkedIndex:
                 # (limb, mask) entries a full knowledge sweep visits.
                 obs.observe("chunked_group_entries", len(idx_acc[p]))
                 self._starts[p] = starts[p]
-                if self._py:
-                    self._idx[p] = idx_acc[p]
-                    self._val[p] = val_acc[p]
-                else:
-                    np = _numpy
-                    self._idx[p] = np.array(idx_acc[p], dtype=np.int64)
-                    self._val[p] = np.array(val_acc[p], dtype=np.uint64)
-                    self._rstarts[p] = np.array(
-                        starts[p][:-1], dtype=np.int64
-                    )
-                    self._sizes[p] = np.diff(
-                        np.array(starts[p], dtype=np.int64)
-                    )
+                self._idx[p] = np.array(idx_acc[p], dtype=np.int64)
+                self._val[p] = np.array(val_acc[p], dtype=np.uint64)
+                self._rstarts[p] = np.array(starts[p][:-1], dtype=np.int64)
+                self._sizes[p] = np.diff(np.array(starts[p], dtype=np.int64))
         self._groups_built = True
 
     def extend_points(self, extended: "System") -> "ChunkedIndex":
@@ -714,24 +505,7 @@ class ChunkedIndex:
     def knows_limbs(self, processor: int, phi):
         """``K_i φ``: one sparse subset test per distinct state group."""
         self._ensure_groups()
-        phi = self._adopt(phi)
         out = self._zeros()
-        if self._py:
-            idx = self._idx[processor]
-            val = self._val[processor]
-            starts = self._starts[processor]
-            for g in range(len(starts) - 1):
-                s, e = starts[g], starts[g + 1]
-                ok = True
-                for k in range(s, e):
-                    if val[k] & ~phi[idx[k]]:
-                        ok = False
-                        break
-                if ok:
-                    for k in range(s, e):
-                        out[idx[k]] |= val[k]
-            return out
-        np = _numpy
         idx = self._idx[processor]
         if idx.size == 0:
             return out
@@ -746,25 +520,7 @@ class ChunkedIndex:
     def believes_limbs(self, processor: int, pmask, phi):
         """``B_i^S φ``: subset test restricted to S-member points."""
         self._ensure_groups()
-        phi = self._adopt(phi)
-        pmask = self._adopt(pmask)
         out = self._zeros()
-        if self._py:
-            idx = self._idx[processor]
-            val = self._val[processor]
-            starts = self._starts[processor]
-            for g in range(len(starts) - 1):
-                s, e = starts[g], starts[g + 1]
-                ok = True
-                for k in range(s, e):
-                    if (val[k] & pmask[idx[k]]) & ~phi[idx[k]]:
-                        ok = False
-                        break
-                if ok:
-                    for k in range(s, e):
-                        out[idx[k]] |= val[k]
-            return out
-        np = _numpy
         idx = self._idx[processor]
         if idx.size == 0:
             return out
@@ -782,12 +538,10 @@ class ChunkedIndex:
         bad_total = self._zeros()
         for processor in range(self.system.n):
             pmask = member_masks[processor]
-            if not _any(pmask):
+            if not pmask.any():
                 continue
             belief = self.believes_limbs(processor, pmask, phi)
-            bad_total = _or(
-                bad_total, _and(pmask, _not(belief, self.tail))
-            )
+            bad_total |= pmask & _not(belief, self.tail)
         return _not(bad_total, self.tail)
 
     # -- temporal sweeps ---------------------------------------------------
@@ -795,37 +549,37 @@ class ChunkedIndex:
     def always_limbs(self, m):
         """``□`` column sweep: suffix-AND within each run's bit window."""
         column = _shift_up(self.col0, self.width - 1, self.tail)
-        previous = _and(m, column)
+        previous = m & column
         result = previous
         for _ in range(self.width - 1):
             column = _shift_down(column, 1)
-            previous = _and(_and(m, column), _shift_down(previous, 1))
-            result = _or(result, previous)
+            previous = m & column & _shift_down(previous, 1)
+            result = result | previous
         return result
 
     def eventually_limbs(self, m):
         """``◇`` column sweep: suffix-OR within each run's bit window."""
         column = _shift_up(self.col0, self.width - 1, self.tail)
-        previous = _and(m, column)
+        previous = m & column
         result = previous
         for _ in range(self.width - 1):
             column = _shift_down(column, 1)
-            previous = _and(column, _or(m, _shift_down(previous, 1)))
-            result = _or(result, previous)
+            previous = column & (m | _shift_down(previous, 1))
+            result = result | previous
         return result
 
     def at_all_times_limbs(self, m):
         """``⊡``: fold all time columns onto col0, then broadcast."""
         folded = m
         for shift in range(1, self.width):
-            folded = _and(folded, _shift_down(m, shift))
-        return self.spread_run_levels(_and(folded, self.col0))
+            folded = folded & _shift_down(m, shift)
+        return self.spread_run_levels(folded & self.col0)
 
     def spread_run_levels(self, run_bits):
         """Broadcast a col0-aligned per-run bit across the run's window."""
         out = run_bits
         for shift in range(1, self.width):
-            out = _or(out, _shift_up(run_bits, shift, self.tail))
+            out = out | _shift_up(run_bits, shift, self.tail)
         return out
 
     # -- decision-state extraction -----------------------------------------
@@ -838,15 +592,6 @@ class ChunkedIndex:
         gids = [g for g, view in enumerate(views) if view in states]
         if not gids:
             return out
-        starts = self._starts[processor]
-        if self._py:
-            idx = self._idx[processor]
-            val = self._val[processor]
-            for g in gids:
-                for k in range(starts[g], starts[g + 1]):
-                    out[idx[k]] |= val[k]
-            return out
-        np = _numpy
         ok = np.zeros(len(views), dtype=bool)
         ok[gids] = True
         sel = np.repeat(ok, self._sizes[processor])
@@ -865,31 +610,7 @@ class ChunkedIndex:
         violation for decision formulas).
         """
         self._ensure_groups()
-        truth = self._adopt(truth)
         views = self.group_views[processor]
-        starts = self._starts[processor]
-        if self._py:
-            idx = self._idx[processor]
-            val = self._val[processor]
-            full_ids: List[int] = []
-            mixed_ids: List[int] = []
-            for g in range(len(starts) - 1):
-                some = False
-                notall = False
-                for k in range(starts[g], starts[g + 1]):
-                    overlap = val[k] & truth[idx[k]]
-                    if overlap:
-                        some = True
-                    if overlap != val[k]:
-                        notall = True
-                    if some and notall:
-                        break
-                if not notall:
-                    full_ids.append(g)
-                elif some:
-                    mixed_ids.append(g)
-            return views, full_ids, mixed_ids
-        np = _numpy
         idx = self._idx[processor]
         if idx.size == 0:
             return views, [], []
@@ -907,8 +628,7 @@ class ChunkedIndex:
     def first_times(self, limbs) -> List[Optional[int]]:
         """Per run, the earliest set bit in the run's window (or None)."""
         width = self.width
-        if not _is_py(limbs) and width <= LIMB_BITS:
-            np = _numpy
+        if width <= LIMB_BITS:
             win = _extract_windows(limbs, self.num_runs, width)
             times = np.full(self.num_runs, -1, np.int64)
             for t in range(width - 1, -1, -1):
@@ -938,10 +658,7 @@ class ChunkedIndex:
                     bit = 1 << (pos & 63)
                     for processor in cell:
                         masks[processor][limb] |= bit
-        if self._py:
-            return masks
-        np = _numpy
-        return [np.array(buf, dtype=np.uint64) for buf in masks]
+        return [_array(buf) for buf in masks]
 
     # -- fixpoints ---------------------------------------------------------
 
@@ -955,16 +672,14 @@ class ChunkedIndex:
         by a **dirty-limb frontier**: each round, only the limbs of the
         freshly eliminated set (``delta``) select candidate groups via
         the limb→groups map, so late iterations re-test just the groups
-        whose points changed.  The numpy backend switches to a single
-        vectorized full-table pass when the frontier is wide (same
-        verdicts, lower constant factor than visiting groups one by one).
+        whose points changed.  A wide frontier switches to a single
+        vectorized full-table pass (same verdicts, lower constant factor
+        than visiting groups one by one).
         """
         self._ensure_groups()
         tail = self.tail
-        phi = self._adopt(phi)
-        member_masks = [self._adopt(m) for m in member_masks]
         processors = [
-            p for p in range(self.system.n) if _any(member_masks[p])
+            p for p in range(self.system.n) if member_masks[p].any()
         ]
         bad = self._zeros()
         alive: Dict[int, object] = {}
@@ -977,13 +692,13 @@ class ChunkedIndex:
             obs.count("fixpoint_iterations")
             iterations += 1
             candidate = post(_not(bad, tail))
-            if _eq(candidate, current):
+            if (candidate == current).all():
                 obs.observe("fixpoint_iterations_per_call", iterations)
                 return current, iterations
-            new_operand = _and(phi, candidate)
-            delta = _andnot(operand, new_operand)
-            if _any(delta):
-                dirty = self._dirty_limbs(delta)
+            new_operand = phi & candidate
+            delta = operand & ~new_operand
+            if delta.any():
+                dirty = np.flatnonzero(delta).tolist()
                 obs.observe("fixpoint_frontier_limbs", len(dirty))
                 for p in processors:
                     self._kill_groups(
@@ -992,75 +707,12 @@ class ChunkedIndex:
             operand = new_operand
             current = candidate
 
-    def _dirty_limbs(self, delta) -> List[int]:
-        if _is_py(delta):
-            return [i for i, limb in enumerate(delta) if limb]
-        return _numpy.flatnonzero(delta).tolist()
-
-    # -- optional native (C) inner loop ------------------------------------
-
-    def _native_lib(self):
-        """The compiled fixpoint library under
-        ``REPRO_CHUNKED_BACKEND=native``, else None (numpy path).
-
-        Unavailability (no compiler, compile failure) degrades silently:
-        the native backend is benchmarked but never load-bearing.
-        """
-        if self._py:
-            return None
-        from . import native
-
-        if not native.requested():
-            return None
-        return native.library()
-
-    def _starts_i64(self, processor: int):
-        """The group-start offsets as a contiguous int64 array (cached)."""
-        starts = self._native_starts[processor]
-        if starts is None:
-            starts = _numpy.array(
-                self._starts[processor], dtype=_numpy.int64
-            )
-            self._native_starts[processor] = starts
-        return starts
-
     def _seed_alive(self, processor: int, pmask, phi, bad):
         """Initial alive flags (operand = φ); dead groups feed *bad*."""
         idx = self._idx[processor]
-        val = self._val[processor]
-        starts = self._starts[processor]
-        if self._py:
-            flags = []
-            for g in range(len(starts) - 1):
-                s, e = starts[g], starts[g + 1]
-                ok = True
-                for k in range(s, e):
-                    if (val[k] & pmask[idx[k]]) & ~phi[idx[k]]:
-                        ok = False
-                        break
-                flags.append(ok)
-                if not ok:
-                    for k in range(s, e):
-                        bad[idx[k]] |= val[k] & pmask[idx[k]]
-            return flags
-        np = _numpy
         if idx.size == 0:
             return np.zeros(0, dtype=bool)
-        lib = self._native_lib()
-        if lib is not None:
-            from . import native
-
-            return native.seed_alive(
-                np,
-                lib,
-                self._starts_i64(processor),
-                idx,
-                val,
-                np.ascontiguousarray(pmask, dtype=np.uint64),
-                np.ascontiguousarray(phi, dtype=np.uint64),
-                bad,
-            )
-        rel = val & pmask[idx]
+        rel = self._val[processor] & pmask[idx]
         badent = (rel & ~phi[idx]) != 0
         grp_bad = np.bitwise_or.reduceat(badent, self._rstarts[processor])
         if grp_bad.any():
@@ -1068,8 +720,8 @@ class ChunkedIndex:
             np.bitwise_or.at(bad, idx[sel], rel[sel])
         return ~grp_bad
 
-    #: Frontier width (in limbs) beyond which the numpy backend prefers
-    #: one vectorized full-table pass over per-group sparse tests.
+    #: Frontier width (in limbs) beyond which one vectorized full-table
+    #: pass beats per-group sparse tests.
     _SPARSE_FRONTIER_LIMBS = 48
 
     def _kill_groups(
@@ -1077,31 +729,11 @@ class ChunkedIndex:
     ) -> None:
         """Retire alive groups whose S-member points intersect *delta*."""
         idx = self._idx[processor]
-        val = self._val[processor]
-        starts = self._starts[processor]
-        if self._py:
-            mapping = self._limb_groups(processor)
-            candidates: set = set()
-            for limb in dirty:
-                candidates.update(mapping.get(limb, ()))
-            for g in sorted(candidates):
-                if not alive[g]:
-                    continue
-                s, e = starts[g], starts[g + 1]
-                hit = False
-                for k in range(s, e):
-                    if val[k] & delta[idx[k]] & pmask[idx[k]]:
-                        hit = True
-                        break
-                if hit:
-                    alive[g] = False
-                    for k in range(s, e):
-                        bad[idx[k]] |= val[k] & pmask[idx[k]]
-            return
-        np = _numpy
         if idx.size == 0:
             return
+        val = self._val[processor]
         if len(dirty) <= self._SPARSE_FRONTIER_LIMBS:
+            starts = self._starts[processor]
             mapping = self._limb_groups(processor)
             candidates: set = set()
             for limb in dirty:
@@ -1117,22 +749,6 @@ class ChunkedIndex:
                         bad, span, val[s:e] & pmask[span]
                     )
             return
-        lib = self._native_lib()
-        if lib is not None:
-            from . import native
-
-            native.kill_groups(
-                np,
-                lib,
-                self._starts_i64(processor),
-                idx,
-                val,
-                np.ascontiguousarray(pmask, dtype=np.uint64),
-                np.ascontiguousarray(delta, dtype=np.uint64),
-                bad,
-                alive,
-            )
-            return
         touch = (val & delta[idx] & pmask[idx]) != 0
         grp_hit = np.bitwise_or.reduceat(touch, self._rstarts[processor])
         newly = alive & grp_hit
@@ -1140,211 +756,3 @@ class ChunkedIndex:
             alive &= ~grp_hit
             sel = np.repeat(newly, self._sizes[processor])
             np.bitwise_or.at(bad, idx[sel], (val & pmask[idx])[sel])
-
-    # -- matrix mode: batched (F, limbs) sweeps ----------------------------
-    #
-    # The fused planner (:mod:`repro.knowledge.planner`) evaluates a
-    # *set* of formulas against one system.  When several ready formulas
-    # share the same sweep shape — same processor for ``K``, same
-    # (processor, nonrigid set) for ``B``, same nonrigid set for ``E`` or
-    # a fixpoint — their operand buffers stack into one ``(F, limbs)``
-    # uint64 matrix and the per-group entry table is gathered and
-    # segment-reduced once for all F rows.  Row results are bit-for-bit
-    # identical to F scalar sweeps; on the pure-Python backend each
-    # ``*_many`` method simply loops the scalar implementation.
-
-    def matrix_capable(self) -> bool:
-        """Whether this index can run batched matrix sweeps (numpy)."""
-        return not self._py
-
-    def _stack(self, phis):
-        np = _numpy
-        return np.stack(
-            [_coerce(phi, to_python=False) for phi in phis]
-        ).astype(np.uint64, copy=False)
-
-    def knows_limbs_many(self, processor: int, phis) -> List[object]:
-        """``[K_p φ for φ in phis]`` in one gather/reduce pass."""
-        if not phis:
-            return []
-        self._ensure_groups()
-        if self._py:
-            return [self.knows_limbs(processor, phi) for phi in phis]
-        np = _numpy
-        phi2 = self._stack(phis)
-        count = phi2.shape[0]
-        out = np.zeros((count, self.nlimbs), np.uint64)
-        idx = self._idx[processor]
-        if idx.size == 0:
-            return list(out)
-        val = self._val[processor]
-        bad = (val[None, :] & ~phi2[:, idx]) != 0
-        grp_bad = np.bitwise_or.reduceat(
-            bad, self._rstarts[processor], axis=1
-        )
-        sizes = self._sizes[processor]
-        for f in range(count):
-            if grp_bad[f].all():
-                continue
-            sel = np.repeat(~grp_bad[f], sizes)
-            np.bitwise_or.at(out[f], idx[sel], val[sel])
-        return list(out)
-
-    def believes_limbs_many(self, processor: int, pmask, phis) -> List[object]:
-        """``[B_p^S φ for φ in phis]`` sharing one membership gather."""
-        if not phis:
-            return []
-        self._ensure_groups()
-        if self._py:
-            return [
-                self.believes_limbs(processor, pmask, phi) for phi in phis
-            ]
-        np = _numpy
-        phi2 = self._stack(phis)
-        pmask = self._adopt(pmask)
-        count = phi2.shape[0]
-        out = np.zeros((count, self.nlimbs), np.uint64)
-        idx = self._idx[processor]
-        if idx.size == 0:
-            return list(out)
-        val = self._val[processor]
-        rel = val & pmask[idx]
-        bad = (rel[None, :] & ~phi2[:, idx]) != 0
-        grp_bad = np.bitwise_or.reduceat(
-            bad, self._rstarts[processor], axis=1
-        )
-        sizes = self._sizes[processor]
-        for f in range(count):
-            if grp_bad[f].all():
-                continue
-            sel = np.repeat(~grp_bad[f], sizes)
-            np.bitwise_or.at(out[f], idx[sel], val[sel])
-        return list(out)
-
-    def everyone_limbs_many(self, member_masks, phis) -> List[object]:
-        """``[E_S φ for φ in phis]`` with one membership pass per processor."""
-        if not phis:
-            return []
-        if self._py:
-            return [self.everyone_limbs(member_masks, phi) for phi in phis]
-        np = _numpy
-        phi2 = self._stack(phis)
-        count = phi2.shape[0]
-        bad_total = np.zeros((count, self.nlimbs), np.uint64)
-        for processor in range(self.system.n):
-            pmask = self._adopt(member_masks[processor])
-            if not _any(pmask):
-                continue
-            beliefs = self.believes_limbs_many(processor, pmask, list(phi2))
-            for f in range(count):
-                bad_total[f] |= pmask & _not(beliefs[f], self.tail)
-        return [_not(bad_total[f], self.tail) for f in range(count)]
-
-    def fixpoint_many(
-        self, member_masks, phis, post: Callable[[object], object]
-    ) -> Tuple[List[object], List[int]]:
-        """Batched greatest fixpoints sharing one frontier per round.
-
-        Iterates all F fixpoints in lockstep: each round evaluates
-        ``post`` once on the whole ``(F, limbs)`` matrix (the temporal
-        sweeps are axis-agnostic) and retires state groups against the
-        union frontier of every row's freshly eliminated set, one
-        gather/reduce per processor instead of F.  A row that reaches
-        its fixed point stops changing (its delta is empty), so lockstep
-        iteration returns exactly the scalar :meth:`fixpoint` result and
-        iteration count per row.
-        """
-        if not phis:
-            return [], []
-        self._ensure_groups()
-        if self._py:
-            results: List[object] = []
-            iterations: List[int] = []
-            for phi in phis:
-                limbs, iters = self.fixpoint(member_masks, phi, post)
-                results.append(limbs)
-                iterations.append(iters)
-            return results, iterations
-        np = _numpy
-        tail = self.tail
-        phi2 = self._stack(phis)
-        count = phi2.shape[0]
-        member_masks = [self._adopt(m) for m in member_masks]
-        processors = [
-            p for p in range(self.system.n) if _any(member_masks[p])
-        ]
-        bad = np.zeros((count, self.nlimbs), np.uint64)
-        alive: Dict[int, object] = {}
-        for p in processors:
-            alive[p] = self._seed_alive_many(
-                p, member_masks[p], phi2, bad
-            )
-        current = np.tile(self._ones(), (count, 1))
-        operand = phi2.copy()
-        done = np.zeros(count, dtype=bool)
-        iterations = [0] * count
-        while True:
-            obs.count("fixpoint_matrix_rounds")
-            for f in range(count):
-                if not done[f]:
-                    obs.count("fixpoint_iterations")
-                    iterations[f] += 1
-            candidate = post(_not(bad, tail))
-            done |= (candidate == current).all(axis=1)
-            if done.all():
-                for iters in iterations:
-                    obs.observe("fixpoint_iterations_per_call", iters)
-                return list(candidate), iterations
-            new_operand = phi2 & candidate
-            delta = operand & ~new_operand
-            if delta.any():
-                for p in processors:
-                    self._kill_groups_many(
-                        p, alive[p], member_masks[p], delta, bad
-                    )
-            operand = new_operand
-            current = candidate
-
-    def _seed_alive_many(self, processor: int, pmask, phi2, bad):
-        """Matrix seeding: per-row alive flags, dead groups feed ``bad``."""
-        np = _numpy
-        idx = self._idx[processor]
-        count = phi2.shape[0]
-        if idx.size == 0:
-            return np.zeros((count, 0), dtype=bool)
-        val = self._val[processor]
-        rel = val & pmask[idx]
-        badent = (rel[None, :] & ~phi2[:, idx]) != 0
-        grp_bad = np.bitwise_or.reduceat(
-            badent, self._rstarts[processor], axis=1
-        )
-        sizes = self._sizes[processor]
-        for f in range(count):
-            if grp_bad[f].any():
-                sel = np.repeat(grp_bad[f], sizes)
-                np.bitwise_or.at(bad[f], idx[sel], rel[sel])
-        return ~grp_bad
-
-    def _kill_groups_many(
-        self, processor: int, alive, pmask, delta, bad
-    ) -> None:
-        """Matrix kill pass: one gather/reduce for all F rows' deltas."""
-        np = _numpy
-        idx = self._idx[processor]
-        if idx.size == 0:
-            return
-        val = self._val[processor]
-        rel = val & pmask[idx]
-        touch = (rel[None, :] & delta[:, idx]) != 0
-        grp_hit = np.bitwise_or.reduceat(
-            touch, self._rstarts[processor], axis=1
-        )
-        newly = alive & grp_hit
-        if not newly.any():
-            return
-        alive &= ~grp_hit
-        sizes = self._sizes[processor]
-        for f in range(newly.shape[0]):
-            if newly[f].any():
-                sel = np.repeat(newly[f], sizes)
-                np.bitwise_or.at(bad[f], idx[sel], rel[sel])

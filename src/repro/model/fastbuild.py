@@ -4,8 +4,8 @@
 ``Run`` object and interns views point by point through a Python dict —
 fine for the object-graph consumers (protocol simulation, explanation
 traces, incremental extension), but pure overhead for the evaluation-only
-consumers (``serve`` forked builds, ``exec`` shards, the planner
-prefetch), which immediately project the system down to
+consumers (``serve`` forked builds, ``exec`` shards), which immediately
+project the system down to
 :class:`~repro.model.partition.SystemArrays` and never look at a ``Run``
 again.  This module builds the *projection directly*:
 
@@ -27,22 +27,20 @@ again.  This module builds the *projection directly*:
 
 The fast path covers what the provider caches: exhaustive crash /
 sending-omission / receive-omission adversaries over the full initial
-configuration list, on the numpy backend.  Anything else returns
-``None`` from :func:`try_build_arrays` and the caller falls back to the
-object-graph build.  ``REPRO_ARRAYS_FASTBUILD=0`` disables the path.
+configuration list.  Anything else returns ``None`` from
+:func:`try_build_arrays` and the caller falls back to the object-graph
+build.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from typing import List, Optional
 
-from .. import obs, trace
-from . import chunked as _ck
-from .failures import FailureMode
+import numpy as np
 
-_FASTBUILD_FALSY = {"0", "false", "no", "off"}
+from .. import obs, trace
+from .failures import FailureMode
 
 #: Modes with a canonical exhaustive enumeration the fast path mirrors.
 _SUPPORTED_MODES = (
@@ -52,23 +50,9 @@ _SUPPORTED_MODES = (
 )
 
 
-def _np():
-    return _ck._active_numpy
-
-
-def fastbuild_enabled() -> bool:
-    """Whether the arrays-first construction path is enabled (env gate)."""
-    raw = os.environ.get("REPRO_ARRAYS_FASTBUILD", "1").strip().lower()
-    return raw not in _FASTBUILD_FALSY
-
-
 def supports(mode: FailureMode, n: int, t: int, horizon: int) -> bool:
     """Whether :func:`build_arrays` can handle this cell."""
-    if _np() is None or not fastbuild_enabled():
-        return False
-    if mode not in _SUPPORTED_MODES:
-        return False
-    return n >= 2 and 0 <= t < n and horizon >= 1
+    return mode in _SUPPORTED_MODES and n >= 2 and 0 <= t < n and horizon >= 1
 
 
 def _subset_masks(n: int, processor: int, *, strict: bool):
@@ -79,7 +63,6 @@ def _subset_masks(n: int, processor: int, *, strict: bool):
     ascending, ``itertools.combinations`` within a size); ``strict``
     drops the full set (crash canonicalization).
     """
-    np = _np()
     others = [p for p in range(n) if p != processor]
     top = len(others) if strict else len(others) + 1
     rows: List[List[bool]] = []
@@ -103,7 +86,6 @@ def _behavior_tables(mode: FailureMode, n: int, horizon: int, processor: int):
     says the round-``m`` message from ``s`` is received.  The processor's
     own column is irrelevant (self-delivery is forced later).
     """
-    np = _np()
     if mode is FailureMode.CRASH:
         members = _subset_masks(n, processor, strict=True)
         num_subsets = members.shape[0]
@@ -143,7 +125,6 @@ def _pattern_tensors(mode: FailureMode, n: int, t: int, horizon: int):
     failure-free first, then faulty sets of size ``1..t`` with the
     behaviour product's last position varying fastest.
     """
-    np = _np()
     send_tables = []
     recv_tables = []
     for processor in range(n):
@@ -189,13 +170,10 @@ def build_arrays(mode: FailureMode, n: int, t: int, horizon: int):
 
     Byte-identical to ``SystemArrays.from_system`` on the object-graph
     build of the same cell (same dtypes, same dense view-id order, same
-    meta).  Raises :class:`~repro.errors.ConfigurationError` via the
-    partition layer only on unsupported backends; call :func:`supports`
-    first.
+    meta).  Call :func:`supports` first.
     """
     from .partition import SystemArrays
 
-    np = _np()
     with obs.stage("system_fastbuild"), trace.span(
         "system_fastbuild", mode=mode.value, n=n, t=t, horizon=horizon
     ):

@@ -28,8 +28,7 @@ group tables.  This module closes that gap with two pieces:
   heavy tables travel to forked workers copy-on-write through the worker
   context.  Per-block sweeps (believes verdicts, reachability-component
   labels, decision-state masks) are vectorized gather/segmented-reduce
-  passes on the numpy backend with the same pure-Python fallbacks as the
-  kernel itself; per-block results are merged at the stage barrier
+  passes; per-block results are merged at the stage barrier
   (:func:`merge_component_labels` folds block-local component labels
   with a union-find over the conflicting representatives only).
 
@@ -44,9 +43,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import obs, trace
 from ..errors import ConfigurationError, EvaluationError
-from . import chunked as _ck
 from .chunked import LIMB_BITS, LIMB_MASK
 
 #: Target group-table entries per limb block when no explicit shard size
@@ -60,17 +60,6 @@ MAX_BLOCKS = 64
 ARRAYS_VERSION = 1
 
 
-def _np():
-    """The numpy module the chunked backend is currently using (or None).
-
-    Routed through :mod:`repro.model.chunked` so that
-    ``force_python_backend`` and ``REPRO_CHUNKED_BACKEND=python`` put the
-    partition machinery onto its pure-Python paths together with the
-    kernel.
-    """
-    return _ck._active_numpy
-
-
 # -- run-level mask helpers -------------------------------------------------
 
 
@@ -80,17 +69,8 @@ def run_mask_to_limbs(mask: int, num_runs: int, width: int):
     Bit ``r`` of *mask* becomes the full ``width``-bit window of run
     ``r`` — the limb form of a run-level truth assignment.
     """
-    np = _np()
     nbits = num_runs * width
     nlimbs = max(1, (nbits + LIMB_BITS - 1) // LIMB_BITS)
-    if np is None:
-        limbs = [0] * nlimbs
-        data = mask.to_bytes((num_runs + 7) // 8 or 1, "little")
-        block = (1 << width) - 1
-        for run_index in range(num_runs):
-            if (data[run_index >> 3] >> (run_index & 7)) & 1:
-                _ck._or_window(limbs, run_index * width, block)
-        return limbs
     data = mask.to_bytes((num_runs + 7) // 8 or 1, "little")
     bits = np.unpackbits(
         np.frombuffer(data, dtype=np.uint8), bitorder="little"
@@ -103,63 +83,30 @@ def run_mask_to_limbs(mask: int, num_runs: int, width: int):
 
 
 def bools_to_mask(values) -> int:
-    """Pack an iterable/array of booleans into a run-level int mask."""
-    np = _np()
-    if np is not None and isinstance(values, np.ndarray):
-        packed = np.packbits(
-            values.astype(bool, copy=False), bitorder="little"
-        )
-        return int.from_bytes(packed.tobytes(), "little")
-    data = bytearray()
-    byte = 0
-    shift = 0
-    for value in values:
-        if value:
-            byte |= 1 << shift
-        shift += 1
-        if shift == 8:
-            data.append(byte)
-            byte = 0
-            shift = 0
-    if shift:
-        data.append(byte)
-    return int.from_bytes(bytes(data), "little")
+    """Pack a boolean array into a run-level int mask."""
+    packed = np.packbits(np.asarray(values, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def limbs_to_hex(limbs) -> str:
     """Hex serialization of a limb buffer (JSON-safe shard payloads)."""
-    if isinstance(limbs, list):
-        nbytes = len(limbs) * 8
-        value = 0
-        for i, limb in enumerate(limbs):
-            value |= limb << (64 * i)
-        return value.to_bytes(nbytes, "little").hex()
     return limbs.astype("<u8").tobytes().hex()
 
 
 def hex_to_limbs(text: str):
-    """Inverse of :func:`limbs_to_hex`, onto the active backend."""
+    """Inverse of :func:`limbs_to_hex`."""
     data = bytes.fromhex(text)
-    np = _np()
-    if np is None:
-        return [
-            int.from_bytes(data[i : i + 8], "little")
-            for i in range(0, len(data), 8)
-        ]
     return np.frombuffer(data, dtype="<u8").astype(np.uint64)
 
 
 def cbox_mask_from_labels(labels, phi: int, num_runs: int) -> int:
     """Run-level ``C□`` mask from component labels and run-level φ.
 
-    Vectorized counterpart of ``repro.exec.tasks.cbox_bits``: a run's bit
-    is the AND of φ over its component; label ``-1`` is vacuously true.
+    A run's bit is the AND of φ over its component; label ``-1`` (no
+    nonfaulty member occurrence in the run) is vacuously true — the
+    contract of
+    :func:`repro.knowledge.semantics.eval_continual_common_components`.
     """
-    np = _np()
-    if np is None or isinstance(labels, list):
-        from ..exec.tasks import cbox_bits
-
-        return cbox_bits([int(x) for x in labels], phi)
     data = phi.to_bytes((num_runs + 7) // 8 or 1, "little")
     phi_bits = np.unpackbits(
         np.frombuffer(data, dtype=np.uint8), bitorder="little"
@@ -189,8 +136,7 @@ def cbox_mask_from_labels(labels, phi: int, num_runs: int) -> int:
 class SystemArrays:
     """Array projection of an enumerated system (numpy-native).
 
-    Attributes (numpy backend; the pure-Python fallback stores plain
-    nested lists with identical indexing):
+    Attributes:
 
     * ``views`` — ``(runs, horizon+1, n)`` int32, the view id at point
       ``(run, time)`` for each processor; position ``run * width + time``
@@ -263,7 +209,6 @@ class SystemArrays:
     @classmethod
     def from_system(cls, system) -> "SystemArrays":
         """Project *system* onto arrays (one pass over runs and table)."""
-        np = _np()
         with obs.stage("system_arrays_build"), trace.span(
             "system_arrays_build", runs=len(system.runs)
         ):
@@ -288,43 +233,6 @@ class SystemArrays:
                 [p in run.nonfaulty for p in range(n)] for run in runs
             ]
             mode = system.mode.value if system.mode is not None else "?"
-            if np is None:
-                deliv = [
-                    [
-                        [
-                            [
-                                (s == r) or (s in run.deliveries[m][r])
-                                for s in range(n)
-                            ]
-                            for r in range(n)
-                        ]
-                        for m in range(horizon)
-                    ]
-                    for run in runs
-                ]
-                occurs = [False] * num_views
-                for row in views_list:
-                    for per_time in row:
-                        for view in per_time:
-                            occurs[view] = True
-                return cls(
-                    mode=mode,
-                    n=n,
-                    t=system.t,
-                    horizon=horizon,
-                    num_views=num_views,
-                    views=[
-                        [list(per_time) for per_time in row]
-                        for row in views_list
-                    ],
-                    owner=owner_list,
-                    vtime=vtime_list,
-                    prev=prev_list,
-                    init=[list(values) for values in init_list],
-                    nonfaulty=nf_list,
-                    deliveries=deliv,
-                    occurs=occurs,
-                )
             views_arr = np.array(views_list, dtype=np.int32)
             deliv = np.zeros((len(runs), horizon, n, n), dtype=bool)
             for run_index, run in enumerate(runs):
@@ -359,12 +267,7 @@ class SystemArrays:
     # -- npz round-trip ----------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the ``.npz`` sidecar (numpy backend only)."""
-        np = _np()
-        if np is None:
-            raise ConfigurationError(
-                "the SystemArrays sidecar needs the numpy backend"
-            )
+        """Write the ``.npz`` sidecar."""
         meta = json.dumps(
             {
                 "arrays_version": ARRAYS_VERSION,
@@ -391,11 +294,6 @@ class SystemArrays:
     @classmethod
     def load(cls, path: str) -> "SystemArrays":
         """Read a sidecar written by :meth:`save`; raises on mismatch."""
-        np = _np()
-        if np is None:
-            raise ConfigurationError(
-                "the SystemArrays sidecar needs the numpy backend"
-            )
         with np.load(path, allow_pickle=False) as bundle:
             meta = json.loads(bytes(bundle["meta"]).decode("utf-8"))
             if meta.get("arrays_version") != ARRAYS_VERSION:
@@ -438,18 +336,10 @@ class SystemArrays:
 
     def exists_mask(self, value: int) -> int:
         """Run-level mask of the paper's ∃value."""
-        np = _np()
-        if np is None or isinstance(self.init, list):
-            return bools_to_mask(
-                any(v == value for v in row) for row in self.init
-            )
         return bools_to_mask((self.init == value).any(axis=1))
 
     def nonfaulty_mask(self, processor: int) -> int:
         """Run-level mask of runs where *processor* is nonfaulty."""
-        np = _np()
-        if np is None or isinstance(self.nonfaulty, list):
-            return bools_to_mask(row[processor] for row in self.nonfaulty)
         return bools_to_mask(self.nonfaulty[:, processor])
 
     def nonfaulty_of(self, run_index: int) -> List[int]:
@@ -486,30 +376,14 @@ class SystemArrays:
             ]
             for m in range(self.horizon)
         ]
-        np = _np()
-        if np is None or isinstance(self.views, list):
-            matches = [
-                run_index
-                for run_index in range(self.num_runs)
-                if list(self.init[run_index]) == values
-                and list(self.nonfaulty[run_index]) == nf_row
-                and [
-                    [list(row) for row in per_round]
-                    for per_round in self.deliveries[run_index]
-                ]
-                == deliv
-            ]
-        else:
-            hits = (
-                (self.init == np.array(values, dtype=np.int8)).all(axis=1)
-                & (self.nonfaulty == np.array(nf_row, dtype=bool)).all(
-                    axis=1
-                )
-                & (
-                    self.deliveries == np.array(deliv, dtype=bool)
-                ).reshape(self.num_runs, -1).all(axis=1)
-            )
-            matches = np.flatnonzero(hits).tolist()
+        hits = (
+            (self.init == np.array(values, dtype=np.int8)).all(axis=1)
+            & (self.nonfaulty == np.array(nf_row, dtype=bool)).all(axis=1)
+            & (self.deliveries == np.array(deliv, dtype=bool))
+            .reshape(self.num_runs, -1)
+            .all(axis=1)
+        )
+        matches = np.flatnonzero(hits).tolist()
         if len(matches) != 1:
             raise EvaluationError(
                 f"scenario lookup matched {len(matches)} runs "
@@ -528,22 +402,6 @@ class SystemArrays:
         trigger.  Vectorized by time level — each level ORs in its
         parents' already-final flags.
         """
-        np = _np()
-        if np is None or isinstance(self.prev, list):
-            triggers = set(trigger_views)
-            closed = [False] * self.num_views
-            for view in triggers:
-                closed[view] = True
-            order = sorted(range(self.num_views), key=lambda v: self.vtime[v])
-            for view in order:
-                parent = self.prev[view]
-                if parent >= 0 and closed[parent]:
-                    closed[view] = True
-            return [
-                view
-                for view in range(self.num_views)
-                if closed[view] and self.occurs[view]
-            ]
         closed = np.zeros(self.num_views, dtype=bool)
         triggers = np.asarray(sorted(set(trigger_views)), dtype=np.int64)
         if triggers.size:
@@ -576,32 +434,6 @@ class SystemArrays:
         vectorized over the run range.
         """
         start, stop = run_range
-        np = _np()
-        if np is None or isinstance(self.views, list):
-            zset, oset = set(zeros), set(ones)
-            zero_triggers: set = set()
-            one_triggers: set = set()
-            for run_index in range(start, stop):
-                row = self.views[run_index]
-                for processor in range(self.n):
-                    zero_time = one_time = None
-                    for time in range(self.width):
-                        view = row[time][processor]
-                        if view in zset:
-                            zero_time = time
-                        if view in oset:
-                            one_time = time
-                        if zero_time is not None or one_time is not None:
-                            break
-                    if zero_time is None and one_time is None:
-                        continue
-                    if zero_time is not None and (
-                        one_time is None or zero_time <= one_time
-                    ):
-                        zero_triggers.add(row[zero_time][processor])
-                    else:
-                        one_triggers.add(row[one_time][processor])
-            return sorted(zero_triggers), sorted(one_triggers)
         zflags = np.zeros(self.num_views, dtype=bool)
         oflags = np.zeros(self.num_views, dtype=bool)
         zlist = np.asarray(sorted(set(zeros)), dtype=np.int64)
@@ -735,96 +567,51 @@ class LimbBlockPartition:
         target_entries: Optional[int] = None,
     ) -> "LimbBlockPartition":
         """Build group tables directly from the view-id matrix."""
-        np = _np()
         with obs.stage("limb_partition_build"), trace.span(
             "limb_partition_build", runs=arrays.num_runs
         ):
             width = arrays.width
             tables: List[Dict[str, Any]] = []
-            if np is None or isinstance(arrays.views, list):
-                for processor in range(arrays.n):
-                    acc: Dict[int, Dict[int, int]] = {}
-                    for run_index in range(arrays.num_runs):
-                        base = run_index * width
-                        row = arrays.views[run_index]
-                        for time in range(width):
-                            view = int(row[time][processor])
-                            pos = base + time
-                            per = acc.setdefault(view, {})
-                            limb = pos >> 6
-                            per[limb] = per.get(limb, 0) | (
-                                1 << (pos & 63)
-                            )
-                    gv = sorted(acc)
-                    idx: List[int] = []
-                    val: List[int] = []
-                    starts = [0]
-                    first_limb: List[int] = []
-                    for view in gv:
-                        per = acc[view]
-                        limbs = sorted(per)
-                        first_limb.append(limbs[0])
-                        for limb in limbs:
-                            idx.append(limb)
-                            val.append(per[limb])
-                        starts.append(len(idx))
+            for processor in range(arrays.n):
+                vv = arrays.views[:, :, processor].ravel().astype(np.int64)
+                order = np.argsort(vv, kind="stable")
+                sv = vv[order]
+                limb = order >> 6
+                bit = (order & 63).astype(np.uint64)
+                if sv.size == 0:
                     tables.append(
                         {
-                            "idx": idx,
-                            "val": val,
-                            "starts": starts,
-                            "gv": gv,
-                            "first_limb": first_limb,
-                            "entries": len(idx),
+                            "idx": np.zeros(0, np.int64),
+                            "val": np.zeros(0, np.uint64),
+                            "starts": np.zeros(1, np.int64),
+                            "gv": np.zeros(0, np.int64),
+                            "first_limb": np.zeros(0, np.int64),
+                            "entries": 0,
                         }
                     )
-            else:
-                for processor in range(arrays.n):
-                    vv = arrays.views[:, :, processor].ravel().astype(
-                        np.int64
-                    )
-                    order = np.argsort(vv, kind="stable")
-                    sv = vv[order]
-                    limb = order >> 6
-                    bit = (order & 63).astype(np.uint64)
-                    if sv.size == 0:
-                        tables.append(
-                            {
-                                "idx": np.zeros(0, np.int64),
-                                "val": np.zeros(0, np.uint64),
-                                "starts": np.zeros(1, np.int64),
-                                "gv": np.zeros(0, np.int64),
-                                "first_limb": np.zeros(0, np.int64),
-                                "entries": 0,
-                            }
-                        )
-                        continue
-                    new_entry = np.empty(sv.size, dtype=bool)
-                    new_entry[0] = True
-                    new_entry[1:] = (sv[1:] != sv[:-1]) | (
-                        limb[1:] != limb[:-1]
-                    )
-                    entry_starts = np.flatnonzero(new_entry)
-                    val = np.bitwise_or.reduceat(
-                        np.uint64(1) << bit, entry_starts
-                    )
-                    idx = limb[entry_starts]
-                    sv_entries = sv[entry_starts]
-                    new_group = np.empty(sv_entries.size, dtype=bool)
-                    new_group[0] = True
-                    new_group[1:] = sv_entries[1:] != sv_entries[:-1]
-                    group_first = np.flatnonzero(new_group)
-                    starts = np.append(group_first, sv_entries.size)
-                    tables.append(
-                        {
-                            "idx": idx,
-                            "val": val,
-                            "starts": starts,
-                            "gv": sv_entries[group_first],
-                            "first_limb": idx[group_first],
-                            "entries": int(idx.size),
-                        }
-                    )
+                    continue
+                new_entry = np.empty(sv.size, dtype=bool)
+                new_entry[0] = True
+                new_entry[1:] = (sv[1:] != sv[:-1]) | (limb[1:] != limb[:-1])
+                entry_starts = np.flatnonzero(new_entry)
+                val = np.bitwise_or.reduceat(np.uint64(1) << bit, entry_starts)
+                idx = limb[entry_starts]
+                sv_entries = sv[entry_starts]
+                new_group = np.empty(sv_entries.size, dtype=bool)
+                new_group[0] = True
+                new_group[1:] = sv_entries[1:] != sv_entries[:-1]
+                group_first = np.flatnonzero(new_group)
+                starts = np.append(group_first, sv_entries.size)
+                tables.append(
+                    {
+                        "idx": idx,
+                        "val": val,
+                        "starts": starts,
+                        "gv": sv_entries[group_first],
+                        "first_limb": idx[group_first],
+                        "entries": int(idx.size),
+                    }
+                )
             return cls(
                 n=arrays.n,
                 num_runs=arrays.num_runs,
@@ -846,41 +633,24 @@ class LimbBlockPartition:
     ) -> "LimbBlockPartition":
         """Slice an existing :class:`ChunkedIndex`'s tables."""
         index._ensure_groups()
-        np = _np()
         tables: List[Dict[str, Any]] = []
         for processor in range(index.system.n):
             idx = index._idx[processor]
-            val = index._val[processor]
-            starts = index._starts[processor]
-            gv = index.group_views[processor]
-            if isinstance(idx, list):
-                first_limb = [
-                    idx[starts[g]] for g in range(len(starts) - 1)
-                ]
-                tables.append(
-                    {
-                        "idx": list(idx),
-                        "val": list(val),
-                        "starts": list(starts),
-                        "gv": list(gv),
-                        "first_limb": first_limb,
-                        "entries": len(idx),
-                    }
-                )
-            else:
-                starts_arr = np.asarray(starts, dtype=np.int64)
-                tables.append(
-                    {
-                        "idx": idx,
-                        "val": val,
-                        "starts": starts_arr,
-                        "gv": np.asarray(gv, dtype=np.int64),
-                        "first_limb": idx[starts_arr[:-1]]
-                        if idx.size
-                        else np.zeros(0, np.int64),
-                        "entries": int(idx.size),
-                    }
-                )
+            starts = np.asarray(index._starts[processor], dtype=np.int64)
+            tables.append(
+                {
+                    "idx": idx,
+                    "val": index._val[processor],
+                    "starts": starts,
+                    "gv": np.asarray(
+                        index.group_views[processor], dtype=np.int64
+                    ),
+                    "first_limb": idx[starts[:-1]]
+                    if idx.size
+                    else np.zeros(0, np.int64),
+                    "entries": int(idx.size),
+                }
+            )
         num_views = len(index.system.table)
         return cls(
             n=index.system.n,
@@ -903,38 +673,18 @@ class LimbBlockPartition:
             target = target_entries or DEFAULT_BLOCK_ENTRIES
             num_blocks = (self.total_entries + target - 1) // target
         num_blocks = max(1, min(MAX_BLOCKS, int(num_blocks)))
-        np = _np()
-        weights = [0] * self.nlimbs
-        if np is not None and not isinstance(self.tables[0]["idx"], list):
-            weights = np.zeros(self.nlimbs + 1, dtype=np.int64)
-            for table in self.tables:
-                starts = table["starts"]
-                if table["entries"]:
-                    sizes = np.diff(starts)
-                    np.add.at(weights, table["first_limb"], sizes)
-            csum = np.cumsum(weights)
-            total = int(csum[-1])
-            cuts = {0, self.nlimbs}
-            for k in range(1, num_blocks):
-                target_weight = total * k / num_blocks
-                cut = int(np.searchsorted(csum, target_weight, side="left"))
-                cuts.add(min(cut + 1, self.nlimbs))
-        else:
-            for table in self.tables:
-                starts = table["starts"]
-                for g in range(len(starts) - 1):
-                    weights[table["first_limb"][g]] += (
-                        starts[g + 1] - starts[g]
-                    )
-            total = sum(weights)
-            cuts = {0, self.nlimbs}
-            acc = 0
-            k = 1
-            for limb, weight in enumerate(weights):
-                acc += weight
-                while k < num_blocks and acc >= total * k / num_blocks:
-                    cuts.add(min(limb + 1, self.nlimbs))
-                    k += 1
+        weights = np.zeros(self.nlimbs + 1, dtype=np.int64)
+        for table in self.tables:
+            if table["entries"]:
+                sizes = np.diff(table["starts"])
+                np.add.at(weights, table["first_limb"], sizes)
+        csum = np.cumsum(weights)
+        total = int(csum[-1])
+        cuts = {0, self.nlimbs}
+        for k in range(1, num_blocks):
+            target_weight = total * k / num_blocks
+            cut = int(np.searchsorted(csum, target_weight, side="left"))
+            cuts.add(min(cut + 1, self.nlimbs))
         bounds = sorted(cuts)
         blocks: List[LimbBlock] = []
         for block_id, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
@@ -942,7 +692,7 @@ class LimbBlockPartition:
             entries = 0
             for processor in range(self.n):
                 gids = self._block_groups(processor, lo, hi)
-                groups += self._count(gids)
+                groups += int(gids.size)
                 entries += self._entry_count(processor, gids)
             blocks.append(
                 LimbBlock(
@@ -955,29 +705,13 @@ class LimbBlockPartition:
             )
         return blocks
 
-    @staticmethod
-    def _count(gids) -> int:
-        return len(gids) if isinstance(gids, list) else int(gids.size)
-
     def _entry_count(self, processor: int, gids) -> int:
-        starts = self.tables[processor]["starts"]
-        if isinstance(gids, list):
-            return sum(starts[g + 1] - starts[g] for g in gids)
-        np = _np()
-        starts = np.asarray(starts)
+        starts = np.asarray(self.tables[processor]["starts"])
         return int((starts[gids + 1] - starts[gids]).sum()) if gids.size else 0
 
     def _block_groups(self, processor: int, lo: int, hi: int):
         """Group ids of *processor* whose first entry limb ∈ [lo, hi)."""
-        table = self.tables[processor]
-        first_limb = table["first_limb"]
-        if isinstance(first_limb, list):
-            return [
-                g
-                for g, limb in enumerate(first_limb)
-                if lo <= limb < hi
-            ]
-        np = _np()
+        first_limb = self.tables[processor]["first_limb"]
         key = (processor, -1)
         cached = self._span_cache.get(key)
         if cached is None:
@@ -1002,34 +736,20 @@ class LimbBlockPartition:
             return cached
         block = self.blocks[block_id]
         gids = self._block_groups(processor, block.limb_lo, block.limb_hi)
-        table = self.tables[processor]
-        starts = table["starts"]
-        if isinstance(starts, list):
-            entry_sel = []
-            local_starts = []
-            for g in gids:
-                local_starts.append(len(entry_sel))
-                entry_sel.extend(range(starts[g], starts[g + 1]))
-            cached = (gids, entry_sel, local_starts)
+        starts = self.tables[processor]["starts"]
+        counts = starts[gids + 1] - starts[gids]
+        total = int(counts.sum())
+        if total == 0:
+            cached = (gids, np.zeros(0, np.int64), np.zeros(0, np.int64))
         else:
-            np = _np()
-            counts = starts[gids + 1] - starts[gids]
-            total = int(counts.sum())
-            if total == 0:
-                cached = (
-                    gids,
-                    np.zeros(0, np.int64),
-                    np.zeros(0, np.int64),
-                )
-            else:
-                offsets = np.concatenate(
-                    ([0], np.cumsum(counts)[:-1])
-                ).astype(np.int64)
-                base = np.repeat(starts[gids], counts)
-                intra = np.arange(total, dtype=np.int64) - np.repeat(
-                    offsets, counts
-                )
-                cached = (gids, base + intra, offsets)
+            offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(
+                np.int64
+            )
+            base = np.repeat(starts[gids], counts)
+            intra = np.arange(total, dtype=np.int64) - np.repeat(
+                offsets, counts
+            )
+            cached = (gids, base + intra, offsets)
         self._span_cache[key] = cached
         return cached
 
@@ -1071,23 +791,7 @@ class LimbBlockPartition:
         # it).
         obs.observe("partition_sweep_entries", len(entry_sel))
         table = self.tables[processor]
-        if isinstance(table["idx"], list):
-            idx = table["idx"]
-            val = table["val"]
-            starts = table["starts"]
-            gv = table["gv"]
-            out = []
-            for g in gids:
-                ok = True
-                for k in range(starts[g], starts[g + 1]):
-                    if val[k] & pmask[idx[k]] & ~phi[idx[k]]:
-                        ok = False
-                        break
-                if ok:
-                    out.append(int(gv[g]))
-            return out
-        np = _np()
-        if self._count(gids) == 0 or entry_sel.size == 0:
+        if gids.size == 0 or entry_sel.size == 0:
             return [int(v) for v in np.asarray(table["gv"])[gids]]
         ent_idx = table["idx"][entry_sel]
         ent_val = table["val"][entry_sel]
@@ -1100,8 +804,8 @@ class LimbBlockPartition:
     ) -> Tuple[List[int], List[int]]:
         """Block-local reachability components of ``N ∧ Z``.
 
-        ``state_flags`` marks the decision views Z (bool per view id, or
-        a set on the pure-Python path); ``nf_limbs[p]`` is processor
+        ``state_flags`` marks the decision views Z (bool per view id);
+        ``nf_limbs[p]`` is processor
         *p*'s nonfaulty point mask.  Two runs are connected when some
         block group with its view in Z has nonfaulty-owner occurrences
         in both.  Returns ``(runs, reps)``: the touched runs and each
@@ -1109,7 +813,6 @@ class LimbBlockPartition:
         minimum touched run) — merged across blocks by
         :func:`merge_component_labels` at the stage barrier.
         """
-        np = _np()
         pairs_group: List[Any] = []
         pairs_run: List[Any] = []
         group_base = 0
@@ -1118,28 +821,7 @@ class LimbBlockPartition:
                 processor, block_id
             )
             table = self.tables[processor]
-            if isinstance(table["idx"], list):
-                idx = table["idx"]
-                val = table["val"]
-                starts = table["starts"]
-                gv = table["gv"]
-                pmask = nf_limbs[processor]
-                for g in gids:
-                    if gv[g] not in state_flags:
-                        continue
-                    for k in range(starts[g], starts[g + 1]):
-                        rel = val[k] & pmask[idx[k]]
-                        base = idx[k] * LIMB_BITS
-                        while rel:
-                            bit = (rel & -rel).bit_length() - 1
-                            pairs_group.append(group_base + g)
-                            pairs_run.append(
-                                (base + bit) // self.width
-                            )
-                            rel &= rel - 1
-                group_base += len(table["first_limb"])
-                continue
-            if self._count(gids) == 0:
+            if gids.size == 0:
                 group_base += int(np.asarray(table["gv"]).size)
                 continue
             gv = np.asarray(table["gv"])
@@ -1182,10 +864,6 @@ class LimbBlockPartition:
             pairs_group.append(groups + group_base)
             pairs_run.append(runs)
             group_base += int(gv.size)
-        if np is None or (pairs_group and isinstance(pairs_group[0], list)):
-            runs_py, reps_py = _component_labels_py(pairs_group, pairs_run)
-            obs.observe("partition_component_runs", len(runs_py))
-            return runs_py, reps_py
         if not pairs_group:
             obs.observe("partition_component_runs", 0)
             return [], []
@@ -1228,20 +906,8 @@ class LimbBlockPartition:
             processor, block_id
         )
         table = self.tables[processor]
-        np = _np()
-        if isinstance(table["idx"], list):
-            out = [0] * self.nlimbs
-            idx = table["idx"]
-            val = table["val"]
-            starts = table["starts"]
-            gv = table["gv"]
-            for g in gids:
-                if gv[g] in state_flags:
-                    for k in range(starts[g], starts[g + 1]):
-                        out[idx[k]] |= val[k]
-            return out
         out = np.zeros(self.nlimbs, np.uint64)
-        if self._count(gids) == 0:
+        if gids.size == 0:
             return out
         gv = np.asarray(table["gv"])
         in_z = state_flags[gv[gids]]
@@ -1268,21 +934,6 @@ class LimbBlockPartition:
         """``B_p^S φ`` verdict at one local state (group lookup)."""
         table = self.tables[processor]
         gv = table["gv"]
-        if isinstance(gv, list):
-            try:
-                g = gv.index(view)
-            except ValueError:
-                raise EvaluationError(
-                    f"view {view} is not a state of processor {processor}"
-                )
-            idx = table["idx"]
-            val = table["val"]
-            starts = table["starts"]
-            for k in range(starts[g], starts[g + 1]):
-                if val[k] & pmask[idx[k]] & ~phi[idx[k]]:
-                    return False
-            return True
-        np = _np()
         key = (processor, -2)
         cached = self._span_cache.get(key)
         if cached is None:
@@ -1303,48 +954,12 @@ class LimbBlockPartition:
         return not bool(bad.any())
 
     def state_flags(self, states: Iterable[int]):
-        """Z as a per-view-id flag vector (or the set itself, pure-Python)."""
-        np = _np()
-        if np is None or isinstance(self.tables[0]["idx"], list):
-            return set(states)
+        """Z as a per-view-id flag vector."""
         flags = np.zeros(self.num_views, dtype=bool)
         state_list = np.asarray(sorted(set(states)), dtype=np.int64)
         if state_list.size:
             flags[state_list] = True
         return flags
-
-
-def _component_labels_py(
-    pairs_group: List[int], pairs_run: List[int]
-) -> Tuple[List[int], List[int]]:
-    """Union-find fallback over explicit (group, run) incidence pairs."""
-    anchor: Dict[int, int] = {}
-    parent: Dict[int, int] = {}
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for grp, run in zip(pairs_group, pairs_run):
-        if run not in parent:
-            parent[run] = run
-        if grp not in anchor:
-            anchor[grp] = run
-            continue
-        root_a, root_b = find(anchor[grp]), find(run)
-        if root_a != root_b:
-            parent[root_b] = root_a
-    runs = sorted(parent)
-    reps: Dict[int, int] = {}
-    labels = []
-    for run in runs:
-        root = find(run)
-        if root not in reps:
-            reps[root] = run  # minimum run of the class (sorted order)
-        labels.append(reps[root])
-    return runs, labels
 
 
 def merge_component_labels(
@@ -1374,18 +989,6 @@ def merge_component_labels(
         if root_a != root_b:
             parent[root_b] = root_a
 
-    np = _np()
-    if np is None:
-        labels = [-1] * num_runs
-        for runs, reps in block_results:
-            for run, rep in zip(runs, reps):
-                if labels[run] < 0:
-                    labels[run] = rep
-                else:
-                    union(labels[run], rep)
-        return [
-            find(label) if label >= 0 else -1 for label in labels
-        ]
     labels = np.full(num_runs, -1, dtype=np.int64)
     for runs, reps in block_results:
         if not len(runs):

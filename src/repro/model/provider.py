@@ -312,7 +312,7 @@ class SystemProvider:
             )
         except Exception:
             # Same contract as the other layers: caching must never
-            # break evaluation (read-only disk, python backend, ...).
+            # break evaluation (read-only disk, full disk, ...).
             pass
 
     # -- lookup ------------------------------------------------------------

@@ -627,8 +627,7 @@ class System:
 
     def clear_caches(self) -> None:
         """Drop all memoized evaluations and lazy indexes (mainly for
-        tests — e.g. to rebuild the chunked index under a different limb
-        backend)."""
+        tests and benchmarks that time a cold evaluation)."""
         self._formula_cache.clear()
         self._nonrigid_cache.clear()
         self._components_cache.clear()

@@ -291,7 +291,7 @@ def pair_from_formulas(
             if isinstance(truth, ChunkedAssignment) and require_state_determined:
                 # Same subset test as the bitset branch, one sparse
                 # popcount-free pass per state group over the limb-sliced
-                # entry table (vectorized under the numpy backend).
+                # entry table, vectorized.
                 index = system.chunked_index()
                 views, full_ids, mixed_ids = index.state_verdicts(
                     processor, truth.limbs

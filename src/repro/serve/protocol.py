@@ -128,7 +128,7 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
     """Parse one received line; anything but a JSON object raises."""
     try:
         obj = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as error:
+    except (ValueError, UnicodeDecodeError, RecursionError) as error:
         raise ProtocolError(f"frame is not valid JSON: {error}") from None
     if not isinstance(obj, dict):
         raise ProtocolError(
@@ -232,23 +232,42 @@ _FORMULA_KINDS = {
     "eventually": ("of",),
 }
 
+#: Deepest formula AST accepted.  Building and evaluating recurse once
+#: per level, so far deeper nesting would exhaust the interpreter's
+#: recursion limit instead of failing as a ``bad_request``.
+MAX_FORMULA_DEPTH = 64
 
-def build_formula(spec: Any):
+
+def build_formula(spec: Any, n: Optional[int] = None):
     """Build a :class:`~repro.knowledge.formulas.Formula` from its JSON AST.
 
     Group operators use the nonfaulty set; richer nonrigid sets (decision
     pairs, protocol-derived sets) are reachable through the explain
     catalog instead, which ties them to an experiment's construction.
+
+    Initial values must be 0 or 1 and processors non-negative; given the
+    cell's processor count *n*, processors must also lie in ``range(n)``,
+    and nesting may not exceed :data:`MAX_FORMULA_DEPTH`.  Anything else
+    raises :class:`ProtocolError` rather than wrapping around (Python's
+    negative indexing) or failing inside evaluation.
     """
+    return _build(spec, n, 0)
+
+
+def _build(spec: Any, n: Optional[int], depth: int):
     from ..knowledge import formulas as F
     from ..knowledge.nonrigid import NONFAULTY
 
+    if depth > MAX_FORMULA_DEPTH:
+        raise ProtocolError(
+            f"formula nests deeper than {MAX_FORMULA_DEPTH} levels"
+        )
     if not isinstance(spec, dict):
         raise ProtocolError(
             f"formula spec must be an object, got {type(spec).__name__}"
         )
     kind = spec.get("kind")
-    if kind not in _FORMULA_KINDS:
+    if not isinstance(kind, str) or kind not in _FORMULA_KINDS:
         raise ProtocolError(
             f"unknown formula kind {kind!r}; known kinds: "
             f"{', '.join(sorted(_FORMULA_KINDS))}"
@@ -271,36 +290,53 @@ def build_formula(spec: Any):
             )
         return value
 
+    def processor() -> int:
+        value = integer("processor")
+        if value < 0 or (n is not None and value >= n):
+            raise ProtocolError(
+                f"formula kind {kind!r}: processor {value} is not a "
+                f"processor of the cell (n={n})"
+            )
+        return value
+
+    def bit() -> int:
+        value = integer("value")
+        if value not in (0, 1):
+            raise ProtocolError(
+                f"formula kind {kind!r}: 'value' must be 0 or 1, got {value}"
+            )
+        return value
+
+    def sub(key: str):
+        return _build(spec[key], n, depth + 1)
+
     if kind == "true":
         return F.TrueFormula()
     if kind == "false":
         return F.FalseFormula()
     if kind == "exists":
-        return F.Exists(integer("value"))
+        return F.Exists(bit())
     if kind == "all_started":
-        return F.AllStarted(integer("value"))
+        return F.AllStarted(bit())
     if kind == "is_nonfaulty":
-        return F.IsNonfaulty(integer("processor"))
+        return F.IsNonfaulty(processor())
     if kind == "initial_value_is":
-        return F.InitialValueIs(integer("processor"), integer("value"))
+        return F.InitialValueIs(processor(), bit())
     if kind == "not":
-        return F.Not(build_formula(spec["of"]))
+        return F.Not(sub("of"))
     if kind in ("and", "or"):
         operands = spec["operands"]
         if not isinstance(operands, list) or not operands:
             raise ProtocolError(
                 f"formula kind {kind!r}: 'operands' must be a non-empty list"
             )
-        built = [build_formula(operand) for operand in operands]
+        built = [_build(operand, n, depth + 1) for operand in operands]
         return F.And(built) if kind == "and" else F.Or(built)
     if kind == "implies":
-        return F.Implies(
-            build_formula(spec["antecedent"]),
-            build_formula(spec["consequent"]),
-        )
+        return F.Implies(sub("antecedent"), sub("consequent"))
     if kind == "knows":
-        return F.Knows(integer("processor"), build_formula(spec["of"]))
-    operand = build_formula(spec["of"])
+        return F.Knows(processor(), sub("of"))
+    operand = sub("of")
     if kind == "everyone":
         return F.Everyone(NONFAULTY, operand)
     if kind == "common":

@@ -70,6 +70,25 @@ def _failure_mode(name: Any) -> FailureMode:
         ) from None
 
 
+def _check_cell(n: int, t: int, horizon: int) -> None:
+    """Reject cells no adversary can enumerate, before any build."""
+    if n < 2 or not 0 <= t < n or horizon < 1:
+        raise ProtocolError(
+            f"need n >= 2, 0 <= t < n and horizon >= 1; "
+            f"got n={n}, t={t}, horizon={horizon}"
+        )
+
+
+def _check_point(system, point: tuple) -> None:
+    """A point outside *system* is ``not_found``, like a missing run."""
+    run_index, when = point
+    if not (0 <= run_index < len(system.runs) and 0 <= when <= system.horizon):
+        raise KeyError(
+            f"point {point} outside system "
+            f"({len(system.runs)} runs, horizon {system.horizon})"
+        )
+
+
 def _point(params: Dict[str, Any]) -> Optional[tuple]:
     raw = params.get("point")
     if raw is None:
@@ -118,6 +137,7 @@ def _resolve_eval_request(params: Dict[str, Any]):
         t = params.get("t", 1)
         mode = _failure_mode(params.get("mode", entry.mode))
         horizon = params.get("horizon", t + 2)
+        _check_cell(n, t, horizon)
         return (
             mode, n, t, horizon, entry.build,
             f"{catalog.get('experiment')}/{catalog.get('formula')}",
@@ -125,11 +145,12 @@ def _resolve_eval_request(params: Dict[str, Any]):
     spec = params.get("formula")
     if spec is None:
         raise ProtocolError("eval needs either 'formula' or 'catalog'")
-    formula = build_formula(spec)
     mode = _failure_mode(params.get("mode", "crash"))
     n = params.get("n", 3)
     t = params.get("t", 1)
     horizon = params.get("horizon", t + 2)
+    _check_cell(n, t, horizon)
+    formula = build_formula(spec, n)
     return (mode, n, t, horizon, lambda _system: formula, repr(formula))
 
 
@@ -139,25 +160,20 @@ def _execute_eval(
     params: Dict[str, Any],
 ) -> Dict[str, Any]:
     """The eval body shared verbatim by the inline and forked paths."""
-    from ..knowledge.planner import evaluate_formulas, planner_active
-    from ..model.kernels import use_kernel
+    from ..model.kernels import KERNELS, use_kernel
 
     mode, n, t, horizon, build, description = _resolve_eval_request(params)
+    kernel = params.get("kernel")
+    if kernel and kernel.strip().lower() not in KERNELS:
+        raise ProtocolError(
+            f"unknown kernel {kernel!r}; known kernels: {', '.join(KERNELS)}"
+        )
     started = time.perf_counter()
     system = provider.get(mode, n, t, horizon)
     budget.check_points(system.num_points(), system.describe())
-    kernel = params.get("kernel")
     with use_kernel(kernel) if kernel else _null_context():
         formula = build(system)
-        if planner_active():
-            # Same REPRO_EVAL_PLANNER activation as `repro-eba run`:
-            # daemon-inline, forked, and the CLI's --local fallback all
-            # pass through here, so all three answer with the same plan
-            # (including the limb-block component seeding for run-level
-            # C□ portfolios).
-            truth = evaluate_formulas(system, [formula])[0]
-        else:
-            truth = formula.evaluate(system)
+        truth = formula.evaluate(system)
         selected = system.effective_kernel()
     point = _point(params)
     result: Dict[str, Any] = {
@@ -177,14 +193,8 @@ def _execute_eval(
         "seconds": round(time.perf_counter() - started, 6),
     }
     if point is not None:
+        _check_point(system, point)
         run_index, when = point
-        if not (
-            0 <= run_index < len(system.runs) and 0 <= when <= system.horizon
-        ):
-            raise KeyError(
-                f"point {point} outside system "
-                f"({len(system.runs)} runs, horizon {system.horizon})"
-            )
         result["point"] = list(point)
         result["holds"] = bool(truth.at(run_index, when))
     return result
@@ -203,13 +213,17 @@ def _execute_explain(
     )
 
     entry = _catalog_entry(params["catalog"])
+    n, t = params.get("n", 3), params.get("t", 1)
+    _check_cell(n, t, t + 2)
     started = time.perf_counter()
-    system = catalog_system(entry, params.get("n", 3), params.get("t", 1))
+    system = catalog_system(entry, n, t)
     budget.check_points(system.num_points(), system.describe())
     formula = entry.build(system)
     point = _point(params)
     if point is None:
         point = default_point(system, formula)
+    else:
+        _check_point(system, point)
     explanation = explain(system, formula, point)
     problems = explanation.check(system)
     return {
@@ -227,6 +241,7 @@ def _execute_extend(
     params: Dict[str, Any],
 ) -> Dict[str, Any]:
     mode = _failure_mode(params["mode"])
+    _check_cell(params["n"], params["t"], params["horizon"])
     started = time.perf_counter()
     system = provider.extend(
         mode, params["n"], params["t"], params["horizon"]
@@ -286,6 +301,8 @@ def _task_serve_query(params: Dict[str, Any]) -> Dict[str, Any]:
             "limit": error.limit,
             "message": str(error),
         }
+    except ProtocolError as error:
+        return {"ok": False, "code": "bad_request", "message": str(error)}
     except KeyError as error:
         return {"ok": False, "code": "not_found", "message": str(error)}
 
@@ -396,6 +413,8 @@ class QueryEngine:
             return payload["result"]
         if payload.get("code") == "budget_exceeded":
             raise BudgetExceeded(payload.get("limit", "?"), payload["message"])
+        if payload.get("code") == "bad_request":
+            raise ProtocolError(payload["message"])
         raise KeyError(payload.get("message", "query failed in worker"))
 
     # -- execution ---------------------------------------------------------
@@ -456,6 +475,7 @@ class QueryEngine:
         rounds = params["rounds"]
         if not isinstance(rounds, int) or rounds < 1:
             raise ProtocolError(f"monitor needs rounds >= 1, got {rounds!r}")
+        _check_cell(params["n"], params["t"], rounds)
         mode = _failure_mode(params["mode"])
         config = InitialConfiguration(
             [int(bit) for bit in params["config"]]

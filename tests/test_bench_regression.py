@@ -174,14 +174,7 @@ class TestRunnerScript:
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         snapshot = module.take_snapshot("test", rounds=1)
-        expected = set(module.MICRO_BENCHES)
-        from repro.model import native
-
-        if native.available():
-            # The native-inner-loop bench rides along iff a C compiler
-            # is present on this machine.
-            expected.add("kernel_chunked_fixpoint_native")
-        assert set(snapshot.timings) == expected
+        assert set(snapshot.timings) == set(module.MICRO_BENCHES)
         assert all(value > 0 for value in snapshot.timings.values())
         # Per-entry effective kernels cover every timed entry: pinned
         # kernels for the kernel_* benches, the resolved ambient kernel

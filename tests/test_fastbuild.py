@@ -6,8 +6,7 @@ buffer — to ``SystemArrays.from_system`` on the ``build_system`` object
 graph of the same cell, including the dense first-appearance view-id
 order.  These tests pin that contract per failure mode, plus the
 provider integration: a cold ``get_arrays`` takes the fast path (no
-``Run`` objects anywhere), and ``REPRO_ARRAYS_FASTBUILD=0`` routes back
-through the object graph with identical output.
+``Run`` objects anywhere) with identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from repro.model.adversary import (
     ExhaustiveReceiveOmissionAdversary,
 )
 from repro.model.failures import FailureMode
-from repro.model.fastbuild import build_arrays, supports, try_build_arrays
+from repro.model.fastbuild import build_arrays, try_build_arrays
 from repro.model.partition import SystemArrays
 from repro.model.provider import SystemProvider
 from repro.model.system import build_system
@@ -51,11 +50,6 @@ _CELLS = [
 ]
 
 
-def _require_fastbuild(mode, n, t, horizon):
-    if not supports(mode, n, t, horizon):
-        pytest.skip("arrays-first builder unavailable (no numpy backend)")
-
-
 def assert_arrays_byte_identical(fast, reference):
     assert (fast.mode, fast.n, fast.t, fast.horizon) == (
         reference.mode,
@@ -81,7 +75,6 @@ class TestByteParity:
     def test_identical_to_object_graph_projection(
         self, mode, adversary_cls, n, t, horizon
     ):
-        _require_fastbuild(mode, n, t, horizon)
         fast = build_arrays(mode, n, t, horizon)
         reference = SystemArrays.from_system(
             build_system(adversary_cls(n, t, horizon))
@@ -89,7 +82,6 @@ class TestByteParity:
         assert_arrays_byte_identical(fast, reference)
 
     def test_save_load_round_trip(self, tmp_path):
-        _require_fastbuild(FailureMode.CRASH, 3, 1, 2)
         fast = build_arrays(FailureMode.CRASH, 3, 1, 2)
         path = str(tmp_path / "cell.npz")
         fast.save(path)
@@ -98,7 +90,6 @@ class TestByteParity:
 
 class TestProviderIntegration:
     def test_cold_get_arrays_takes_fast_path(self, tmp_path):
-        _require_fastbuild(FailureMode.CRASH, 3, 1, 2)
         from repro import obs
 
         provider = SystemProvider(cache_dir=str(tmp_path))
@@ -112,11 +103,6 @@ class TestProviderIntegration:
             build_system(ExhaustiveCrashAdversary(3, 1, 2))
         )
         assert_arrays_byte_identical(arrays, reference)
-
-    def test_env_gate_disables_fast_path(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAYS_FASTBUILD", "0")
-        assert not supports(FailureMode.CRASH, 3, 1, 2)
-        assert try_build_arrays(FailureMode.CRASH, 3, 1, 2) is None
 
     def test_unsupported_cells_return_none(self):
         assert try_build_arrays(FailureMode.CRASH, 1, 0, 2) is None

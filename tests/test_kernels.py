@@ -41,11 +41,7 @@ from repro.knowledge import (
 )
 from repro.knowledge.explain import EXPLAIN_CATALOG, catalog_system
 from repro.model import kernels
-from repro.model.chunked import (
-    ChunkedAssignment,
-    backend_name,
-    force_python_backend,
-)
+from repro.model.chunked import ChunkedAssignment
 from repro.model.system import BitsetAssignment, TruthAssignment
 
 PACKED_TYPES = {
@@ -340,44 +336,6 @@ class TestPackedAlgebra:
         assert chunked == bitset
 
 
-class TestChunkedBackends:
-    """The numpy and pure-Python limb backends are interchangeable."""
-
-    def test_python_backend_matches_active(self, crash3):
-        rng = random.Random(11)
-        rows_a = _rows(crash3, rng)
-        rows_b = _rows(crash3, rng)
-        with kernels.use_kernel("chunked"):
-            active_a = TruthAssignment.from_rows(crash3, rows_a)
-            with force_python_backend():
-                assert backend_name() == "python"
-                py_a = TruthAssignment.from_rows(crash3, rows_a)
-                py_b = TruthAssignment.from_rows(crash3, rows_b)
-                assert isinstance(py_a.limbs, list)
-                assert (
-                    py_a.conjoin(py_b).to_rows()
-                    == active_a.conjoin(py_b).to_rows()
-                )
-                assert py_a.negate().to_rows() == active_a.negate().to_rows()
-                assert py_a.count_true() == active_a.count_true()
-                assert py_a == active_a
-
-    def test_python_backend_full_evaluation(self):
-        """A fixpoint formula end-to-end on a freshly built python-backed
-        system matches the reference kernel."""
-        from repro.model import ExhaustiveCrashAdversary, build_system
-
-        formula = ContinualCommon(NONFAULTY, Exists(1), force_fixpoint=True)
-        with force_python_backend():
-            system = build_system(ExhaustiveCrashAdversary(3, 1, 2))
-            with kernels.use_kernel("chunked"):
-                chunked = formula.evaluate(system)
-                assert isinstance(chunked, ChunkedAssignment)
-            with kernels.use_kernel("reference"):
-                reference = formula.evaluate(system)
-        assert chunked.to_rows() == reference.to_rows()
-
-
 def _random_formula(rng, n, depth=2):
     """A random knowledge/temporal formula tree over small atoms."""
     atoms = [
@@ -432,48 +390,56 @@ class TestRandomizedDifferential:
         _differential(omission3, _random_formula(rng, omission3.n))
 
 
-class TestPlannerDifferential:
-    """The fused :class:`EvalPlan` vs formula-at-a-time evaluation.
+def _seed_block_components(system, nonrigid):
+    """Plant limb-block component labels in *system*'s component cache.
 
-    Randomized formula portfolios, all three kernels: routing a portfolio
-    through the planner (shared subterms, batched sweeps, lockstep
-    fixpoints on the matrix backend) must leave every formula with
-    exactly the rows the solo ``evaluate`` path produces.
+    Computes the Corollary 3.3 reachability partition block by block
+    over the cell's :class:`~repro.model.partition.LimbBlockPartition`
+    (forced to several blocks, so the weld is exercised) and merges the
+    per-block labels with
+    :func:`~repro.model.partition.merge_component_labels` — the E9
+    batch plan's component path — then seeds the result under the
+    nonrigid set's key, where the monolithic scan would put its own.
     """
+    from repro.knowledge.nonrigid import NonfaultyAndDeciding
+    from repro.model.partition import (
+        LimbBlockPartition,
+        merge_component_labels,
+    )
+    from repro.model.provider import get_provider
 
-    @pytest.mark.parametrize("kernel", ["reference", "bitset", "chunked"])
-    @pytest.mark.parametrize("seed", range(6))
-    def test_randomized_portfolio_crash(self, crash3, kernel, seed):
-        self._check(crash3, kernel, random.Random(7000 + seed))
-
-    @pytest.mark.parametrize("kernel", ["reference", "bitset", "chunked"])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_randomized_portfolio_omission(self, omission3, kernel, seed):
-        self._check(omission3, kernel, random.Random(8000 + seed))
-
-    @staticmethod
-    def _check(system, kernel, rng):
-        from repro.knowledge.planner import evaluate_formulas
-
-        formulas = [_random_formula(rng, system.n) for _ in range(4)]
-        with kernels.use_kernel(kernel):
-            system.clear_caches()
-            solo = [formula.evaluate(system) for formula in formulas]
-            system.clear_caches()
-            fused = evaluate_formulas(system, formulas)
-        for formula, lone, planned in zip(formulas, solo, fused):
-            assert planned.to_rows() == lone.to_rows(), repr(formula)
+    arrays = get_provider().get_arrays(
+        system.mode, system.n, system.t, system.horizon
+    )
+    partition = LimbBlockPartition.from_arrays(arrays, num_blocks=4)
+    assert len(partition.blocks) > 1
+    nf_limbs = [partition.nonfaulty_limbs(p) for p in range(system.n)]
+    if isinstance(nonrigid, NonfaultyAndDeciding):
+        states = nonrigid._states
+    else:
+        states = range(partition.num_views)
+    flags = partition.state_flags(states)
+    labels = merge_component_labels(
+        partition.num_runs,
+        [
+            partition.component_labels(desc["block"], flags, nf_limbs)
+            for desc in partition.block_descriptors()
+        ],
+    )
+    system.cached_components(
+        nonrigid.cache_key(), lambda: [int(label) for label in labels]
+    )
 
 
 class TestBlockComponentSeeding:
-    """``planner.seed_block_components``: limb-block Corollary 3.3 labels.
+    """Limb-block Corollary 3.3 labels seeded into the component cache.
 
-    The seeded labelling must be partition-identical to the monolithic
+    The welded labelling must be partition-identical to the monolithic
     same-state scan (label *values* may differ — both sides pick
     arbitrary representatives — so the comparison canonicalizes to the
     induced partition, with the ``-1`` no-occurrence sentinel matched
-    run-for-run), only canonical provider cells are eligible, and a
-    present cache entry makes the hook a no-op.
+    run-for-run), and ``C□`` evaluated off the seeded cache must match
+    the unseeded evaluation.
     """
 
     @staticmethod
@@ -490,7 +456,6 @@ class TestBlockComponentSeeding:
     @pytest.mark.parametrize("builder", ["crash", "omission"])
     def test_nonfaulty_partition_identical_to_monolithic(self, builder):
         from repro.knowledge.nonrigid import NONFAULTY
-        from repro.knowledge.planner import seed_block_components
         from repro.knowledge.semantics import _compute_components
         from repro.model.builder import crash_system, omission_system
 
@@ -498,7 +463,7 @@ class TestBlockComponentSeeding:
             3, 1, 3
         )
         system.clear_caches()
-        assert seed_block_components(system, NONFAULTY)
+        _seed_block_components(system, NONFAULTY)
         seeded = system._components_cache[NONFAULTY.cache_key()]
         monolithic = _compute_components(system, NONFAULTY)
         assert self._partition(seeded) == self._partition(monolithic)
@@ -507,7 +472,6 @@ class TestBlockComponentSeeding:
         from repro.core.construction import two_step_optimization
         from repro.core.decision_sets import empty_pair
         from repro.knowledge.nonrigid import nonfaulty_and_zeros
-        from repro.knowledge.planner import seed_block_components
         from repro.knowledge.semantics import _compute_components
         from repro.model.builder import crash_system
 
@@ -515,46 +479,14 @@ class TestBlockComponentSeeding:
         pair = two_step_optimization(system, empty_pair())[0]
         nonrigid = nonfaulty_and_zeros(pair)
         system._components_cache.pop(nonrigid.cache_key(), None)
-        assert seed_block_components(system, nonrigid)
+        _seed_block_components(system, nonrigid)
         seeded = system._components_cache[nonrigid.cache_key()]
         monolithic = _compute_components(system, nonrigid)
         assert self._partition(seeded) == self._partition(monolithic)
 
-    def test_restricted_system_is_ineligible(self):
-        from repro.knowledge.nonrigid import NONFAULTY
-        from repro.knowledge.planner import seed_block_components
-        from repro.model.adversary import ExplicitAdversary
-        from repro.model.failures import (
-            FailureMode,
-            FailurePattern,
-            OmissionBehavior,
-        )
-        from repro.model.system import build_system
-
-        # Same mode/n/t/horizon stamp as a canonical cell, but a subset
-        # of its runs: seeding it from the provider's arrays would be
-        # wrong, so the peek-identity gate must reject it.
-        pattern = FailurePattern({0: OmissionBehavior({1: [1]})})
-        system = build_system(
-            ExplicitAdversary(3, 1, 2, [pattern], mode=FailureMode.OMISSION)
-        )
-        assert not seed_block_components(system, NONFAULTY)
-        assert NONFAULTY.cache_key() not in system._components_cache
-
-    def test_present_cache_entry_makes_hook_a_noop(self):
-        from repro.knowledge.nonrigid import NONFAULTY
-        from repro.knowledge.planner import seed_block_components
-        from repro.model.builder import crash_system
-
-        system = crash_system(3, 1, 3)
-        system.clear_caches()
-        assert seed_block_components(system, NONFAULTY)
-        assert not seed_block_components(system, NONFAULTY)
-
     def test_continual_common_agrees_with_unseeded_evaluation(self):
         from repro.knowledge.formulas import ContinualCommon, Exists
         from repro.knowledge.nonrigid import NONFAULTY
-        from repro.knowledge.planner import seed_block_components
         from repro.model.builder import omission_system
 
         system = omission_system(3, 1, 3)
@@ -562,75 +494,8 @@ class TestBlockComponentSeeding:
         system.clear_caches()
         unseeded = formula.evaluate(system).to_rows()
         system.clear_caches()
-        assert seed_block_components(system, NONFAULTY)
+        _seed_block_components(system, NONFAULTY)
         assert formula.evaluate(system).to_rows() == unseeded
-
-
-class TestNativeBackendParity:
-    """``REPRO_CHUNKED_BACKEND=native``: identical rows, silent fallback."""
-
-    @staticmethod
-    def _formulas():
-        from repro.knowledge.formulas import (
-            Common,
-            ContinualCommon,
-            EventualCommon,
-            Exists,
-        )
-        from repro.knowledge.nonrigid import NONFAULTY
-
-        continual = ContinualCommon(NONFAULTY, Exists(1))
-        continual.force_fixpoint = True
-        return [
-            Common(NONFAULTY, Exists(1)),
-            EventualCommon(NONFAULTY, Exists(0)),
-            continual,
-        ]
-
-    def test_fixpoints_match_numpy_backend(self, omission3, monkeypatch):
-        from repro.model import native
-
-        if not native.available():
-            pytest.skip("native backend unavailable (no C compiler)")
-        with kernels.use_kernel("chunked"):
-            monkeypatch.delenv("REPRO_CHUNKED_BACKEND", raising=False)
-            omission3.clear_caches()
-            baseline = [
-                formula.evaluate(omission3).to_rows()
-                for formula in self._formulas()
-            ]
-            monkeypatch.setenv("REPRO_CHUNKED_BACKEND", "native")
-            omission3.clear_caches()
-            native_rows = [
-                formula.evaluate(omission3).to_rows()
-                for formula in self._formulas()
-            ]
-        omission3.clear_caches()
-        assert native_rows == baseline
-
-    def test_request_degrades_silently_without_library(
-        self, crash3, monkeypatch
-    ):
-        from repro.model import native
-
-        monkeypatch.delenv("REPRO_CHUNKED_BACKEND", raising=False)
-        with kernels.use_kernel("chunked"):
-            crash3.clear_caches()
-            baseline = [
-                formula.evaluate(crash3).to_rows()
-                for formula in self._formulas()
-            ]
-            # Simulate "no compiler": the memoized load failed.
-            monkeypatch.setattr(native, "_attempted", True)
-            monkeypatch.setattr(native, "_loaded", None)
-            monkeypatch.setenv("REPRO_CHUNKED_BACKEND", "native")
-            crash3.clear_caches()
-            degraded = [
-                formula.evaluate(crash3).to_rows()
-                for formula in self._formulas()
-            ]
-        crash3.clear_caches()
-        assert degraded == baseline
 
 
 class TestShardedDifferential:

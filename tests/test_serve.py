@@ -20,12 +20,16 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.model.failures import FailureMode
 from repro.serve.client import ServeClient, ServeError, daemon_available
 from repro.serve.protocol import (
+    _FORMULA_KINDS,
     PROTOCOL_VERSION,
+    REQUEST_OPS,
     ProtocolError,
     build_formula,
     decode_frame,
@@ -66,6 +70,10 @@ class TestProtocol:
     def test_decode_rejects_non_object(self):
         with pytest.raises(ProtocolError):
             decode_frame(b"[1, 2, 3]\n")
+
+    def test_deeply_nested_frame_is_bad_frame(self):
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_frame(b"[" * 100_000)
 
     def test_valid_request_has_no_problems(self):
         assert (
@@ -170,6 +178,231 @@ class TestFormulaAst:
     def test_empty_operand_list_rejected(self):
         with pytest.raises(ProtocolError, match="non-empty list"):
             build_formula({"kind": "and", "operands": []})
+
+    def test_deep_nesting_rejected(self):
+        spec = {"kind": "true"}
+        for _ in range(600):
+            spec = {"kind": "not", "of": spec}
+        with pytest.raises(ProtocolError, match="deeper than"):
+            build_formula(decode_frame(json.dumps(spec).encode("utf-8")))
+
+    def test_unhashable_kind_rejected(self):
+        with pytest.raises(ProtocolError, match="unknown formula kind"):
+            build_formula({"kind": ["knows"]})
+
+    def test_processor_checked_against_cell(self):
+        spec = {"kind": "is_nonfaulty", "processor": 2}
+        assert (
+            build_formula(spec, 3).cache_key()
+            == build_formula(spec).cache_key()
+        )
+        with pytest.raises(ProtocolError, match="processor 2"):
+            build_formula(spec, 2)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the wire protocol and the formula AST
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6)
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=12,
+)
+_KINDS = st.sampled_from(sorted(_FORMULA_KINDS))
+_AST_KEYS = st.sampled_from(
+    ["of", "operands", "antecedent", "consequent", "processor", "value"]
+)
+
+
+def _node(kinds, fields):
+    return st.builds(
+        lambda kind, extra: dict(extra, kind=kind),
+        kinds,
+        st.dictionaries(_AST_KEYS, fields, max_size=3),
+    )
+
+
+#: Formula-shaped JSON: mostly real kinds with arbitrary (often wrong)
+#: fields, so the fuzz gets past the kind lookup into build_formula.
+_FORMULA_LIKE = st.recursive(
+    _node(_KINDS | _JSON, _JSON_SCALARS),
+    lambda children: _node(
+        _KINDS, children | st.lists(children, max_size=3) | _JSON_SCALARS
+    ),
+    max_leaves=10,
+)
+_FRAMES = st.fixed_dictionaries(
+    {"id": _JSON, "op": st.sampled_from(sorted(REQUEST_OPS)) | _JSON},
+    optional={
+        "params": st.fixed_dictionaries(
+            {}, optional={"formula": _FORMULA_LIKE | _JSON, "n": _JSON}
+        )
+        | _JSON,
+        "v": _JSON,
+    },
+)
+_LINES = st.binary(max_size=48) | (_FRAMES | _JSON).map(
+    lambda obj: json.dumps(obj).encode("utf-8")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=_LINES, n=st.integers(min_value=-1, max_value=5))
+def test_fuzzed_frames_raise_only_protocol_errors(line, n):
+    """decode_frame → validate_request → build_formula: any input either
+    passes or raises ProtocolError (``bad_frame`` / ``bad_request``)."""
+    try:
+        obj = decode_frame(line)
+        problems = validate_request(obj)
+        assert all(isinstance(problem, str) for problem in problems)
+        params = obj.get("params")
+        spec = params.get("formula", obj) if isinstance(params, dict) else obj
+        build_formula(spec, n)
+    except ProtocolError:
+        pass
+
+
+def _mostly(valid, anything):
+    """Draw from *valid* three times in four, else from *anything*."""
+    return st.one_of(valid, valid, valid, anything)
+
+
+#: Processors and initial values of an n=3 binary cell, or arbitrary
+#: integers (so most formulas get evaluated, and some get rejected).
+_PROCESSORS = _mostly(st.integers(min_value=0, max_value=2), st.integers())
+_VALUES = _mostly(st.integers(min_value=0, max_value=1), st.integers())
+_WELL_TYPED = st.recursive(
+    st.sampled_from([{"kind": "true"}, {"kind": "false"}])
+    | st.builds(
+        lambda kind, value: {"kind": kind, "value": value},
+        st.sampled_from(["exists", "all_started"]),
+        _VALUES,
+    )
+    | st.builds(
+        lambda p: {"kind": "is_nonfaulty", "processor": p}, _PROCESSORS
+    )
+    | st.builds(
+        lambda p, v: {"kind": "initial_value_is", "processor": p, "value": v},
+        _PROCESSORS,
+        _VALUES,
+    ),
+    lambda children: st.builds(lambda f: {"kind": "not", "of": f}, children)
+    | st.builds(
+        lambda kind, fs: {"kind": kind, "operands": fs},
+        st.sampled_from(["and", "or"]),
+        st.lists(children, min_size=1, max_size=3),
+    )
+    | st.builds(
+        lambda a, c: {"kind": "implies", "antecedent": a, "consequent": c},
+        children,
+        children,
+    )
+    | st.builds(
+        lambda p, f: {"kind": "knows", "processor": p, "of": f},
+        _PROCESSORS,
+        children,
+    )
+    | st.builds(
+        lambda kind, f: {"kind": kind, "of": f},
+        st.sampled_from(
+            [
+                "everyone",
+                "common",
+                "continual_common",
+                "eventual_common",
+                "always",
+                "eventually",
+            ]
+        ),
+        children,
+    ),
+    max_leaves=6,
+)
+
+
+def _in_range(spec, n):
+    """Whether every processor of *spec* is in ``range(n)`` and every
+    initial value is 0 or 1."""
+    if "processor" in spec and not 0 <= spec["processor"] < n:
+        return False
+    if "value" in spec and spec["value"] not in (0, 1):
+        return False
+    children = list(spec.get("operands", []))
+    children += [spec[key] for key in ("of", "antecedent", "consequent")
+                 if key in spec]
+    return all(_in_range(child, n) for child in children)
+
+
+def _direct_formula(spec):
+    """The formula a well-typed spec denotes, built without the protocol."""
+    from repro.knowledge import formulas as F
+    from repro.knowledge.nonrigid import NONFAULTY
+
+    kind = spec["kind"]
+    if kind in ("true", "false"):
+        return F.TrueFormula() if kind == "true" else F.FalseFormula()
+    if kind in ("exists", "all_started"):
+        atom = F.Exists if kind == "exists" else F.AllStarted
+        return atom(spec["value"])
+    if kind == "is_nonfaulty":
+        return F.IsNonfaulty(spec["processor"])
+    if kind == "initial_value_is":
+        return F.InitialValueIs(spec["processor"], spec["value"])
+    if kind in ("and", "or"):
+        operands = [_direct_formula(operand) for operand in spec["operands"]]
+        return F.And(operands) if kind == "and" else F.Or(operands)
+    if kind == "implies":
+        return F.Implies(
+            _direct_formula(spec["antecedent"]),
+            _direct_formula(spec["consequent"]),
+        )
+    operand = _direct_formula(spec["of"])
+    if kind == "not":
+        return F.Not(operand)
+    if kind == "knows":
+        return F.Knows(spec["processor"], operand)
+    group = {
+        "everyone": F.Everyone,
+        "common": F.Common,
+        "continual_common": F.ContinualCommon,
+        "eventual_common": F.EventualCommon,
+    }
+    if kind in group:
+        return group[kind](NONFAULTY, operand)
+    return F.Always(operand) if kind == "always" else F.Eventually(operand)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=_WELL_TYPED)
+def test_fuzzed_formulas_match_in_process_or_are_rejected(spec):
+    """On a resident n=3 cell a served eval either answers with the
+    in-process digest (evaluated on another kernel) or is rejected as
+    ``bad_request`` / ``not_found`` — exactly when a field is out of
+    range, and never with another exception type."""
+    from repro.model.builder import crash_system
+    from repro.model.kernels import use_kernel
+
+    system = crash_system(3, 1, 3)
+    engine = QueryEngine(fork_policy="never")
+    params = {"formula": spec, "mode": "crash", "n": 3, "t": 1, "horizon": 3}
+    try:
+        result = engine.execute("eval", params)
+    except (ProtocolError, KeyError):
+        assert not _in_range(spec, system.n)
+        return
+    assert _in_range(spec, system.n)
+    assert result["kernel"] != "chunked"
+    with use_kernel("chunked"):
+        truth = _direct_formula(spec).evaluate(system)
+    assert result["digest"] == verdict_digest(truth)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +606,95 @@ class TestQueryEngineInProcess:
                     },
                 )
             assert info.value.limit == "timeout"
+        finally:
+            engine.close()
+
+
+class TestOutOfRangeFields:
+    """Fields outside the cell are ``bad_request`` (a ProtocolError) or,
+    for points, ``not_found`` — never a wrapped-around verdict from
+    Python's negative indexing, and never an ``internal`` error."""
+
+    @staticmethod
+    def _eval(formula, **params):
+        engine = QueryEngine(fork_policy="never")
+        return engine.execute(
+            "eval", dict({"formula": formula, "horizon": 3}, **params)
+        )
+
+    def test_negative_knows_processor_rejected(self, crash3):
+        with pytest.raises(ProtocolError, match="processor -1"):
+            self._eval(
+                {
+                    "kind": "knows",
+                    "processor": -1,
+                    "of": {"kind": "exists", "value": 1},
+                }
+            )
+
+    def test_negative_atom_processor_rejected(self, crash3):
+        with pytest.raises(ProtocolError, match="processor -1"):
+            self._eval(
+                {"kind": "initial_value_is", "processor": -1, "value": 1}
+            )
+
+    def test_atom_processor_beyond_n_rejected(self, crash3):
+        with pytest.raises(ProtocolError, match="processor 7"):
+            self._eval({"kind": "is_nonfaulty", "processor": 7})
+
+    def test_knows_processor_beyond_n_rejected(self, crash3):
+        with pytest.raises(ProtocolError, match="processor 9"):
+            self._eval(
+                {
+                    "kind": "knows",
+                    "processor": 9,
+                    "of": {"kind": "exists", "value": 1},
+                }
+            )
+
+    def test_value_outside_binary_rejected(self, crash3):
+        with pytest.raises(ProtocolError, match="must be 0 or 1"):
+            self._eval({"kind": "exists", "value": 5})
+
+    @pytest.mark.parametrize(
+        "cell",
+        [{"n": 0}, {"n": 3, "t": 3}, {"n": 3, "t": 1, "horizon": 0}],
+        ids=["n0", "t-ge-n", "horizon0"],
+    )
+    def test_bad_cell_rejected(self, cell):
+        with pytest.raises(ProtocolError, match="need n >= 2"):
+            self._eval({"kind": "true"}, **cell)
+
+    def test_unknown_kernel_rejected(self, crash3):
+        with pytest.raises(ProtocolError, match="unknown kernel"):
+            self._eval({"kind": "true"}, kernel="abacus")
+
+    def test_explain_point_outside_system_is_not_found(self):
+        engine = QueryEngine(fork_policy="never")
+        with pytest.raises(KeyError, match="outside system"):
+            engine.execute(
+                "explain",
+                {
+                    "catalog": {"experiment": "E4", "formula": "common-exists1"},
+                    "point": [999999, 0],
+                },
+            )
+
+    def test_forked_bad_cell_stays_bad_request(self):
+        engine = QueryEngine(fork_policy="always")
+        try:
+            with pytest.raises(ProtocolError, match="need n >= 2"):
+                engine.execute(
+                    "explain",
+                    {
+                        "catalog": {
+                            "experiment": "E4",
+                            "formula": "common-exists1",
+                        },
+                        "n": 3,
+                        "t": 5,
+                    },
+                )
         finally:
             engine.close()
 
@@ -614,6 +936,19 @@ class TestDaemonRoundTrips:
         finally:
             reader.close()
             raw.close()
+
+    def test_out_of_range_processor_is_bad_request(self, daemon):
+        with ServeClient(daemon["socket"]) as client:
+            with pytest.raises(ServeError) as info:
+                client.request(
+                    "eval",
+                    formula={
+                        "kind": "knows",
+                        "processor": -1,
+                        "of": {"kind": "exists", "value": 1},
+                    },
+                )
+            assert info.value.code == "bad_request"
 
     def test_unknown_catalog_is_not_found(self, daemon):
         with ServeClient(daemon["socket"]) as client:
