@@ -12,9 +12,11 @@ rounds would defeat):
    component-label sweep over every block, exactly what the batch plans
    seed from);
 2. **object graph** (the limb-shard baseline): the same cell and the
-   same evaluation, but built through ``SystemProvider.get`` — per-point
+   same evaluation, but built through ``build_system`` — per-point
    scenario enumeration, view interning, run construction — with the
-   arrays projected from the finished system.
+   arrays projected from the finished system by
+   ``SystemArrays.from_system``.  (``SystemProvider.get`` itself builds
+   arrays-first, so it cannot serve as the baseline.)
 
 Both legs start from an empty cache, so the ratio is the cold-path win
 the arrays-first builder exists for.  The script exits non-zero unless
@@ -74,16 +76,20 @@ def _evaluate(arrays) -> int:
 
 def _cold_leg(n: int, t: int, horizon: int, *, legacy: bool) -> float:
     """One cold build+eval from an empty cache; returns the wall time."""
+    from repro.model.adversary import exhaustive_adversary
     from repro.model.failures import FailureMode
     from repro.model.partition import SystemArrays
     from repro.model.provider import SystemProvider
+    from repro.model.system import build_system
 
     directory = tempfile.mkdtemp(prefix="repro-cold-bench-")
     try:
         provider = SystemProvider(cache_dir=directory)
         start = time.perf_counter()
         if legacy:
-            system = provider.get(FailureMode.OMISSION, n, t, horizon)
+            system = build_system(
+                exhaustive_adversary(FailureMode.OMISSION, n, t, horizon)
+            )
             arrays = SystemArrays.from_system(system)
         else:
             arrays = provider.get_arrays(FailureMode.OMISSION, n, t, horizon)

@@ -9,8 +9,8 @@ stage chain
 
 which mirrors the monolithic evaluation exactly, but runs on **limb-block
 shards** instead of run ranges: the supervisor loads the cell's
-:class:`~repro.model.partition.SystemArrays` projection (an ``.npz``
-sidecar — no ``Run`` objects are ever materialized on this path), cuts
+:class:`~repro.model.partition.SystemArrays` (the cell's cached
+``.npz`` — no ``Run`` objects are ever materialized on this path), cuts
 the chunked kernel's group tables into
 :class:`~repro.model.partition.LimbBlockPartition` blocks, and ships the
 tiny JSON block descriptors to workers while the heavy tables travel
@@ -106,42 +106,28 @@ def _operand_limbs(partition: LimbBlockPartition, operand_hex: str):
 
 @register_task("system.ensure")
 def _task_system_ensure(params: Dict[str, Any]) -> Dict[str, Any]:
-    """Build stage: make sure the cell's cache artifacts are on disk.
+    """Build stage: make sure the cell's ``.npz`` is on disk.
 
-    ``params["need"]`` picks the artifact set:
+    The provider builds the cell arrays-first
+    (:mod:`repro.model.fastbuild`) and never materializes a ``Run``
+    object; the supervisor then loads the file — as arrays for E9-style
+    plans, or materialized into a ``System`` for plans whose finalize
+    replays the experiment's monolithic ``run()`` (E4/E5/E21).
 
-    * ``"arrays"`` — only the :class:`~repro.model.partition.SystemArrays`
-      ``.npz`` sidecar.  This is the arrays-first fast path: the provider
-      vectorizes the projection straight from the enumeration tables
-      (:mod:`repro.model.fastbuild`) and **never materializes a ``Run``
-      object**.  E9-style plans, whose every stage consumes arrays or
-      limb blocks, use this.
-    * ``"full"`` (default) — the pickled enumeration *and* the arrays
-      sidecar, for plans whose finalize replays the experiment's
-      monolithic ``run()`` against the object graph (E4/E5/E21).
-
-    If the requested artifacts already exist at the current cache version
-    the shard is a no-op.  With the disk layer off there is nothing a
-    worker could hand back cheaply, so the supervisor builds in-process
-    instead.
+    If the file already exists at the current cache version the shard is
+    a no-op.  With the disk layer off there is nothing a worker could
+    hand back cheaply, so the supervisor builds in-process instead.
     """
     from ..model.failures import FailureMode
     from ..model.provider import get_provider
 
     mode = FailureMode(params["mode"])
     n, t, horizon = params["n"], params["t"], params["horizon"]
-    need = params.get("need", "full")
     provider = get_provider()
-    has_arrays = provider.has_current_arrays(mode, n, t, horizon)
-    if need == "arrays":
-        if has_arrays:
-            return {"built": False, "cached": True}
-    elif provider.has_current_cell(mode, n, t, horizon) and has_arrays:
+    if provider.has_current_cell(mode, n, t, horizon):
         return {"built": False, "cached": True}
     if not provider.disk_enabled:
         return {"built": False, "cached": False}
-    if need != "arrays":
-        provider.get(mode, n, t, horizon)  # enumerate + persist the pickle
     arrays = provider.get_arrays(mode, n, t, horizon)
     return {
         "built": True,
@@ -265,14 +251,13 @@ def e9_plan(n: int = 4, t: int = 2, horizon: int = 2) -> BatchPlan:
         )
 
     def make_build(context: Dict[str, Any]) -> List[Shard]:
-        # Arrays-only: every E9 stage consumes the array projection or
-        # limb blocks, so the cold build takes the vectorized fastbuild
-        # path and never enumerates Run objects.
+        # Every E9 stage consumes the array projection or limb blocks,
+        # so no Run object is ever materialized on this path.
         return [
             Shard(
                 shard_id="build/system",
                 task="system.ensure",
-                params={"mode": "omission", "need": "arrays", **params},
+                params={"mode": "omission", **params},
                 stage="build",
             )
         ]
@@ -637,8 +622,7 @@ def _task_portfolio_believes(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _portfolio_build_stage(cells: List[Tuple[str, int, int, int]]) -> Stage:
-    """Ensure every cell's enumeration + arrays are on disk (one shard
-    per cell; ``need="full"`` because finalize replays ``run()``)."""
+    """Ensure every cell's ``.npz`` is on disk (one shard per cell)."""
 
     def make(context: Dict[str, Any]) -> List[Shard]:
         return [
@@ -650,7 +634,6 @@ def _portfolio_build_stage(cells: List[Tuple[str, int, int, int]]) -> Stage:
                     "n": cell[1],
                     "t": cell[2],
                     "horizon": cell[3],
-                    "need": "full",
                 },
                 stage="build",
             )

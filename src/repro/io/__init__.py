@@ -1,4 +1,5 @@
-"""Serialization: JSON export/import of outcomes, results and systems."""
+"""Serialization: JSON export/import of outcomes and results, and
+materialization of stored systems."""
 
 from .export import (
     FORMAT_VERSION,
@@ -14,30 +15,20 @@ from .export import (
     run_outcome_from_json,
     run_outcome_to_json,
 )
-from .system_codec import (
-    CODEC_VERSION,
-    dump_system,
-    load_system,
-    system_from_payload,
-    system_to_payload,
-)
+from .system_codec import system_from_arrays
 
 __all__ = [
-    "CODEC_VERSION",
     "FORMAT_VERSION",
     "behavior_from_json",
     "behavior_to_json",
     "dump_outcome",
-    "dump_system",
     "experiment_result_to_json",
     "load_outcome",
-    "load_system",
     "outcome_from_json",
     "outcome_to_json",
     "pattern_from_json",
     "pattern_to_json",
     "run_outcome_from_json",
     "run_outcome_to_json",
-    "system_from_payload",
-    "system_to_payload",
+    "system_from_arrays",
 ]

@@ -1,199 +1,186 @@
-"""Serialization codec for enumerated systems.
+"""Materialize an enumerated system from its stored arrays.
 
-Round-trips a :class:`~repro.model.system.System` through a gzip-compressed
-JSON payload so that the :class:`~repro.model.provider.SystemProvider` can
-persist enumerations across processes instead of recomputing the
-doubly-exponential run space from scratch.
+A cached exhaustive cell is stored as one versioned ``.npz`` — its
+:class:`~repro.model.partition.SystemArrays`, built arrays-first by
+:mod:`repro.model.fastbuild` and validated on every load
+(:meth:`~repro.model.partition.SystemArrays.validate`).
+:func:`system_from_arrays` turns those arrays into the
+:class:`~repro.model.system.System` object graph that simulation,
+explanation and the evaluators read.  The result equals a fresh
+:func:`~repro.model.system.build_system` of the cell: same run order,
+same scenarios, same view ids and :class:`~repro.model.views.ViewTable`
+entries, same state and scenario indexes (``tests/test_system_codec.py``
+checks this across all three exhaustive modes).
 
-The payload stores the interned :class:`~repro.model.views.ViewTable` as its
-structural entries in id order plus, per run, the scenario (configuration and
-failure pattern, via the existing :mod:`repro.io.export` pattern codec), the
-view-id matrix and the delivery sets.  Decoding replays the table entries
-into a fresh table — an append-only replay that reproduces the exact id
-assignment — and reconstructs :class:`~repro.model.runs.Run` objects without
-re-executing the full-information protocol.  The rebuilt system is
-run-for-run identical to a fresh enumeration (same run order, same view ids,
-same scenario and state indexes); tests validate this directly.
+Nothing is re-simulated:
 
-``CODEC_VERSION`` must be bumped whenever the payload layout *or* the
-enumeration semantics change; the provider additionally keys cache files by
-the library version, so stale caches are never read.
-
-Alongside the portable JSON payload the provider keeps an optional
-**pickle sidecar** (:func:`dump_system_pickle` / :func:`load_system_pickle`)
-— same versioned-filename discipline, ~4-5x faster to load on the huge
-cells because it skips both the table replay and the index rebuild.  The
-sidecar is a *local trusted cache only*: pickle deserialization executes
-arbitrary code, so these files must never be loaded from untrusted
-directories (point ``REPRO_CACHE_DIR`` somewhere private, or set
-``REPRO_PICKLE_CACHE=0`` to disable the sidecar entirely; the JSON payload
-remains authoritative).
+* each :class:`~repro.model.views.ViewInfo` is read off the view's first
+  occurrence — its owner's initial value in that run, and the senders
+  delivered to the owner in that round with their views one time
+  earlier;
+* the state index comes from one stable argsort of the view-id matrix;
+* runs of one failure pattern share its nonfaulty set and per-round
+  delivery tuples.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
-import pickle
-from typing import Any, Dict, List, Optional
+import gc
+import itertools
+from typing import List
+
+import numpy as np
 
 from ..errors import ConfigurationError
-from ..model.config import InitialConfiguration
+from ..model.adversary import exhaustive_adversary
+from ..model.config import all_configurations
 from ..model.failures import FailureMode
+from ..model.partition import SystemArrays
 from ..model.runs import Run
 from ..model.system import System
-from ..model.views import ViewTable, merge_entries
-from .export import pattern_from_json, pattern_to_json
-
-#: Version of the system payload layout.  Bump on any change to the layout
-#: or to the enumeration semantics it captures.
-CODEC_VERSION = 1
+from ..model.views import ViewInfo, ViewTable
 
 
-def system_to_payload(system: System) -> Dict[str, Any]:
-    """Serialize *system* to a JSON-able payload."""
-    entries: List[List[Any]] = []
-    for entry in system.table.export_entries():
-        if entry[0] == "leaf":
-            entries.append(["L", entry[1], entry[2]])
-        else:
-            entries.append(
-                ["N", entry[1], [[s, v] for s, v in entry[2]]]
-            )
-    runs: List[Dict[str, Any]] = []
-    for run in system.runs:
-        runs.append(
-            {
-                "config": list(run.config.values),
-                "pattern": pattern_to_json(run.pattern),
-                "views": [list(row) for row in run.views],
-                "nonfaulty": sorted(run.nonfaulty),
-                "deliveries": [
-                    [sorted(senders) for senders in per_receiver]
-                    for per_receiver in run.deliveries
-                ],
-            }
+def system_from_arrays(arrays: SystemArrays) -> System:
+    """The :class:`System` stored as *arrays*.
+
+    *arrays* must be an exhaustive cell that passed
+    :meth:`SystemArrays.validate`; the materializer relies on the
+    invariants it checks.
+    """
+    # Hundreds of thousands of acyclic objects are allocated below; the
+    # cyclic collector's passes over them would double the wall time.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _materialize(arrays)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _materialize(arrays: SystemArrays) -> System:
+    mode = FailureMode(arrays.mode)
+    n, horizon, width = arrays.n, arrays.horizon, arrays.width
+    configs = list(all_configurations(n))
+    patterns = list(
+        exhaustive_adversary(mode, n, arrays.t, horizon).patterns()
+    )
+    if arrays.num_runs != len(configs) * len(patterns):
+        raise ConfigurationError(
+            f"{arrays.num_runs} runs stored, the cell has "
+            f"{len(configs)} x {len(patterns)}"
         )
-    return {
-        "codec_version": CODEC_VERSION,
-        "n": system.n,
-        "t": system.t,
-        "horizon": system.horizon,
-        "mode": None if system.mode is None else system.mode.value,
-        "views": entries,
-        "runs": runs,
+    # Positions of the raveled (runs, width, n) view matrix, grouped by
+    # view id; within a group in scan order, so a group's first position
+    # is the view's first occurrence.
+    flat = arrays.views.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    ends = np.cumsum(np.bincount(flat, minlength=arrays.num_views))
+    starts = np.concatenate(([0], ends[:-1]))
+    table = _view_table(arrays, order[starts])
+
+    points = np.fromiter(
+        itertools.product(range(arrays.num_runs), range(width)),
+        dtype=object,
+        count=arrays.num_points,
+    )
+    members = points[order // n].tolist()
+    state_index = {
+        view: members[start:end]
+        for view, (start, end) in enumerate(
+            zip(starts.tolist(), ends.tolist())
+        )
     }
 
-
-def system_from_payload(payload: Dict[str, Any]) -> System:
-    """Inverse of :func:`system_to_payload`."""
-    version = payload.get("codec_version")
-    if version != CODEC_VERSION:
-        raise ConfigurationError(
-            f"unsupported system codec version {version!r}"
-        )
-    table = ViewTable()
-    entries = []
-    for entry in payload["views"]:
-        if entry[0] == "L":
-            entries.append(("leaf", entry[1], entry[2]))
-        elif entry[0] == "N":
-            entries.append(
-                ("node", entry[1], tuple((s, v) for s, v in entry[2]))
+    rows = list(map(tuple, arrays.views.reshape(-1, n).tolist()))
+    per_pattern = []
+    processors = range(n)
+    for pattern, nonfaulty, rounds in zip(
+        patterns,
+        arrays.nonfaulty[: len(patterns)].tolist(),
+        arrays.deliveries[: len(patterns)].tolist(),
+    ):
+        per_pattern.append(
+            (
+                pattern,
+                frozenset(p for p in processors if nonfaulty[p]),
+                [
+                    tuple(
+                        frozenset(
+                            s for s in processors if s != receiver and heard[s]
+                        )
+                        for receiver, heard in enumerate(per_receiver)
+                    )
+                    for per_receiver in rounds
+                ],
             )
-        else:
-            raise ConfigurationError(f"unknown view entry kind {entry[0]!r}")
-    mapping = merge_entries(table, entries)
-    if mapping != list(range(len(mapping))):
-        raise ConfigurationError("view table replay produced shifted ids")
-    horizon = payload["horizon"]
+        )
     runs: List[Run] = []
-    for data in payload["runs"]:
-        run = Run(
-            config=InitialConfiguration(data["config"]),
-            pattern=pattern_from_json(data["pattern"]),
-            horizon=horizon,
-            views=[tuple(row) for row in data["views"]],
-            nonfaulty=frozenset(data["nonfaulty"]),
-            deliveries=[
-                tuple(frozenset(senders) for senders in per_receiver)
-                for per_receiver in data["deliveries"]
-            ],
-        )
-        runs.append(run)
-    mode: Optional[FailureMode] = (
-        None if payload["mode"] is None else FailureMode(payload["mode"])
+    scenario_index = {}
+    for config in configs:
+        for pattern, nonfaulty, deliveries in per_pattern:
+            base = len(runs) * width
+            scenario_index[(config, pattern)] = len(runs)
+            runs.append(
+                Run(
+                    config=config,
+                    pattern=pattern,
+                    horizon=horizon,
+                    views=rows[base : base + width],
+                    nonfaulty=nonfaulty,
+                    deliveries=list(deliveries),
+                )
+            )
+    return System(
+        n,
+        arrays.t,
+        horizon,
+        runs,
+        table,
+        mode,
+        indexes=(state_index, scenario_index),
     )
-    return System(payload["n"], payload["t"], horizon, runs, table, mode)
 
 
-def dump_system(system: System, path: str) -> None:
-    """Write *system* to *path* as gzip-compressed JSON."""
-    with gzip.open(path, "wt", encoding="utf-8", compresslevel=1) as handle:
-        json.dump(system_to_payload(system), handle, separators=(",", ":"))
-
-
-def load_system(path: str) -> System:
-    """Read a system written by :func:`dump_system`."""
-    with gzip.open(path, "rt", encoding="utf-8") as handle:
-        return system_from_payload(json.load(handle))
-
-
-#: Pickle protocol for the sidecar (highest: fastest, files are
-#: version-stamped so cross-version portability is not required).
-PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
-
-def dump_system_pickle(system: System, path: str) -> None:
-    """Write *system* to *path* as a pickle sidecar.
-
-    Evaluation caches and the packed-kernel indexes are detached for the
-    dump (they are derived state, can be huge, and are keyed by objects
-    that need not pickle) and restored afterwards, so dumping never
-    perturbs the live instance.  Detaching the chunked index also makes
-    cache stamps *extension-aware*: a system produced by
-    :func:`~repro.model.system.extend_system` carries a pre-seeded
-    ``_chunked_index``, and stripping it keeps the sidecar byte-identical
-    to one written from a fresh build of the same cell — the on-disk
-    payload depends only on ``(mode, n, t, horizon)`` and the codec and
-    library versions in the filename stamp, never on how the system was
-    produced.
-    """
-    detached = (
-        system._formula_cache,
-        system._nonrigid_cache,
-        system._components_cache,
-        system._bitset_index,
-        system._chunked_index,
-    )
-    system._formula_cache = {}
-    system._nonrigid_cache = {}
-    system._components_cache = {}
-    system._bitset_index = None
-    system._chunked_index = None
-    try:
-        with open(path, "wb") as handle:
-            pickle.dump(system, handle, protocol=PICKLE_PROTOCOL)
-    finally:
-        (
-            system._formula_cache,
-            system._nonrigid_cache,
-            system._components_cache,
-            system._bitset_index,
-            system._chunked_index,
-        ) = detached
-
-
-def load_system_pickle(path: str) -> System:
-    """Read a system written by :func:`dump_system_pickle`.
-
-    Only ever call this on files the provider itself wrote (see the module
-    docstring's trust caveat).
-    """
-    with open(path, "rb") as handle:
-        system = pickle.load(handle)
-    if not isinstance(system, System):
-        raise ConfigurationError(
-            f"pickle sidecar {path} does not hold a System"
+def _view_table(arrays: SystemArrays, first) -> ViewTable:
+    """The interned table, each view read off its first occurrence
+    (*first*: its position in the raveled view matrix, per view id)."""
+    n = arrays.n
+    run, rest = np.divmod(first, arrays.width * n)
+    time, owner = np.divmod(rest, n)
+    values = arrays.init[run, owner].tolist()
+    heard_from: List[tuple] = [()] * arrays.num_views
+    nodes = np.flatnonzero(time > 0)
+    if nodes.size:
+        node_run, node_owner = run[nodes], owner[nodes]
+        node_round = time[nodes] - 1
+        delivered = arrays.deliveries[node_run, node_round, node_owner]
+        delivered[np.arange(nodes.size), node_owner] = False
+        carried = arrays.views[node_run, node_round]
+        for view, senders, seen in zip(
+            nodes.tolist(), delivered.tolist(), carried.tolist()
+        ):
+            heard_from[view] = tuple(
+                [(s, seen[s]) for s in range(n) if senders[s]]
+            )
+    infos = [
+        ViewInfo(
+            view_id=view,
+            processor=processor,
+            time=depth,
+            initial_value=value,
+            previous=None if previous < 0 else previous,
+            heard_from=heard,
         )
-    return system
+        for view, (processor, depth, value, previous, heard) in enumerate(
+            zip(
+                owner.tolist(),
+                time.tolist(),
+                values,
+                arrays.prev.tolist(),
+                heard_from,
+            )
+        )
+    ]
+    return ViewTable.from_infos(infos)

@@ -2,12 +2,10 @@
 
 :func:`~repro.model.system.build_system` materializes every run as a
 ``Run`` object and interns views point by point through a Python dict —
-fine for the object-graph consumers (protocol simulation, explanation
-traces, incremental extension), but pure overhead for the evaluation-only
-consumers (``serve`` forked builds, ``exec`` shards), which immediately
-project the system down to
-:class:`~repro.model.partition.SystemArrays` and never look at a ``Run``
-again.  This module builds the *projection directly*:
+fine for restricted and explicit adversaries, but pure overhead for a
+cached exhaustive cell, which is stored as its
+:class:`~repro.model.partition.SystemArrays`.  This module builds the
+*projection directly*:
 
 * failure patterns become index tables — per-processor behaviour
   delivery matrices (tiny: one row per canonical behaviour) combined by
@@ -25,35 +23,23 @@ again.  This module builds the *projection directly*:
   array **byte-identical** to ``SystemArrays.from_system`` on the
   object-graph build (asserted by ``tests/test_fastbuild.py``).
 
-The fast path covers what the provider caches: exhaustive crash /
+The builder covers what the provider caches: exhaustive crash /
 sending-omission / receive-omission adversaries over the full initial
-configuration list.  Anything else returns ``None`` from
-:func:`try_build_arrays` and the caller falls back to the object-graph
-build.
+configuration list — every cached cell is built here, and its ``System``
+is materialized from the arrays (:mod:`repro.io.system_codec`).
+Restricted and explicit adversaries go through ``build_system``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from .. import obs, trace
+from .adversary import exhaustive_adversary
 from .failures import FailureMode
-
-#: Modes with a canonical exhaustive enumeration the fast path mirrors.
-_SUPPORTED_MODES = (
-    FailureMode.CRASH,
-    FailureMode.OMISSION,
-    FailureMode.RECEIVE_OMISSION,
-)
-
-
-def supports(mode: FailureMode, n: int, t: int, horizon: int) -> bool:
-    """Whether :func:`build_arrays` can handle this cell."""
-    return mode in _SUPPORTED_MODES and n >= 2 and 0 <= t < n and horizon >= 1
-
 
 def _subset_masks(n: int, processor: int, *, strict: bool):
     """Boolean membership rows for the adversary's subset enumeration.
@@ -115,7 +101,7 @@ def _behavior_tables(mode: FailureMode, n: int, horizon: int, processor: int):
     return ok, None
 
 
-def _pattern_tensors(mode: FailureMode, n: int, t: int, horizon: int):
+def pattern_tensors(mode: FailureMode, n: int, t: int, horizon: int):
     """Delivery tensor and nonfaulty matrix over the full pattern list.
 
     Returns ``(deliveries, nonfaulty)`` with ``deliveries`` of shape
@@ -170,14 +156,17 @@ def build_arrays(mode: FailureMode, n: int, t: int, horizon: int):
 
     Byte-identical to ``SystemArrays.from_system`` on the object-graph
     build of the same cell (same dtypes, same dense view-id order, same
-    meta).  Call :func:`supports` first.
+    meta).  Raises :class:`~repro.errors.ConfigurationError` for a cell
+    no exhaustive adversary covers.
     """
     from .partition import SystemArrays
+
+    exhaustive_adversary(mode, n, t, horizon)  # validates the cell
 
     with obs.stage("system_fastbuild"), trace.span(
         "system_fastbuild", mode=mode.value, n=n, t=t, horizon=horizon
     ):
-        pattern_deliv, pattern_nf = _pattern_tensors(mode, n, t, horizon)
+        pattern_deliv, pattern_nf = pattern_tensors(mode, n, t, horizon)
         num_patterns = pattern_deliv.shape[0]
         configs = np.asarray(
             list(itertools.product((0, 1), repeat=n)), dtype=np.int8
@@ -278,12 +267,3 @@ def build_arrays(mode: FailureMode, n: int, t: int, horizon: int):
             deliveries=deliveries,
             occurs=occurs,
         )
-
-
-def try_build_arrays(
-    mode: FailureMode, n: int, t: int, horizon: int
-) -> Optional[object]:
-    """:func:`build_arrays` when supported, else ``None`` (no raise)."""
-    if not supports(mode, n, t, horizon):
-        return None
-    return build_arrays(mode, n, t, horizon)

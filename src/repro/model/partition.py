@@ -10,12 +10,13 @@ group tables.  This module closes that gap with two pieces:
 * :class:`SystemArrays` — a compact, numpy-native projection of a system
   (view-id matrix, per-view owner/time/parent, initial values, nonfaulty
   sets, delivery tensors).  It carries everything the sharded knowledge
-  sweeps need, costs a fraction of the ``Run``-object pickle to load,
-  and round-trips through an ``.npz`` sidecar managed by
-  :class:`~repro.model.provider.SystemProvider` next to the system cache
-  files.  Scenario lookup (``run_index_of``) matches the *observable*
-  run content — initial values, nonfaulty set, delivery tensor — which
-  identifies a run uniquely under the canonical adversaries.
+  sweeps need, and it is the one stored form of a cached cell: one
+  versioned ``.npz`` per cell, managed by
+  :class:`~repro.model.provider.SystemProvider`, from which
+  :mod:`repro.io.system_codec` materializes the ``System``.  Scenario
+  lookup (``run_index_of``) matches the *observable* run content —
+  initial values, nonfaulty set, delivery tensor — which identifies a
+  run uniquely under the canonical adversaries.
 
 * :class:`LimbBlockPartition` — the chunked index's per-processor group
   tables (``idx`` / ``val`` / ``starts``; see
@@ -47,7 +48,9 @@ import numpy as np
 
 from .. import obs, trace
 from ..errors import ConfigurationError, EvaluationError
+from .adversary import exhaustive_adversary
 from .chunked import LIMB_BITS, LIMB_MASK
+from .failures import FailureMode
 
 #: Target group-table entries per limb block when no explicit shard size
 #: is requested; blocks are balanced by entry count, not limb count.
@@ -56,7 +59,7 @@ DEFAULT_BLOCK_ENTRIES = 1 << 18
 #: Hard cap on blocks per partition (shard-id explosion guard).
 MAX_BLOCKS = 64
 
-#: Format stamp of the ``.npz`` sidecar payload.
+#: Format stamp of the stored ``.npz`` cell.
 ARRAYS_VERSION = 1
 
 
@@ -130,7 +133,7 @@ def cbox_mask_from_labels(labels, phi: int, num_runs: int) -> int:
     return bools_to_mask(out)
 
 
-# -- the array sidecar ------------------------------------------------------
+# -- the stored cell --------------------------------------------------------
 
 
 class SystemArrays:
@@ -267,7 +270,7 @@ class SystemArrays:
     # -- npz round-trip ----------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Write the ``.npz`` sidecar."""
+        """Write the cell as one compressed ``.npz``."""
         meta = json.dumps(
             {
                 "arrays_version": ARRAYS_VERSION,
@@ -293,12 +296,13 @@ class SystemArrays:
 
     @classmethod
     def load(cls, path: str) -> "SystemArrays":
-        """Read a sidecar written by :meth:`save`; raises on mismatch."""
+        """Read a cell written by :meth:`save`; raises on a version
+        mismatch (:meth:`validate` checks the rest)."""
         with np.load(path, allow_pickle=False) as bundle:
             meta = json.loads(bytes(bundle["meta"]).decode("utf-8"))
             if meta.get("arrays_version") != ARRAYS_VERSION:
                 raise ConfigurationError(
-                    f"sidecar {path} has arrays_version "
+                    f"{path} has arrays_version "
                     f"{meta.get('arrays_version')!r}, need {ARRAYS_VERSION}"
                 )
             return cls(
@@ -316,6 +320,109 @@ class SystemArrays:
                 deliveries=bundle["deliveries"],
                 occurs=bundle["occurs"],
             )
+
+    def validate(self, mode: str, n: int, t: int, horizon: int) -> None:
+        """Raise :class:`ConfigurationError` unless these arrays are the
+        exhaustive cell ``(mode, n, t, horizon)``.
+
+        Vectorized checks, so a foreign or tampered file fails closed
+        instead of answering for another cell: the meta against the
+        request; every array's shape and dtype; view ids in range, owned
+        by their column's processor, at their row's time, chained to the
+        owner's previous view, all occurring, numbered by first
+        appearance; the runs laid out as the exhaustive enumeration lays
+        them out (configurations outer, patterns inner — ``2**n`` times
+        the pattern count); and the ids an exact interning of the runs'
+        states.  Arrays that pass are the cell ``fastbuild`` builds.
+        """
+        from . import fastbuild
+
+        found = (self.mode, self.n, self.t, self.horizon)
+        if found != (mode, n, t, horizon):
+            raise ConfigurationError(
+                f"arrays hold cell {found}, need {(mode, n, t, horizon)}"
+            )
+        # Raises for a cell no exhaustive enumeration covers.
+        exhaustive_adversary(FailureMode(mode), n, t, horizon)
+        deliveries, nonfaulty = fastbuild.pattern_tensors(
+            FailureMode(mode), n, t, horizon
+        )
+        configs = 1 << n
+        runs = configs * len(deliveries)
+        width, num_views = horizon + 1, self.num_views
+        for name, shape, dtype in (
+            ("views", (runs, width, n), np.int32),
+            ("owner", (num_views,), np.int32),
+            ("vtime", (num_views,), np.int16),
+            ("prev", (num_views,), np.int32),
+            ("init", (runs, n), np.int8),
+            ("nonfaulty", (runs, n), np.bool_),
+            ("deliveries", (runs, horizon, n, n), np.bool_),
+            ("occurs", (num_views,), np.bool_),
+        ):
+            array = getattr(self, name)
+            if array.shape != shape or array.dtype != dtype:
+                raise ConfigurationError(
+                    f"{name} is {array.dtype}{array.shape}, "
+                    f"need {np.dtype(dtype)}{shape}"
+                )
+        ids = self.views
+        if ids.min() < 0 or ids.max() >= num_views:
+            raise ConfigurationError("view id out of range")
+        if (self.owner[ids] != np.arange(n)).any():
+            raise ConfigurationError("view owned by the wrong processor")
+        if (self.vtime[ids] != np.arange(width)[:, None]).any():
+            raise ConfigurationError("view at the wrong time")
+        if (self.prev[ids[:, 0]] != -1).any() or (
+            self.prev[ids[:, 1:]] != ids[:, :-1]
+        ).any():
+            raise ConfigurationError("view not chained to its predecessor")
+        # Dense first-appearance ids: in scan order every id is one already
+        # seen (at most the running maximum) or the next new one.
+        scan = ids.ravel()
+        running = np.maximum.accumulate(scan)
+        if (
+            scan[0] != 0
+            or running[-1] != num_views - 1
+            or (scan[1:] > running[:-1] + 1).any()
+        ):
+            raise ConfigurationError("ids not numbered by first appearance")
+        if not self.occurs.all():
+            raise ConfigurationError("occurs misses an occurring view")
+        procs = np.arange(n)
+        deliveries[:, :, procs, procs] = True
+        values = (np.arange(configs)[:, None] >> (n - 1 - procs)) & 1
+        if (
+            (self.init.reshape(configs, -1, n) != values[:, None, :]).any()
+            or (self.nonfaulty.reshape(configs, -1, n) != nonfaulty).any()
+            or (
+                self.deliveries.reshape((configs,) + deliveries.shape)
+                != deliveries
+            ).any()
+        ):
+            raise ConfigurationError(
+                "runs not in the exhaustive enumeration's order"
+            )
+        # The ids intern the runs' states: all occurrences of a view hold
+        # one state (the initial value at time 0, else the views
+        # delivered one round earlier), and distinct views of one owner,
+        # time and predecessor hold distinct states.
+        value = np.zeros(num_views, dtype=np.int8)
+        value[ids[:, 0]] = self.init
+        delivered = self.deliveries.copy()
+        delivered[:, :, procs, procs] = False
+        senders = (ids[:, :-1, None, :] + 1) * delivered
+        heard = np.zeros((num_views, n), dtype=np.int32)
+        heard[ids[:, 1:]] = senders
+        if (value[ids[:, 0]] != self.init).any() or (
+            heard[ids[:, 1:]] != senders
+        ).any():
+            raise ConfigurationError("a view id holds two states")
+        states = np.column_stack(
+            (self.owner, self.vtime, self.prev, value, heard)
+        )
+        if len(np.unique(states, axis=0)) != num_views:
+            raise ConfigurationError("a state holds two view ids")
 
     # -- shape -------------------------------------------------------------
 

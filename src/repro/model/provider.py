@@ -5,34 +5,40 @@ Every experiment and knowledge query funnels through one enumeration per
 
 1. a **bounded in-memory LRU** (hits are free and share one
    :class:`~repro.model.system.System` instance process-wide, exactly like
-   the old ``_SYSTEM_CACHE`` dict — but bounded and introspectable);
+   the old ``_SYSTEM_CACHE`` dict — but bounded and introspectable), plus
+   a separate one for the cell's
+   :class:`~repro.model.partition.SystemArrays`;
 2. a **versioned on-disk cache** under ``.repro_cache/`` (override with the
-   ``REPRO_CACHE_DIR`` env var, disable with ``REPRO_DISK_CACHE=0``),
-   round-tripped through :mod:`repro.io.system_codec` so a warm process
-   skips the doubly-exponential enumeration entirely; each cell keeps a
-   portable JSON payload plus a **pickle sidecar** (``REPRO_PICKLE_CACHE=0``
-   disables it) that loads ~4-5x faster on the huge cells and is tried
-   first, falling back to JSON on any mismatch;
-3. a fresh (possibly parallel) :func:`~repro.model.system.build_system` on
-   a full miss, after which both cache layers are populated.
+   ``REPRO_CACHE_DIR`` env var, disable with ``REPRO_DISK_CACHE=0``): one
+   ``.npz`` per cell holding its arrays.  Every load is validated against
+   the requested cell (:meth:`~repro.model.partition.SystemArrays.validate`)
+   and the ``System`` is materialized from the arrays
+   (:func:`repro.io.system_codec.system_from_arrays`);
+3. on a full miss, an arrays-first build (:mod:`repro.model.fastbuild`),
+   after which the ``.npz`` is written for the next process.
 
 Cache files are keyed by ``(mode, n, t, horizon)`` *and* versioned by the
-codec version plus the library version, so a library upgrade or payload
-change can never resurrect a stale enumeration.  Corrupted or unreadable
-cache files are treated as misses: the provider rebuilds and overwrites
-them, never crashes.
+arrays format plus the library version, so a library upgrade or format
+change can never resurrect a stale enumeration.  A corrupt, truncated,
+foreign or tampered file is a miss: the provider unlinks it, counts an
+``arrays_cache_repairs`` event and rebuilds — it never crashes and never
+answers from the wrong cell.  Files are written to a temp name carrying
+the cell's prefix and renamed into place, so readers only ever see whole
+files, and a writer killed mid-save leaves a temp file that the next
+store into the cell prunes.
 
 Only exhaustive default-config systems are cached; restricted systems and
-explicit config subsets always build fresh.
+explicit config subsets always build fresh through
+:func:`~repro.model.system.build_system`.
 
 Thread-safety: the in-memory layers (system LRU, arrays LRU, hit/miss
 counters) are guarded by one reentrant lock, so the serve daemon's worker
 threads may share the process-wide provider.  Builds and disk I/O happen
-*outside* the lock — a doubly-exponential enumeration must not serialize
-unrelated cached lookups — which means two threads missing on the same
-cell may both build it; the second :meth:`SystemProvider._remember` wins
-and the duplicate work is bounded by one cell.  The daemon avoids even
-that by routing non-resident cells through the fork-pool.
+*outside* the lock — an enumeration must not serialize unrelated cached
+lookups — which means two threads missing on the same cell may both
+build it; the second :meth:`SystemProvider._remember` wins and the
+duplicate work is bounded by one cell.  The daemon avoids even that by
+routing non-resident cells through the fork-pool.
 """
 
 from __future__ import annotations
@@ -59,6 +65,10 @@ DEFAULT_MAX_MEMORY_ENTRIES = 16
 #: never evict a hot system (and vice versa).
 DEFAULT_MAX_ARRAYS_ENTRIES = 8
 
+#: Suffix of in-flight cache writes (numpy appends ``.npz`` to any name
+#: without it, so the temp name must already end that way).
+TEMP_SUFFIX = ".tmp.npz"
+
 CacheKey = Tuple[str, int, int, int]
 
 
@@ -75,13 +85,8 @@ def _disk_enabled_default() -> bool:
     return raw not in _DISK_CACHE_FALSY
 
 
-def _pickle_enabled_default() -> bool:
-    raw = os.environ.get("REPRO_PICKLE_CACHE", "1").strip().lower()
-    return raw not in _DISK_CACHE_FALSY
-
-
 class SystemProvider:
-    """Bounded LRU + versioned disk cache in front of ``build_system``."""
+    """Bounded LRUs + one validated ``.npz`` per cell on disk."""
 
     def __init__(
         self,
@@ -145,35 +150,9 @@ class SystemProvider:
 
     def _current_suffix(self) -> str:
         from .. import __version__
-        from ..io.system_codec import CODEC_VERSION
-
-        return f"c{CODEC_VERSION}_v{__version__}.json.gz"
-
-    def _pickle_suffix(self) -> str:
-        from .. import __version__
-        from ..io.system_codec import CODEC_VERSION
-
-        return f"c{CODEC_VERSION}_v{__version__}.pickle"
-
-    def _pickle_path(self, key: CacheKey) -> str:
-        name = self._cell_prefix(key) + self._pickle_suffix()
-        return os.path.join(self.cache_dir, name)
-
-    def _arrays_suffix(self) -> str:
-        from .. import __version__
-        from ..io.system_codec import CODEC_VERSION
         from .partition import ARRAYS_VERSION
 
-        return f"a{ARRAYS_VERSION}_c{CODEC_VERSION}_v{__version__}.npz"
-
-    def _arrays_path(self, key: CacheKey) -> str:
-        name = self._cell_prefix(key) + self._arrays_suffix()
-        return os.path.join(self.cache_dir, name)
-
-    @property
-    def pickle_enabled(self) -> bool:
-        """Whether the pickle sidecar layer is active (env-overridable)."""
-        return self.disk_enabled and _pickle_enabled_default()
+        return f"a{ARRAYS_VERSION}_v{__version__}.npz"
 
     def has_memory_cell(
         self, mode: FailureMode, n: int, t: int, horizon: int
@@ -207,41 +186,28 @@ class SystemProvider:
     def has_current_cell(
         self, mode: FailureMode, n: int, t: int, horizon: int
     ) -> bool:
-        """Whether a current-version disk file exists for the cell.
+        """Whether a current-version ``.npz`` exists for the cell.
 
-        Used by the execution engine's build stage to decide if a worker
-        needs to enumerate: a present file means the parent can load the
-        system cheaply, so the build shard is a no-op.
+        A present file means any process can load the cell cheaply: the
+        execution engine's build stage skips the worker, and the serve
+        daemon answers inline.
         """
         if not self.disk_enabled:
             return False
         key: CacheKey = (mode.value, n, t, horizon)
-        return os.path.exists(self._cache_path(key)) or (
-            self.pickle_enabled and os.path.exists(self._pickle_path(key))
-        )
+        return os.path.exists(self._cache_path(key))
 
-    def has_current_arrays(
-        self, mode: FailureMode, n: int, t: int, horizon: int
-    ) -> bool:
-        """Whether a current-version ``.npz`` array sidecar exists."""
-        if not self.disk_enabled:
-            return False
-        key: CacheKey = (mode.value, n, t, horizon)
-        return os.path.exists(self._arrays_path(key))
+    # -- lookup ------------------------------------------------------------
 
     def get_arrays(self, mode: FailureMode, n: int, t: int, horizon: int):
         """The cell's :class:`~repro.model.partition.SystemArrays`.
 
-        Loads the ``.npz`` sidecar when present — orders of magnitude
-        cheaper than unpickling the ``Run`` objects on the big cells —
-        and otherwise projects the full system (through :meth:`get`,
-        populating the regular layers on the way) and writes the sidecar
-        for the next process.  Array projections are memoized in their
-        own bounded LRU (``max_arrays_entries``), accounted separately
-        from systems.
+        Loads the cell's ``.npz`` when present and otherwise builds the
+        arrays with :mod:`repro.model.fastbuild` and writes the file for
+        the next process — no ``Run`` object is ever materialized.
+        Memoized in their own bounded LRU (``max_arrays_entries``),
+        accounted separately from systems.
         """
-        from .partition import SystemArrays
-
         key: CacheKey = (mode.value, n, t, horizon)
         with self._lock:
             cached = self._arrays_memory.get(key)
@@ -249,73 +215,12 @@ class SystemProvider:
                 self._arrays_memory.move_to_end(key)
                 obs.count("arrays_cache_hits")
                 return cached
-        arrays = None
-        path = self._arrays_path(key)
-        if self.disk_enabled and os.path.exists(path):
-            try:
-                with obs.stage("arrays_cache_load"):
-                    arrays = SystemArrays.load(path)
-                obs.count("arrays_disk_hits")
-            except Exception:
-                arrays = None
+        obs.count("arrays_cache_misses")
+        arrays = self._load(key, mode, n, t, horizon)
         if arrays is None:
-            obs.count("arrays_cache_misses")
-            # Arrays-first fast path: when the object graph is not
-            # already materialized anywhere (memory or disk), enumerate
-            # straight into arrays and skip Run/ViewTable construction
-            # entirely — evaluation-only consumers never pay for the
-            # object graph.  Byte-identical to the projection below.
-            if not self.has_memory_cell(mode, n, t, horizon) and not (
-                self.has_current_cell(mode, n, t, horizon)
-            ):
-                from . import fastbuild
-
-                arrays = fastbuild.try_build_arrays(mode, n, t, horizon)
-                if arrays is not None:
-                    self._store_arrays(key, arrays)
-            if arrays is None:
-                system = self.get(mode, n, t, horizon)
-                arrays = SystemArrays.from_system(system)
-                self._store_arrays(key, arrays)
+            arrays = self._build_arrays(key, mode, n, t, horizon)
         self._remember_arrays(key, arrays)
         return arrays
-
-    def _store_arrays(self, key: CacheKey, arrays) -> None:
-        if not self.disk_enabled:
-            return
-        path = self._arrays_path(key)
-        try:
-            with obs.stage("arrays_cache_store"):
-                os.makedirs(self.cache_dir, exist_ok=True)
-                # numpy appends ``.npz`` to names without it, so the
-                # temp file must already end that way to stay findable.
-                fd, temp_path = tempfile.mkstemp(
-                    dir=self.cache_dir, suffix=".tmp.npz"
-                )
-                os.close(fd)
-                try:
-                    arrays.save(temp_path)
-                    os.replace(temp_path, path)
-                finally:
-                    if os.path.exists(temp_path):
-                        os.unlink(temp_path)
-            # Same keep-set discipline as _store_to_disk: an arrays-only
-            # workflow (get_arrays over a warm system cache) must not leak
-            # old-version .npz siblings after a codec or numpy bump.
-            self._prune_stale(
-                key,
-                keep={
-                    os.path.basename(self._cache_path(key)),
-                    os.path.basename(self._pickle_path(key)),
-                    os.path.basename(path),
-                },
-            )
-        except Exception:
-            # Same contract as the other layers: caching must never
-            # break evaluation (read-only disk, full disk, ...).
-            pass
-
-    # -- lookup ------------------------------------------------------------
 
     def get(
         self,
@@ -330,11 +235,14 @@ class SystemProvider:
     ) -> System:
         """The exhaustive system for the cell, through the cache layers.
 
-        ``configs`` subsets and ``use_cache=False`` bypass both layers and
-        build fresh.
+        A miss loads or builds the cell's arrays and materializes the
+        system from them.  ``configs`` subsets and ``use_cache=False``
+        bypass every layer and enumerate the object graph fresh through
+        ``build_system`` (on ``workers`` processes).
         """
         if configs is not None or not use_cache:
-            return self._build(mode, n, t, horizon, configs, workers)
+            adversary = exhaustive_adversary(mode, n, t, horizon)
+            return build_system(adversary, configs=configs, workers=workers)
         key: CacheKey = (mode.value, n, t, horizon)
         with self._lock:
             cached = self._memory.get(key)
@@ -348,13 +256,18 @@ class SystemProvider:
         with trace.span(
             "provider.get", mode=mode.value, n=n, t=t, horizon=horizon
         ) as lookup_span:
-            system = self._load_from_disk(key, mode, n, t, horizon)
-            if system is None:
+            arrays = self._load(key, mode, n, t, horizon)
+            if arrays is None:
                 lookup_span.set("source", "build")
-                system = self._build(mode, n, t, horizon, None, workers)
-                self._store_to_disk(key, system)
+                arrays = self._build_arrays(key, mode, n, t, horizon)
             else:
                 lookup_span.set("source", "disk")
+            from ..io.system_codec import system_from_arrays
+
+            with obs.stage("materialize_system"), trace.span(
+                "materialize_system", runs=arrays.num_runs
+            ):
+                system = system_from_arrays(arrays)
         self._remember(key, system)
         return system
 
@@ -371,8 +284,8 @@ class SystemProvider:
         remap) per step.  Every intermediate horizon is remembered in the
         LRU, so a streaming monitor advancing one round at a time always
         extends from the previous round.  Only the target cell is written
-        to disk.  With no shallower cell cached this degrades to
-        :meth:`get`.
+        to disk, as its arrays.  With no shallower cell cached this
+        degrades to :meth:`get`.
         """
         key: CacheKey = (mode.value, n, t, horizon)
         with self._lock:
@@ -416,20 +329,11 @@ class SystemProvider:
                 system = extend_system(system, adversary)
                 obs.count("system_extends")
                 self._remember((mode.value, n, t, next_horizon), system)
-            self._store_to_disk(key, system)
-        return system
+            if self.disk_enabled:
+                from .partition import SystemArrays
 
-    def _build(
-        self,
-        mode: FailureMode,
-        n: int,
-        t: int,
-        horizon: int,
-        configs: Optional[Iterable[InitialConfiguration]],
-        workers: Optional[int],
-    ) -> System:
-        adversary = exhaustive_adversary(mode, n, t, horizon)
-        return build_system(adversary, configs=configs, workers=workers)
+                self._store(key, SystemArrays.from_system(system))
+        return system
 
     def _remember(self, key: CacheKey, system: System) -> None:
         with self._lock:
@@ -451,105 +355,49 @@ class SystemProvider:
 
     # -- disk layer --------------------------------------------------------
 
-    def _load_from_disk(
+    def _build_arrays(
         self, key: CacheKey, mode: FailureMode, n: int, t: int, horizon: int
-    ) -> Optional[System]:
+    ):
+        """Build the cell arrays-first and store them."""
+        from . import fastbuild
+
+        arrays = fastbuild.build_arrays(mode, n, t, horizon)
+        self._store(key, arrays)
+        return arrays
+
+    def _load(
+        self, key: CacheKey, mode: FailureMode, n: int, t: int, horizon: int
+    ):
+        """The cell's validated arrays from disk, or ``None`` on a miss."""
         if not self.disk_enabled:
             return None
-        system = self._load_pickle(key, mode, n, t, horizon)
-        if system is not None:
-            self._disk_hits += 1
-            obs.count("disk_cache_hits")
-            return system
         path = self._cache_path(key)
-        if not os.path.exists(path):
-            self._disk_misses += 1
-            obs.count("disk_cache_misses")
-            return None
-        try:
-            with obs.stage("disk_cache_load"):
-                from ..io.system_codec import load_system
-
-                system = load_system(path)
-            if (system.n, system.t, system.horizon) != (n, t, horizon) or (
-                system.mode is not mode
-            ):
-                raise ConfigurationError(
-                    f"cache file {path} holds a different system"
-                )
-        except Exception:
-            # Corrupted, truncated or mismatched file: treat as a miss and
-            # let the rebuild overwrite it.
-            self._disk_misses += 1
-            obs.count("disk_cache_misses")
-            return None
-        self._disk_hits += 1
-        obs.count("disk_cache_hits")
-        # Backfill the fast sidecar so the next process skips the replay.
-        self._store_pickle(key, system)
-        return system
-
-    def _load_pickle(
-        self, key: CacheKey, mode: FailureMode, n: int, t: int, horizon: int
-    ) -> Optional[System]:
-        """Try the fast sidecar; any problem degrades to the JSON layer."""
-        if not self.pickle_enabled:
-            return None
-        path = self._pickle_path(key)
-        if not os.path.exists(path):
-            return None
-        try:
-            with obs.stage("disk_cache_load"):
-                from ..io.system_codec import load_system_pickle
-
-                system = load_system_pickle(path)
-            if (system.n, system.t, system.horizon) != (n, t, horizon) or (
-                system.mode is not mode
-            ):
-                raise ConfigurationError(
-                    f"pickle sidecar {path} holds a different system"
-                )
-        except Exception:
-            # A sidecar that fails to load (truncated by a crashed run,
-            # or holding the wrong system) would otherwise linger forever:
-            # _store_pickle early-returns when the path exists, so it was
-            # never repaired.  Delete it here so the next store — the JSON
-            # backfill a few frames up, or the next fresh build — rewrites
-            # a good one.
-            try:
-                os.unlink(path)
-                obs.count("pickle_cache_repairs")
-            except OSError:
-                pass
-            return None
-        obs.count("pickle_cache_hits")
-        return system
-
-    def _store_pickle(self, key: CacheKey, system: System) -> None:
-        if not self.pickle_enabled:
-            return
-        path = self._pickle_path(key)
+        arrays = None
         if os.path.exists(path):
-            return
-        try:
-            with obs.stage("disk_cache_store"):
-                os.makedirs(self.cache_dir, exist_ok=True)
-                fd, temp_path = tempfile.mkstemp(
-                    dir=self.cache_dir, suffix=".tmp"
-                )
-                os.close(fd)
+            from .partition import SystemArrays
+
+            try:
+                with obs.stage("disk_cache_load"):
+                    arrays = SystemArrays.load(path)
+                    arrays.validate(mode.value, n, t, horizon)
+            except Exception:
+                # Corrupt, truncated, foreign or tampered: never answer
+                # from it.  Unlink so the rebuild's store replaces it.
+                arrays = None
                 try:
-                    from ..io.system_codec import dump_system_pickle
+                    os.unlink(path)
+                    obs.count("arrays_cache_repairs")
+                except OSError:
+                    pass
+        with self._lock:
+            if arrays is None:
+                self._disk_misses += 1
+            else:
+                self._disk_hits += 1
+        obs.count("disk_cache_misses" if arrays is None else "disk_cache_hits")
+        return arrays
 
-                    dump_system_pickle(system, temp_path)
-                    os.replace(temp_path, path)
-                finally:
-                    if os.path.exists(temp_path):
-                        os.unlink(temp_path)
-        except OSError:
-            pass
-
-    def _store_to_disk(self, key: CacheKey, system: System) -> None:
+    def _store(self, key: CacheKey, arrays) -> None:
         if not self.disk_enabled:
             return
         path = self._cache_path(key)
@@ -557,60 +405,46 @@ class SystemProvider:
             with obs.stage("disk_cache_store"):
                 os.makedirs(self.cache_dir, exist_ok=True)
                 fd, temp_path = tempfile.mkstemp(
-                    dir=self.cache_dir, suffix=".tmp"
+                    dir=self.cache_dir,
+                    prefix=self._cell_prefix(key),
+                    suffix=TEMP_SUFFIX,
                 )
                 os.close(fd)
                 try:
-                    from ..io.system_codec import dump_system
-
-                    dump_system(system, temp_path)
+                    arrays.save(temp_path)
                     os.replace(temp_path, path)
                 finally:
                     if os.path.exists(temp_path):
                         os.unlink(temp_path)
-            self._store_pickle(key, system)
-            self._prune_stale(
-                key,
-                keep={
-                    os.path.basename(path),
-                    os.path.basename(self._pickle_path(key)),
-                    os.path.basename(self._arrays_path(key)),
-                },
-            )
-        except OSError:
-            # A read-only or full filesystem must never break enumeration.
+            self._prune_stale(key, keep=os.path.basename(path))
+        except Exception:
+            # Caching must never break evaluation (read-only disk, full
+            # disk, a concurrent writer pruning our temp file, ...).
             pass
 
-    def _prune_stale(self, key: CacheKey, *, keep) -> None:
-        """Delete superseded cache files of the same parameter cell.
+    def _prune_stale(self, key: CacheKey, *, keep: str) -> None:
+        """Delete every other file of the cell.
 
-        Version-stamped filenames mean a codec or library bump leaves the
-        previous stamp's file behind forever; after a successful store the
-        newly written files are authoritative, so any sibling with the same
-        ``(mode, n, t, horizon)`` prefix but a different version suffix —
-        JSON payload or pickle sidecar — is garbage and is removed here.
+        Version-stamped filenames mean a format or library bump leaves the
+        previous stamp's file behind forever, and a writer killed mid-save
+        leaves its temp file; after a successful store the newly written
+        file is authoritative, so any sibling with the same ``(mode, n, t,
+        horizon)`` prefix is garbage and is removed here.
         """
-        if isinstance(keep, str):
-            keep = {keep}
         prefix = self._cell_prefix(key)
         try:
             names = os.listdir(self.cache_dir)
         except OSError:
             return
         for name in names:
-            if name in keep:
-                continue
-            if not name.startswith(prefix) or not (
-                name.endswith(".json.gz")
-                or name.endswith(".pickle")
-                or name.endswith(".npz")
-            ):
+            if name == keep or not name.startswith(prefix):
                 continue
             try:
                 os.unlink(os.path.join(self.cache_dir, name))
             except OSError:
                 continue
-            self._disk_prunes += 1
+            with self._lock:
+                self._disk_prunes += 1
             obs.count("disk_cache_prunes")
 
     # -- introspection -----------------------------------------------------
@@ -639,39 +473,39 @@ class SystemProvider:
         info["cache_dir"] = self.cache_dir
         return info
 
+    def _cell_files(self) -> List[str]:
+        """Names of every cell file in the cache dir, temp files included."""
+        if not os.path.isdir(self.cache_dir):
+            return []
+        return sorted(
+            name
+            for name in os.listdir(self.cache_dir)
+            if name.startswith("system_")
+        )
+
     def disk_entries(self) -> List[Dict[str, object]]:
         """The on-disk cache inventory.
 
         Each entry carries the file name, its size in bytes, and a
         ``stale`` flag — true when the file's version suffix differs from
-        the current codec/library stamp (it will never be read again, only
-        pruned on the next store into its cell).
+        the current arrays/library stamp (it will never be read again, only
+        pruned on the next store into its cell).  In-flight (or orphaned)
+        temp files are not cells and are left out.
         """
         entries: List[Dict[str, object]] = []
-        if not os.path.isdir(self.cache_dir):
-            return entries
-        current = {
-            ".json.gz": self._current_suffix(),
-            ".pickle": self._pickle_suffix(),
-            ".npz": self._arrays_suffix(),
-        }
-        for name in sorted(os.listdir(self.cache_dir)):
-            extension = next(
-                (ext for ext in current if name.endswith(ext)), None
-            )
-            if extension is None:
+        current = self._current_suffix()
+        for name in self._cell_files():
+            if name.endswith(TEMP_SUFFIX):
                 continue
-            path = os.path.join(self.cache_dir, name)
             try:
-                size = os.path.getsize(path)
+                size = os.path.getsize(os.path.join(self.cache_dir, name))
             except OSError:
                 continue
             entries.append(
                 {
                     "file": name,
                     "bytes": size,
-                    "stale": name.startswith("system_")
-                    and not name.endswith(current[extension]),
+                    "stale": not name.endswith(current),
                 }
             )
         return entries
@@ -680,7 +514,8 @@ class SystemProvider:
         """Drop cached systems; returns eviction statistics.
 
         Args:
-            disk: Also delete the on-disk cache files.
+            disk: Also delete the on-disk cache files (temp files
+                included).
 
         Returns:
             ``{"evicted": ..., "arrays_evicted": ..., "disk_files_removed":
@@ -695,10 +530,10 @@ class SystemProvider:
             self._arrays_memory.clear()
             self._arrays_evictions += arrays_evicted
         removed = 0
-        if disk and os.path.isdir(self.cache_dir):
-            for entry in self.disk_entries():
+        if disk:
+            for name in self._cell_files():
                 try:
-                    os.unlink(os.path.join(self.cache_dir, str(entry["file"])))
+                    os.unlink(os.path.join(self.cache_dir, name))
                     removed += 1
                 except OSError:
                     pass

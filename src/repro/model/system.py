@@ -20,6 +20,8 @@ import os
 import time as _time
 from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import obs, trace
 from ..errors import ConfigurationError, EvaluationError
 from . import kernels
@@ -41,18 +43,27 @@ def _chunked():
     return chunked
 
 
+def _mask_bits(mask: int, nbits: int) -> np.ndarray:
+    """The low *nbits* bits of *mask* as a bool array (bit ``i`` at ``i``).
+
+    One ``to_bytes`` + ``unpackbits`` pass: linear in the mask length,
+    where shifting the mask once per run would be quadratic.
+    """
+    data = mask.to_bytes((nbits + 7) // 8, "little")
+    return np.unpackbits(
+        np.frombuffer(data, dtype=np.uint8), count=nbits, bitorder="little"
+    ).view(bool)
+
+
+def _bits_mask(bits) -> int:
+    """Inverse of :func:`_mask_bits`: pack a bool array into an int mask."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
 def _pack_rows(rows: Sequence[Sequence[bool]], width: int) -> int:
     """Pack per-run boolean rows into one point-indexed bitmask."""
-    mask = 0
-    base = 0
-    for row in rows:
-        bits = 0
-        for time, value in enumerate(row):
-            if value:
-                bits |= 1 << time
-        mask |= bits << base
-        base += width
-    return mask
+    return _bits_mask(np.asarray(rows, dtype=bool).reshape(len(rows) * width))
 
 
 class TruthAssignment:
@@ -157,12 +168,8 @@ class TruthAssignment:
         width = system.horizon + 1
         kernel = system.effective_kernel()
         if kernel == kernels.BITSET:
-            block = (1 << width) - 1
-            mask = 0
-            for run_index, value in enumerate(run_levels):
-                if value:
-                    mask |= block << (run_index * width)
-            return BitsetAssignment(mask, len(system.runs), width)
+            bits = np.repeat(np.asarray(run_levels, dtype=bool), width)
+            return BitsetAssignment(_bits_mask(bits), len(system.runs), width)
         if kernel == kernels.CHUNKED:
             return _chunked().ChunkedAssignment.from_run_levels(
                 system, run_levels
@@ -287,20 +294,12 @@ class BitsetAssignment(TruthAssignment):
         return self.mask.bit_count()
 
     def to_rows(self) -> List[List[bool]]:
-        mask, width = self.mask, self.width
-        block = (1 << width) - 1
-        rows = []
-        for run_index in range(self.num_runs):
-            bits = (mask >> (run_index * width)) & block
-            rows.append([bool((bits >> time) & 1) for time in range(width)])
-        return rows
+        bits = _mask_bits(self.mask, self.num_runs * self.width)
+        return bits.reshape(self.num_runs, self.width).tolist()
 
     def run_levels(self) -> List[bool]:
-        mask, width = self.mask, self.width
-        return [
-            bool((mask >> (run_index * width)) & 1)
-            for run_index in range(self.num_runs)
-        ]
+        bits = _mask_bits(self.mask, self.num_runs * self.width)
+        return bits[:: self.width].tolist()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BitsetAssignment):
@@ -378,10 +377,9 @@ class BitsetIndex:
         self.num_runs = num_runs
         self.width = width
         self.full = (1 << (num_runs * width)) - 1
-        col0 = 0
-        for run_index in range(num_runs):
-            col0 |= 1 << (run_index * width)
-        self.col0 = col0
+        column = np.zeros((num_runs, width), dtype=bool)
+        column[:, 0] = True
+        self.col0 = _bits_mask(column)
         self.run_block = (1 << width) - 1
         self.groups: List[List[int]] = [[] for _ in range(system.n)]
         self.view_masks: Dict[ViewId, int] = {}
@@ -400,6 +398,15 @@ class BitsetIndex:
     def position(self, run_index: int, time: int) -> int:
         """Bit position of the point ``(run_index, time)``."""
         return run_index * self.width + time
+
+    def first_times(self, mask: int) -> List[Optional[int]]:
+        """Per run, the earliest set bit of *mask* in the run's window
+        (or ``None``) — one vectorized pass over all windows."""
+        bits = _mask_bits(mask, self.num_runs * self.width).reshape(
+            self.num_runs, self.width
+        )
+        first = np.where(bits.any(axis=1), bits.argmax(axis=1), -1)
+        return [None if time < 0 else time for time in first.tolist()]
 
     def spread_run_levels(self, run_bits: int) -> int:
         """Broadcast a col0-aligned per-run bit to the run's full window.
@@ -432,7 +439,14 @@ class System:
         runs: Sequence[Run],
         table: ViewTable,
         mode: Optional[FailureMode],
+        *,
+        indexes: Optional[
+            Tuple[Dict[ViewId, List[Point]], Dict[ScenarioKey, int]]
+        ] = None,
     ) -> None:
+        """*indexes* — the state and scenario indexes of *runs*, when the
+        caller already has them (the arrays materializer builds both
+        vectorized); taken as given, without the per-point walk."""
         if not runs:
             raise ConfigurationError("a system needs at least one run")
         self.n = n
@@ -441,37 +455,18 @@ class System:
         self.runs: List[Run] = list(runs)
         self.table = table
         self.mode = mode
+        if indexes is None:
+            indexes = _index_runs(self.runs, n, horizon)
         # state index: view id -> points sharing that local state.  View ids
         # embed processor and time, so one map covers all processors.
-        self._state_index: Dict[ViewId, List[Point]] = {}
-        self._scenario_index: Dict[ScenarioKey, int] = {}
-        for run_index, run in enumerate(self.runs):
-            key = run.scenario_key()
-            if key in self._scenario_index:
-                raise ConfigurationError(
-                    f"duplicate scenario in system: {key[0]} / {key[1]}"
-                )
-            self._scenario_index[key] = run_index
-            for time in range(horizon + 1):
-                for processor in range(n):
-                    view = run.view(processor, time)
-                    self._state_index.setdefault(view, []).append(
-                        (run_index, time)
-                    )
+        self._state_index: Dict[ViewId, List[Point]] = indexes[0]
+        self._scenario_index: Dict[ScenarioKey, int] = indexes[1]
         self._formula_cache: Dict[object, TruthAssignment] = {}
         self._nonrigid_cache: Dict[object, List[List[FrozenSet[int]]]] = {}
         self._components_cache: Dict[object, List[int]] = {}
         self._bitset_index: Optional[BitsetIndex] = None
         self._chunked_index: Optional[object] = None
         self._noted_kernels: set = set()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        # Provider pickle sidecars written before the chunked kernel lack
-        # the newer lazy attributes; backfill so cached systems keep
-        # working across versions.
-        self.__dict__.setdefault("_chunked_index", None)
-        self.__dict__.setdefault("_noted_kernels", set())
 
     # -- structure ---------------------------------------------------------
 
@@ -633,6 +628,26 @@ class System:
         self._components_cache.clear()
         self._bitset_index = None
         self._chunked_index = None
+
+
+def _index_runs(
+    runs: Sequence[Run], n: int, horizon: int
+) -> Tuple[Dict[ViewId, List[Point]], Dict[ScenarioKey, int]]:
+    """The state index and scenario index of *runs* (one per-point walk)."""
+    state_index: Dict[ViewId, List[Point]] = {}
+    scenario_index: Dict[ScenarioKey, int] = {}
+    for run_index, run in enumerate(runs):
+        key = run.scenario_key()
+        if key in scenario_index:
+            raise ConfigurationError(
+                f"duplicate scenario in system: {key[0]} / {key[1]}"
+            )
+        scenario_index[key] = run_index
+        for time in range(horizon + 1):
+            for processor in range(n):
+                view = run.view(processor, time)
+                state_index.setdefault(view, []).append((run_index, time))
+    return state_index, scenario_index
 
 
 def _short_key(key: object, limit: int = 96) -> str:
@@ -856,7 +871,7 @@ def _remap_run_prefix(
     old_table: ViewTable,
     new_table: ViewTable,
     memo: Dict[ViewId, ViewId],
-) -> List[List[ViewId]]:
+) -> List[Tuple[ViewId, ...]]:
     """Re-intern *old_run*'s view rows into *new_table*, time-major.
 
     *memo* maps old view ids to new ones and is shared across all runs of
@@ -866,12 +881,9 @@ def _remap_run_prefix(
     is already in the memo when an unseen view arrives, and reproduces the
     exact first-appearance interning order of a fresh build.
 
-    Rows come back as lists: each extended run tuples its own copies, so
-    sibling runs sharing a prefix do not alias row objects — a fresh build
-    never aliases across runs, and aliasing would make the extended
-    system's pickle diverge byte-wise from a fresh one.
+    Extended runs sharing a prefix share its row tuples.
     """
-    rows: List[List[ViewId]] = []
+    rows: List[Tuple[ViewId, ...]] = []
     for row in old_run.views:
         new_row = []
         for old_id in row:
@@ -887,7 +899,7 @@ def _remap_run_prefix(
                     )
                 memo[old_id] = new_id
             new_row.append(new_id)
-        rows.append(new_row)
+        rows.append(tuple(new_row))
     return rows
 
 
@@ -957,7 +969,7 @@ def extend_system(system: System, adversary: Adversary) -> System:
         )
     table = ViewTable()
     memo: Dict[ViewId, ViewId] = {}
-    prefix_cache: Dict[int, List[List[ViewId]]] = {}
+    prefix_cache: Dict[int, List[Tuple[ViewId, ...]]] = {}
     old_table = system.table
     runs: List[Run] = []
     with obs.stage("extend_system"), trace.span(
@@ -994,22 +1006,14 @@ def extend_system(system: System, adversary: Adversary) -> System:
                     }
                     delivered_per_receiver.append(frozenset(heard))
                     next_views.append(table.extend(current[receiver], heard))
-                old_run = system.runs[old_index]
-                # Per-run copies of shared prefix structures: a fresh build
-                # never aliases views/deliveries/nonfaulty across runs, and
-                # byte-level pickle parity depends on the same object graph.
                 runs.append(
                     Run(
                         config=config,
                         pattern=pattern,
                         horizon=new_horizon,
-                        views=[tuple(row) for row in rows]
-                        + [tuple(next_views)],
-                        nonfaulty=frozenset(set(nonfaulty)),
-                        deliveries=[
-                            tuple(frozenset(set(s)) for s in round_deliveries)
-                            for round_deliveries in old_run.deliveries
-                        ]
+                        views=rows + [tuple(next_views)],
+                        nonfaulty=nonfaulty,
+                        deliveries=system.runs[old_index].deliveries
                         + [tuple(delivered_per_receiver)],
                     )
                 )

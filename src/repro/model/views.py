@@ -74,6 +74,26 @@ class ViewTable:
         self._ids: Dict[ViewKey, ViewId] = {}
         self._info: List[ViewInfo] = []
 
+    @classmethod
+    def from_infos(cls, infos: List[ViewInfo]) -> "ViewTable":
+        """A table holding exactly *infos*, whose ids must be ``0..len-1``.
+
+        No interning checks run: the caller guarantees what
+        :meth:`extend` would (dense ids, references to smaller ids only,
+        consistent owners and times).  The arrays materializer
+        (:mod:`repro.io.system_codec`) relies on
+        :meth:`~repro.model.partition.SystemArrays.validate` for that.
+        """
+        table = cls()
+        table._info = infos
+        table._ids = {
+            ("leaf", info.processor, info.initial_value)
+            if info.previous is None
+            else ("node", info.previous, info.heard_from): info.view_id
+            for info in infos
+        }
+        return table
+
     def __len__(self) -> int:
         return len(self._info)
 
@@ -185,8 +205,7 @@ class ViewTable:
         Because the table is append-only and every internal node references
         only smaller ids, replaying these entries into a fresh table (see
         :func:`merge_entries`) reproduces the exact same id assignment —
-        the property the on-disk system codec and the parallel-build merge
-        both rely on.
+        the property the parallel-build merge relies on.
         """
         entries: List[ViewKey] = []
         for info in self._info:
@@ -292,8 +311,7 @@ def merge_entries(
 
     Interning into a fresh table assigns ids by first appearance, which is
     exactly the serial builder's assignment order — this is what makes the
-    parallel system build and the on-disk cache bit-identical to a serial
-    enumeration.
+    parallel system build identical to a serial enumeration.
     """
     mapping: List[ViewId] = []
     for entry in entries:

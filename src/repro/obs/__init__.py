@@ -13,7 +13,8 @@ Every hot path of the stack reports into one lightweight, always-on
   histograms — the distribution-shaped quantities (elimination depth for
   ``C□``/``C◇``, frontier decay) that cumulative counters hide;
 * the :class:`~repro.model.provider.SystemProvider` counts system-cache and
-  disk-cache hits/misses (including pickle-sidecar hits);
+  disk-cache hits/misses, and ``arrays_cache_repairs`` — a cached
+  ``.npz`` that failed to load or validate, unlinked and rebuilt;
 * the sharded batch engine in :mod:`repro.exec` counts shard lifecycle
   events, records per-shard wall-time histograms
   (``exec_shard_seconds``) and folds each worker's delta back into the

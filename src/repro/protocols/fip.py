@@ -73,9 +73,9 @@ class FullInformationProtocol:
         Scanned once per system and memoized on the protocol instance —
         ``outcome``, ``sticky_pair`` and ``conflicts`` all read the same
         table.  Under the packed kernels the scan is a union of same-state
-        occurrence masks followed by one lowest-set-bit extraction per run
-        window, instead of per-point set-membership tests (vectorized
-        window extraction under the chunked kernel).
+        occurrence masks followed by one vectorized lowest-set-bit
+        extraction over all run windows, instead of per-point
+        set-membership tests.
         """
         table = self._first_times.get(system)
         if table is not None:
@@ -86,56 +86,38 @@ class FullInformationProtocol:
             [(None, None)] * n for _ in range(num_runs)
         ]  # type: List[List[Tuple[Optional[int], Optional[int]]]]
         kernel = system.effective_kernel()
-        if kernel == kernels.CHUNKED:
-            index = system.chunked_index()
+        if kernel in (kernels.CHUNKED, kernels.BITSET):
             zeros = self.pair.zeros
             ones = self.pair.ones
-            for processor in range(n):
-                zero_times = index.first_times(
-                    index.states_mask(processor, zeros)
-                )
-                one_times = index.first_times(
-                    index.states_mask(processor, ones)
-                )
+            if kernel == kernels.CHUNKED:
+                index = system.chunked_index()
+                masks = [
+                    (
+                        index.states_mask(processor, zeros),
+                        index.states_mask(processor, ones),
+                    )
+                    for processor in range(n)
+                ]
+            else:
+                index = system.bitset_index()
+                owners = index.view_owner
+                zero_masks = [0] * n
+                one_masks = [0] * n
+                for view, gmask in index.view_masks.items():
+                    owner = owners[view]
+                    if view in zeros:
+                        zero_masks[owner] |= gmask
+                    if view in ones:
+                        one_masks[owner] |= gmask
+                masks = list(zip(zero_masks, one_masks))
+            for processor, (zero_mask, one_mask) in enumerate(masks):
+                zero_times = index.first_times(zero_mask)
+                one_times = index.first_times(one_mask)
                 for run_index in range(num_runs):
                     zero_time = zero_times[run_index]
                     one_time = one_times[run_index]
                     if zero_time is not None or one_time is not None:
                         table[run_index][processor] = (zero_time, one_time)
-        elif kernel == kernels.BITSET:
-            index = system.bitset_index()
-            owners = index.view_owner
-            width = index.width
-            run_block = index.run_block
-            zeros = self.pair.zeros
-            ones = self.pair.ones
-            zero_masks = [0] * n
-            one_masks = [0] * n
-            for view, gmask in index.view_masks.items():
-                owner = owners[view]
-                if view in zeros:
-                    zero_masks[owner] |= gmask
-                if view in ones:
-                    one_masks[owner] |= gmask
-            for processor in range(n):
-                zeros_left = zero_masks[processor]
-                ones_left = one_masks[processor]
-                for run_index in range(num_runs):
-                    if not zeros_left and not ones_left:
-                        break
-                    zero_bits = zeros_left & run_block
-                    one_bits = ones_left & run_block
-                    zeros_left >>= width
-                    ones_left >>= width
-                    if zero_bits or one_bits:
-                        table[run_index][processor] = (
-                            (zero_bits & -zero_bits).bit_length() - 1
-                            if zero_bits
-                            else None,
-                            (one_bits & -one_bits).bit_length() - 1
-                            if one_bits
-                            else None,
-                        )
         else:
             for run_index, run in enumerate(system.runs):
                 row = table[run_index]

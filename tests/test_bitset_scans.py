@@ -1,0 +1,150 @@
+"""The bitset kernel's whole-mask conversions against per-run loops.
+
+``to_rows``, ``run_levels``, ``from_run_levels``, row packing, the
+``col0`` column and the per-run first-set-bit scan convert a point mask
+in one ``to_bytes``/``unpackbits`` (or ``packbits``/``from_bytes``) pass.
+The loops below are the per-run shift-and-mask versions they replaced,
+kept as the oracle: randomized masks, run counts whose ``runs * width``
+is and is not a multiple of 8, and the all-zero and all-one masks.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.model import kernels
+from repro.model.adversary import ExhaustiveCrashAdversary
+from repro.model.system import (
+    BitsetAssignment,
+    BitsetIndex,
+    TruthAssignment,
+    _pack_rows,
+    build_system,
+)
+
+# -- the per-run loops (oracle) ---------------------------------------------
+
+
+def loop_pack_rows(rows, width):
+    mask = 0
+    base = 0
+    for row in rows:
+        bits = 0
+        for time, value in enumerate(row):
+            if value:
+                bits |= 1 << time
+        mask |= bits << base
+        base += width
+    return mask
+
+
+def loop_to_rows(mask, num_runs, width):
+    block = (1 << width) - 1
+    rows = []
+    for run_index in range(num_runs):
+        bits = (mask >> (run_index * width)) & block
+        rows.append([bool((bits >> time) & 1) for time in range(width)])
+    return rows
+
+
+def loop_run_levels(mask, num_runs, width):
+    return [
+        bool((mask >> (run_index * width)) & 1)
+        for run_index in range(num_runs)
+    ]
+
+
+def loop_from_run_levels(run_levels, width):
+    block = (1 << width) - 1
+    mask = 0
+    for run_index, value in enumerate(run_levels):
+        if value:
+            mask |= block << (run_index * width)
+    return mask
+
+
+def loop_col0(num_runs, width):
+    col0 = 0
+    for run_index in range(num_runs):
+        col0 |= 1 << (run_index * width)
+    return col0
+
+
+def loop_first_times(mask, num_runs, width):
+    block = (1 << width) - 1
+    times = []
+    for run_index in range(num_runs):
+        bits = (mask >> (run_index * width)) & block
+        times.append((bits & -bits).bit_length() - 1 if bits else None)
+    return times
+
+
+# -- cases --------------------------------------------------------------------
+
+#: (runs, width): runs * width = 1, 9, 14, 303 (not multiples of 8) and
+#: 24, 896 (multiples of 8).
+SHAPES = [(1, 1), (3, 3), (7, 2), (101, 3), (12, 2), (224, 4)]
+
+
+def masks(num_runs, width, seed):
+    rng = random.Random(seed)
+    nbits = num_runs * width
+    full = (1 << nbits) - 1
+    cases = [0, full]
+    for density in (0.05, 0.5, 0.95):
+        mask = 0
+        for bit in range(nbits):
+            if rng.random() < density:
+                mask |= 1 << bit
+        cases.append(mask)
+    return cases
+
+
+@pytest.mark.parametrize("num_runs,width", SHAPES)
+def test_to_rows_and_run_levels(num_runs, width):
+    for mask in masks(num_runs, width, seed=num_runs * width):
+        assignment = BitsetAssignment(mask, num_runs, width)
+        assert assignment.to_rows() == loop_to_rows(mask, num_runs, width)
+        assert assignment.run_levels() == loop_run_levels(
+            mask, num_runs, width
+        )
+
+
+@pytest.mark.parametrize("num_runs,width", SHAPES)
+def test_pack_rows(num_runs, width):
+    for mask in masks(num_runs, width, seed=7 + num_runs):
+        rows = loop_to_rows(mask, num_runs, width)
+        assert _pack_rows(rows, width) == loop_pack_rows(rows, width) == mask
+
+
+@pytest.mark.parametrize("num_runs,width", SHAPES)
+def test_first_times(num_runs, width):
+    index = BitsetIndex.__new__(BitsetIndex)
+    index.num_runs, index.width = num_runs, width
+    for mask in masks(num_runs, width, seed=11 + num_runs):
+        assert index.first_times(mask) == loop_first_times(
+            mask, num_runs, width
+        )
+
+
+#: 4 runs x width 3 (12 bits) and 152 runs x width 3 (456 bits).
+SYSTEMS = [(2, 0, 2), (3, 1, 2)]
+
+
+@pytest.mark.parametrize("n,t,horizon", SYSTEMS)
+def test_from_run_levels_and_col0(n, t, horizon):
+    system = build_system(ExhaustiveCrashAdversary(n, t, horizon))
+    num_runs, width = len(system.runs), horizon + 1
+    rng = random.Random(n)
+    with kernels.use_kernel(kernels.BITSET):
+        for levels in (
+            [False] * num_runs,
+            [True] * num_runs,
+            [rng.random() < 0.5 for _ in range(num_runs)],
+        ):
+            assignment = TruthAssignment.from_run_levels(system, levels)
+            assert assignment.mask == loop_from_run_levels(levels, width)
+            assert assignment.run_levels() == levels
+        assert system.bitset_index().col0 == loop_col0(num_runs, width)

@@ -4,21 +4,18 @@ The differential contract under test: ``extend_system`` (and
 ``SystemProvider.extend`` above it) must produce a system that is
 **indistinguishable** from a fresh ``build_system`` at the target horizon —
 same run order, same interned view ids, same verdicts under every kernel,
-and byte-identical serialized artifacts — while touching only the new
-round's worth of state.
+and the same stored arrays — while touching only the new round's worth of
+state.
 """
-
-import gzip
-import os
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.io.system_codec import dump_system, dump_system_pickle
 from repro.model import kernels
 from repro.model.adversary import exhaustive_adversary
 from repro.model.chunked import ChunkedIndex
 from repro.model.config import InitialConfiguration
+from repro.model.fastbuild import build_arrays
 from repro.model.failures import (
     NO_FAILURES,
     CrashBehavior,
@@ -28,8 +25,11 @@ from repro.model.failures import (
     ReceiveOmissionBehavior,
     truncate_pattern,
 )
+from repro.model.partition import SystemArrays
 from repro.model.provider import SystemProvider
 from repro.model.system import build_system, extend_system
+
+from .test_fastbuild import assert_arrays_byte_identical
 
 
 def build(mode, n, t, horizon):
@@ -203,25 +203,28 @@ class TestVerdictParity:
         assert base._formula_cache == cached_before
 
 
-class TestByteParity:
-    def test_json_payload_byte_identical(self, tmp_path):
-        extended = extend(build(FailureMode.CRASH, 3, 1, 2), 3)
-        fresh = build(FailureMode.CRASH, 3, 1, 3)
-        a, b = str(tmp_path / "a.json.gz"), str(tmp_path / "b.json.gz")
-        dump_system(extended, a)
-        dump_system(fresh, b)
-        # gzip headers embed an mtime; the payloads must match bytewise.
-        with gzip.open(a, "rb") as fa, gzip.open(b, "rb") as fb:
-            assert fa.read() == fb.read()
+class TestArraysParity:
+    @pytest.mark.parametrize(
+        "mode",
+        [FailureMode.CRASH, FailureMode.OMISSION],
+        ids=lambda mode: mode.value,
+    )
+    def test_extended_arrays_equal_fastbuild(self, mode):
+        extended = extend(build(mode, 3, 1, 2), 3)
+        assert_arrays_byte_identical(
+            SystemArrays.from_system(extended), build_arrays(mode, 3, 1, 3)
+        )
 
-    def test_pickle_sidecar_byte_identical(self, tmp_path):
-        extended = extend(build(FailureMode.CRASH, 3, 1, 2), 3)
-        fresh = build(FailureMode.CRASH, 3, 1, 3)
-        a, b = str(tmp_path / "a.pickle"), str(tmp_path / "b.pickle")
-        dump_system_pickle(extended, a)
-        dump_system_pickle(fresh, b)
-        with open(a, "rb") as fa, open(b, "rb") as fb:
-            assert fa.read() == fb.read()
+    def test_stored_target_equals_fastbuild(self, tmp_path):
+        provider = SystemProvider(cache_dir=str(tmp_path))
+        provider.get(FailureMode.CRASH, 3, 1, 2)
+        provider.extend(FailureMode.CRASH, 3, 1, 3)
+        reader = SystemProvider(cache_dir=str(tmp_path))
+        stored = reader.get_arrays(FailureMode.CRASH, 3, 1, 3)
+        assert reader.cache_info()["disk_hits"] == 1
+        assert_arrays_byte_identical(
+            stored, build_arrays(FailureMode.CRASH, 3, 1, 3)
+        )
 
 
 class TestProviderExtend:

@@ -11,15 +11,18 @@ provider integration: a cold ``get_arrays`` takes the fast path (no
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.model.adversary import (
     ExhaustiveCrashAdversary,
     ExhaustiveOmissionAdversary,
     ExhaustiveReceiveOmissionAdversary,
 )
 from repro.model.failures import FailureMode
-from repro.model.fastbuild import build_arrays, try_build_arrays
+from repro.model.fastbuild import build_arrays
 from repro.model.partition import SystemArrays
 from repro.model.provider import SystemProvider
 from repro.model.system import build_system
@@ -104,6 +107,22 @@ class TestProviderIntegration:
         )
         assert_arrays_byte_identical(arrays, reference)
 
-    def test_unsupported_cells_return_none(self):
-        assert try_build_arrays(FailureMode.CRASH, 1, 0, 2) is None
-        assert try_build_arrays(FailureMode.CRASH, 3, 1, 0) is None
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            (FailureMode.CRASH, 1, 0, 2),
+            (FailureMode.CRASH, 3, 1, 0),
+            (FailureMode.CRASH, 3, 3, 1),
+            (FailureMode.GENERAL_OMISSION, 3, 1, 1),
+        ],
+        ids=["n1", "h0", "t-eq-n", "general-omission"],
+    )
+    def test_unsupported_cells_rejected(self, tmp_path, cell):
+        with pytest.raises(ConfigurationError):
+            build_arrays(*cell)
+        provider = SystemProvider(cache_dir=str(tmp_path))
+        with pytest.raises(ConfigurationError):
+            provider.get_arrays(*cell)
+        with pytest.raises(ConfigurationError):
+            provider.get(*cell)
+        assert os.listdir(str(tmp_path)) == []

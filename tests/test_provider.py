@@ -1,12 +1,17 @@
-"""Tests for the SystemProvider pipeline: codec round-trips, the disk and
-LRU cache layers, and the parallel enumeration path."""
+"""Tests for the SystemProvider pipeline: the disk and LRU cache layers,
+fail-closed loading of the cell files, the cross-process drill, and the
+parallel enumeration path."""
 
-import gzip
+import json
 import os
+import shutil
+import signal
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from repro.io.system_codec import dump_system, load_system, system_to_payload
 from repro.model.adversary import (
     ExhaustiveCrashAdversary,
     ExhaustiveOmissionAdversary,
@@ -17,8 +22,11 @@ from repro.model.builder import (
     system_cache_info,
 )
 from repro.model.failures import FailureMode
+from repro.model.partition import SystemArrays
 from repro.model.provider import SystemProvider
 from repro.model.system import build_system
+
+from .test_fastbuild import assert_arrays_byte_identical
 
 
 def assert_systems_identical(actual, expected):
@@ -37,33 +45,62 @@ def assert_systems_identical(actual, expected):
     assert actual._state_index == expected._state_index
 
 
+def _cell_files(directory):
+    names = os.listdir(str(directory))
+    return sorted(name for name in names if name.startswith("system_"))
+
+
+def _repairs():
+    from repro import obs
+
+    return obs.snapshot()["counters"].get("arrays_cache_repairs", 0)
+
+
 class TestSystemCodec:
-    def test_crash_round_trip_equals_fresh_enumeration(self, tmp_path, crash4):
-        path = str(tmp_path / "crash4.json.gz")
-        dump_system(crash4, path)
-        assert_systems_identical(load_system(path), crash4)
+    """The stored cell: save, load, validate, materialize."""
 
-    def test_omission_round_trip_equals_fresh_enumeration(
-        self, tmp_path, omission3
-    ):
-        path = str(tmp_path / "omission3.json.gz")
-        dump_system(omission3, path)
-        assert_systems_identical(load_system(path), omission3)
+    @staticmethod
+    def _round_trip(tmp_path, mode, n, t, horizon):
+        from repro.io.system_codec import system_from_arrays
+        from repro.model.fastbuild import build_arrays
 
-    def test_payload_is_versioned(self, crash3):
-        from repro.io.system_codec import CODEC_VERSION
+        path = str(tmp_path / "cell.npz")
+        build_arrays(mode, n, t, horizon).save(path)
+        loaded = SystemArrays.load(path)
+        loaded.validate(mode.value, n, t, horizon)
+        return system_from_arrays(loaded)
 
-        payload = system_to_payload(crash3)
-        assert payload["codec_version"] == CODEC_VERSION
+    def test_crash_round_trip_equals_fresh_enumeration(self, tmp_path):
+        assert_systems_identical(
+            self._round_trip(tmp_path, FailureMode.CRASH, 4, 1, 3),
+            build_system(ExhaustiveCrashAdversary(4, 1, 3)),
+        )
 
-    def test_wrong_codec_version_rejected(self, crash3):
+    def test_omission_round_trip_equals_fresh_enumeration(self, tmp_path):
+        assert_systems_identical(
+            self._round_trip(tmp_path, FailureMode.OMISSION, 3, 1, 3),
+            build_system(ExhaustiveOmissionAdversary(3, 1, 3)),
+        )
+
+    def test_payload_is_versioned(self, tmp_path):
+        from repro.model.fastbuild import build_arrays
+        from repro.model.partition import ARRAYS_VERSION
+
+        path = str(tmp_path / "cell.npz")
+        build_arrays(FailureMode.CRASH, 3, 1, 2).save(path)
+        with np.load(path, allow_pickle=False) as bundle:
+            meta = json.loads(bytes(bundle["meta"]).decode("utf-8"))
+        assert meta["arrays_version"] == ARRAYS_VERSION
+
+    def test_wrong_codec_version_rejected(self, tmp_path):
         from repro.errors import ConfigurationError
-        from repro.io.system_codec import system_from_payload
+        from repro.model.fastbuild import build_arrays
 
-        payload = system_to_payload(crash3)
-        payload["codec_version"] = -1
+        path = str(tmp_path / "cell.npz")
+        build_arrays(FailureMode.CRASH, 3, 1, 2).save(path)
+        _rewrite_npz(path, meta=_meta(arrays_version=-1))
         with pytest.raises(ConfigurationError):
-            system_from_payload(payload)
+            SystemArrays.load(path)
 
 
 class TestDiskCacheLayer:
@@ -78,90 +115,48 @@ class TestDiskCacheLayer:
         assert loaded is not built
         assert_systems_identical(loaded, built)
 
+    def test_one_npz_per_cell(self, tmp_path):
+        provider = SystemProvider(cache_dir=str(tmp_path))
+        provider.get(FailureMode.CRASH, 3, 1, 2)
+        provider.get_arrays(FailureMode.CRASH, 3, 1, 2)
+        (name,) = _cell_files(tmp_path)
+        assert name.endswith(".npz")
+        assert provider.has_current_cell(FailureMode.CRASH, 3, 1, 2)
+
     def test_corrupted_cache_file_recovers(self, tmp_path):
         provider = SystemProvider(cache_dir=str(tmp_path))
         provider.get(FailureMode.CRASH, 3, 1, 2)
-        # a cell is two files now: the JSON payload + the pickle sidecar
-        paths = [
-            os.path.join(str(tmp_path), entry)
-            for entry in os.listdir(str(tmp_path))
-        ]
-        assert len(paths) == 2
-
-        # Not even gzip / not even pickle.
-        for path in paths:
-            with open(path, "wb") as handle:
-                handle.write(b"this is not a cache file")
+        (name,) = _cell_files(tmp_path)
+        with open(os.path.join(str(tmp_path), name), "wb") as handle:
+            handle.write(b"this is not a cache file")
+        repairs = _repairs()
         fresh = SystemProvider(cache_dir=str(tmp_path))
         system = fresh.get(FailureMode.CRASH, 3, 1, 2)
         assert len(system.runs) > 0
         assert fresh.cache_info()["disk_hits"] == 0
+        assert _repairs() == repairs + 1
 
-        # The rebuild overwrote the corrupt files with valid ones.
+        # The rebuild replaced the corrupt file with a valid one.
         after = SystemProvider(cache_dir=str(tmp_path))
         after.get(FailureMode.CRASH, 3, 1, 2)
         assert after.cache_info()["disk_hits"] == 1
 
-    def test_valid_gzip_invalid_payload_recovers(self, tmp_path):
+    def test_truncated_file_unlinked_and_rewritten(self, tmp_path):
         provider = SystemProvider(cache_dir=str(tmp_path))
-        provider.get(FailureMode.CRASH, 3, 1, 2)
-        (path,) = [
-            os.path.join(str(tmp_path), entry)
-            for entry in os.listdir(str(tmp_path))
-            if entry.endswith(".json.gz")
-        ]
-        (sidecar,) = [
-            os.path.join(str(tmp_path), entry)
-            for entry in os.listdir(str(tmp_path))
-            if entry.endswith(".pickle")
-        ]
-        os.unlink(sidecar)
-        with gzip.open(path, "wt") as handle:
-            handle.write('{"codec_version": 999}')
+        built = provider.get(FailureMode.CRASH, 3, 1, 2)
+        (name,) = _cell_files(tmp_path)
+        path = os.path.join(str(tmp_path), name)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        with open(path, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+
         fresh = SystemProvider(cache_dir=str(tmp_path))
-        system = fresh.get(FailureMode.CRASH, 3, 1, 2)
-        assert len(system.runs) > 0
+        assert_systems_identical(fresh.get(FailureMode.CRASH, 3, 1, 2), built)
         assert fresh.cache_info()["disk_hits"] == 0
-
-    def test_pickle_sidecar_serves_hits_without_json(self, tmp_path):
-        provider = SystemProvider(cache_dir=str(tmp_path))
-        built = provider.get(FailureMode.CRASH, 3, 1, 2)
-        (path,) = [
-            os.path.join(str(tmp_path), entry)
-            for entry in os.listdir(str(tmp_path))
-            if entry.endswith(".json.gz")
-        ]
-        os.unlink(path)
-        fresh = SystemProvider(cache_dir=str(tmp_path))
-        loaded = fresh.get(FailureMode.CRASH, 3, 1, 2)
-        assert fresh.cache_info()["disk_hits"] == 1
-        assert_systems_identical(loaded, built)
-        # the JSON hit path backfills the sidecar; the sidecar hit path
-        # backfills nothing, so the JSON file stays gone
-        assert not os.path.exists(path)
-
-    def test_corrupt_pickle_sidecar_falls_back_to_json(self, tmp_path):
-        provider = SystemProvider(cache_dir=str(tmp_path))
-        built = provider.get(FailureMode.CRASH, 3, 1, 2)
-        (sidecar,) = [
-            os.path.join(str(tmp_path), entry)
-            for entry in os.listdir(str(tmp_path))
-            if entry.endswith(".pickle")
-        ]
-        with open(sidecar, "wb") as handle:
-            handle.write(b"not a pickle")
-        fresh = SystemProvider(cache_dir=str(tmp_path))
-        loaded = fresh.get(FailureMode.CRASH, 3, 1, 2)
-        assert fresh.cache_info()["disk_hits"] == 1
-        assert_systems_identical(loaded, built)
-
-    def test_pickle_sidecar_can_be_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PICKLE_CACHE", "0")
-        provider = SystemProvider(cache_dir=str(tmp_path))
-        provider.get(FailureMode.CRASH, 3, 1, 2)
-        entries = os.listdir(str(tmp_path))
-        assert len(entries) == 1
-        assert entries[0].endswith(".json.gz")
+        after = SystemProvider(cache_dir=str(tmp_path))
+        assert_systems_identical(after.get(FailureMode.CRASH, 3, 1, 2), built)
+        assert after.cache_info()["disk_hits"] == 1
 
     def test_disk_can_be_disabled(self, tmp_path):
         provider = SystemProvider(cache_dir=str(tmp_path), disk_cache=False)
@@ -171,12 +166,9 @@ class TestDiskCacheLayer:
     def test_disk_entries_inventory(self, tmp_path):
         provider = SystemProvider(cache_dir=str(tmp_path))
         provider.get(FailureMode.CRASH, 3, 1, 2)
-        entries = provider.disk_entries()
-        # one JSON payload + one pickle sidecar per cached cell
-        assert len(entries) == 2
-        for entry in entries:
-            assert entry["bytes"] > 0
-            assert "crash_n3_t1_h2" in entry["file"]
+        (entry,) = provider.disk_entries()
+        assert entry["bytes"] > 0
+        assert "crash_n3_t1_h2" in entry["file"]
 
 
 class TestMemoryCacheLayer:
@@ -333,10 +325,9 @@ class TestStaleCacheFilePruning:
     @staticmethod
     def _stale_sibling(tmp_path):
         """A plausible cache file of the same cell with an old version stamp."""
-        name = "system_crash_n3_t1_h2_c0_v0.9.9.json.gz"
-        path = os.path.join(str(tmp_path), name)
-        with gzip.open(path, "wt") as handle:
-            handle.write("{}")
+        name = "system_crash_n3_t1_h2_a0_v0.9.9.npz"
+        with open(os.path.join(str(tmp_path), name), "wb") as handle:
+            handle.write(b"stale arrays")
         return name
 
     def test_store_prunes_stale_siblings(self, tmp_path):
@@ -345,14 +336,14 @@ class TestStaleCacheFilePruning:
         provider.get(FailureMode.CRASH, 3, 1, 2)
         names = os.listdir(str(tmp_path))
         assert stale not in names
-        # the current cell's JSON payload + pickle sidecar remain
-        assert len(names) == 2
+        # only the current cell file remains
+        assert len(names) == 1
         assert provider.cache_info()["disk_prunes"] == 1
 
     def test_prune_spares_other_cells(self, tmp_path):
-        other = "system_crash_n3_t1_h3_c0_v0.9.9.json.gz"
-        with gzip.open(os.path.join(str(tmp_path), other), "wt") as handle:
-            handle.write("{}")
+        other = "system_crash_n3_t1_h3_a0_v0.9.9.npz"
+        with open(os.path.join(str(tmp_path), other), "wb") as handle:
+            handle.write(b"stale arrays")
         provider = SystemProvider(cache_dir=str(tmp_path))
         provider.get(FailureMode.CRASH, 3, 1, 2)
         assert other in os.listdir(str(tmp_path))
@@ -369,9 +360,8 @@ class TestStaleCacheFilePruning:
     def test_current_file_not_flagged_stale(self, tmp_path):
         provider = SystemProvider(cache_dir=str(tmp_path))
         provider.get(FailureMode.CRASH, 3, 1, 2)
-        entries = provider.disk_entries()
-        assert len(entries) == 2
-        assert all(entry["stale"] is False for entry in entries)
+        (entry,) = provider.disk_entries()
+        assert entry["stale"] is False
 
 
 class TestArraysCacheLayer:
@@ -415,43 +405,261 @@ class TestArraysCacheLayer:
         assert provider.cache_info()["arrays_size"] == 0
 
     def test_arrays_store_prunes_stale_npz_siblings(self, tmp_path):
-        provider = SystemProvider(cache_dir=str(tmp_path))
-        provider.get(FailureMode.CRASH, 3, 1, 2)
-        # A leftover sidecar with an outdated version stamp, created after
-        # the store above (which prunes on its own): only the arrays-store
-        # path can clean it up.
+        # get_arrays stores through the same path as get, so a cold
+        # arrays-only workflow cleans up old-version siblings too.
         stale = "system_crash_n3_t1_h2_a0_c0_v0.9.9.npz"
         with open(os.path.join(str(tmp_path), stale), "wb") as handle:
             handle.write(b"stale arrays")
+        provider = SystemProvider(cache_dir=str(tmp_path))
         provider.get_arrays(FailureMode.CRASH, 3, 1, 2)
         names = os.listdir(str(tmp_path))
         assert stale not in names
-        # JSON payload + pickle sidecar + current arrays sidecar remain.
-        assert len(names) == 3
+        assert len(names) == 1
 
 
-class TestTruncatedPickleRepair:
-    def test_truncated_sidecar_deleted_and_rewritten(self, tmp_path):
-        from repro.io.system_codec import load_system_pickle
+def _rewrite_npz(path, **changes):
+    """Rewrite the cell file at *path* with some members transformed."""
+    with np.load(path, allow_pickle=False) as bundle:
+        members = {name: bundle[name] for name in bundle.files}
+    for name, change in changes.items():
+        members[name] = change(members[name].copy())
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **members)
 
-        provider = SystemProvider(cache_dir=str(tmp_path))
-        built = provider.get(FailureMode.CRASH, 3, 1, 2)
-        (sidecar,) = [
-            os.path.join(str(tmp_path), entry)
-            for entry in os.listdir(str(tmp_path))
-            if entry.endswith(".pickle")
-        ]
-        # A crashed process leaves a partial pickle behind.
-        with open(sidecar, "rb") as handle:
-            data = handle.read()
-        with open(sidecar, "wb") as handle:
-            handle.write(data[: len(data) // 2])
 
+def _meta(**fields):
+    def change(raw):
+        meta = json.loads(bytes(raw).decode("utf-8"))
+        meta.update(fields)
+        return np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+    return change
+
+
+def _set(index, value):
+    def change(array):
+        array[index] = value
+        return array
+
+    return change
+
+
+def _per_run(change):
+    """The same change applied to every per-run member."""
+    members = ("views", "init", "nonfaulty", "deliveries")
+    return {name: change for name in members}
+
+
+def _swap_runs(array):
+    array[[1, 2]] = array[[2, 1]]
+    return array
+
+
+#: Ways a crash n=3 t=1 h=2 cell file can be foreign or tampered with.
+_TAMPERS = {
+    "arrays-version": {"meta": _meta(arrays_version=0)},
+    "meta-mode": {"meta": _meta(mode="omission")},
+    "meta-horizon": {"meta": _meta(horizon=3)},
+    "views-shape": {"views": lambda views: views[:, :2]},
+    "views-dtype": {"views": lambda views: views.astype(np.int64)},
+    "deliveries-shape": {"deliveries": lambda deliv: deliv[:, :, :2]},
+    "owner-length": {"owner": lambda owner: owner[:-1]},
+    "view-id-out-of-range": {"views": _set((0, 0, 0), 10**6)},
+    "negative-view-id": {"views": _set((0, 0, 0), -1)},
+    "wrong-owner": {"views": lambda views: views[:, :, [1, 0, 2]]},
+    "wrong-time": {"vtime": lambda vtime: vtime[::-1].copy()},
+    "broken-chain": {"prev": _set(slice(None), -1)},
+    "not-occurring": {"occurs": _set(0, False)},
+    "run-dropped": _per_run(lambda array: array[:-1]),
+    "runs-reordered": _per_run(_swap_runs),
+    "init-flipped": {"init": lambda init: 1 - init},
+}
+
+
+class TestFailClosedCellFiles:
+    """A cell file that is not exactly the requested cell is never used:
+    it is unlinked, counted as ``arrays_cache_repairs`` and rebuilt."""
+
+    @staticmethod
+    def _fresh_reference(mode, n, t, horizon):
+        from repro.model.fastbuild import build_arrays
+
+        return build_arrays(mode, n, t, horizon)
+
+    @pytest.mark.parametrize("case", sorted(_TAMPERS))
+    def test_tampered_file_rebuilt(self, tmp_path, case):
+        SystemProvider(cache_dir=str(tmp_path)).get_arrays(
+            FailureMode.CRASH, 3, 1, 2
+        )
+        (name,) = _cell_files(tmp_path)
+        _rewrite_npz(os.path.join(str(tmp_path), name), **_TAMPERS[case])
+        repairs = _repairs()
         fresh = SystemProvider(cache_dir=str(tmp_path))
-        loaded = fresh.get(FailureMode.CRASH, 3, 1, 2)
-        assert fresh.cache_info()["disk_hits"] == 1
-        assert_systems_identical(loaded, built)
-        # The corrupt sidecar was unlinked on the failed load, so the JSON
-        # hit's backfill rewrote a loadable one (the old early-return kept
-        # the truncated file forever).
-        assert_systems_identical(load_system_pickle(sidecar), built)
+        arrays = fresh.get_arrays(FailureMode.CRASH, 3, 1, 2)
+        assert fresh.cache_info()["disk_hits"] == 0
+        assert _repairs() == repairs + 1
+        assert_arrays_byte_identical(
+            arrays, self._fresh_reference(FailureMode.CRASH, 3, 1, 2)
+        )
+        # The rebuild left a valid file behind.
+        after = SystemProvider(cache_dir=str(tmp_path))
+        after.get_arrays(FailureMode.CRASH, 3, 1, 2)
+        assert after.cache_info()["disk_hits"] == 1
+
+    def test_relabelled_state_rebuilt(self, tmp_path):
+        # One occurrence relabelled to another view of the same owner,
+        # time and predecessor: only the interning check can tell.
+        def relabel(views):
+            width, n = views.shape[1], views.shape[2]
+            flat = views.reshape(-1).tolist()
+            first = {}
+            for position, view in enumerate(flat):
+                first.setdefault(view, position)
+            for run in range(len(views)):
+                for p in range(n):
+                    position = (run * width + 1) * n + p
+                    if first[flat[position]] == position:
+                        continue
+                    for earlier in range(run):
+                        other = int(views[earlier, 1, p])
+                        if (
+                            other != flat[position]
+                            and views[earlier, 0, p] == views[run, 0, p]
+                            and first[other] < position
+                        ):
+                            views[run, 1, p] = other
+                            return views
+            raise AssertionError("no relabelling found")
+
+        SystemProvider(cache_dir=str(tmp_path)).get_arrays(
+            FailureMode.OMISSION, 3, 1, 1
+        )
+        (name,) = _cell_files(tmp_path)
+        _rewrite_npz(os.path.join(str(tmp_path), name), views=relabel)
+        repairs = _repairs()
+        fresh = SystemProvider(cache_dir=str(tmp_path))
+        arrays = fresh.get_arrays(FailureMode.OMISSION, 3, 1, 1)
+        assert _repairs() == repairs + 1
+        assert_arrays_byte_identical(
+            arrays, self._fresh_reference(FailureMode.OMISSION, 3, 1, 1)
+        )
+
+    def test_tampered_file_never_materialized(self, tmp_path):
+        SystemProvider(cache_dir=str(tmp_path)).get(FailureMode.CRASH, 3, 1, 2)
+        (name,) = _cell_files(tmp_path)
+        _rewrite_npz(
+            os.path.join(str(tmp_path), name), **_TAMPERS["runs-reordered"]
+        )
+        fresh = SystemProvider(cache_dir=str(tmp_path))
+        system = fresh.get(FailureMode.CRASH, 3, 1, 2)
+        assert fresh.cache_info()["disk_hits"] == 0
+        assert_systems_identical(
+            system, build_system(ExhaustiveCrashAdversary(3, 1, 2))
+        )
+
+    def test_other_cells_file_under_this_cells_name(self, tmp_path):
+        # A crash file copied to the omission cell's name must not answer
+        # for the omission cell.
+        SystemProvider(cache_dir=str(tmp_path)).get_arrays(
+            FailureMode.CRASH, 3, 1, 3
+        )
+        (crash_file,) = [
+            name
+            for name in os.listdir(str(tmp_path))
+            if name.startswith("system_crash_n3_t1_h3_")
+            and name.endswith(".npz")
+        ]
+        shutil.copy(
+            os.path.join(str(tmp_path), crash_file),
+            os.path.join(
+                str(tmp_path),
+                crash_file.replace("system_crash_", "system_omission_"),
+            ),
+        )
+        fresh = SystemProvider(cache_dir=str(tmp_path))
+        arrays = fresh.get_arrays(FailureMode.OMISSION, 3, 1, 3)
+        assert (arrays.mode, arrays.num_runs) == ("omission", 1520)
+        assert_arrays_byte_identical(
+            arrays, self._fresh_reference(FailureMode.OMISSION, 3, 1, 3)
+        )
+
+
+#: One cache operation per process of the drill.
+_DRILL_SCRIPT = """
+import os, signal, sys
+from repro.model.failures import FailureMode
+from repro.model.partition import SystemArrays
+from repro.model.provider import SystemProvider
+
+action, horizon = sys.argv[1], int(sys.argv[2])
+provider = SystemProvider()
+if action == "get":
+    provider.get(FailureMode.OMISSION, 3, 1, horizon)
+elif action == "extend":
+    provider.extend(FailureMode.OMISSION, 3, 1, horizon)
+elif action == "die-in-save":
+    def save(self, path):
+        with open(path, "wb") as handle:
+            handle.write(b"PK partial write")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    SystemArrays.save = save
+    provider.extend(FailureMode.OMISSION, 3, 1, horizon)
+"""
+
+
+class TestCrossProcessDrill:
+    """Concurrent writers and a killed writer on one cache dir leave only
+    whole, correct cells behind."""
+
+    @staticmethod
+    def _spawn(cache_dir, *args):
+        import repro
+
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        env["REPRO_CACHE_DIR"] = cache_dir
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        return subprocess.Popen(
+            [sys.executable, "-c", _DRILL_SCRIPT, *map(str, args)], env=env
+        )
+
+    def _together(self, cache_dir, *commands):
+        processes = [self._spawn(cache_dir, *command) for command in commands]
+        return [process.wait(timeout=120) for process in processes]
+
+    def test_concurrent_writers_and_killed_writer(self, tmp_path):
+        from repro.model.fastbuild import build_arrays
+
+        cache_dir = str(tmp_path)
+        together = self._together
+        assert together(cache_dir, ("get", 2), ("get", 2)) == [0, 0]
+        assert together(cache_dir, ("extend", 3), ("extend", 3)) == [0, 0]
+        assert together(cache_dir, ("die-in-save", 3)) == [-signal.SIGKILL]
+
+        (orphan,) = [
+            name for name in os.listdir(cache_dir) if name.endswith(".tmp.npz")
+        ]
+        assert orphan.startswith("system_omission_n3_t1_h3_")
+        reader = SystemProvider(cache_dir=cache_dir)
+        entries = reader.disk_entries()
+        assert orphan not in [entry["file"] for entry in entries]
+        assert len(entries) == 2
+        assert not any(entry["stale"] for entry in entries)
+
+        for horizon in (2, 3):
+            arrays = reader.get_arrays(FailureMode.OMISSION, 3, 1, horizon)
+            assert_arrays_byte_identical(
+                arrays, build_arrays(FailureMode.OMISSION, 3, 1, horizon)
+            )
+            assert_systems_identical(
+                reader.get(FailureMode.OMISSION, 3, 1, horizon),
+                build_system(ExhaustiveOmissionAdversary(3, 1, horizon)),
+            )
+        assert reader.cache_info()["disk_hits"] == 4
+
+        # The next store into the cell prunes the dead writer's temp file.
+        reader.clear()
+        reader.extend(FailureMode.OMISSION, 3, 1, 3)
+        assert orphan not in os.listdir(cache_dir)
