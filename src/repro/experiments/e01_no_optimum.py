@@ -20,7 +20,7 @@ from ..metrics.stats import decision_time_stats
 from ..metrics.tables import format_float, render_table
 from ..model.adversary import ExhaustiveCrashAdversary
 from ..protocols.p0 import p0, p1
-from ..sim.engine import run_over_scenarios
+from ..sim.engine import ScenarioViews, run_over_scenarios
 from ..workloads.scenarios import exhaustive_scenarios, worst_case_crash_chain
 from ..model.failures import FailureMode
 from .framework import ExperimentResult
@@ -28,7 +28,9 @@ from .framework import ExperimentResult
 
 def run(n: int = 4, t: int = 1, horizon: int = None) -> ExperimentResult:
     horizon = (t + 2) if horizon is None else horizon
-    scenarios = exhaustive_scenarios(FailureMode.CRASH, n, t, horizon)
+    scenarios = ScenarioViews(
+        exhaustive_scenarios(FailureMode.CRASH, n, t, horizon), horizon, t
+    )
     p0_out = run_over_scenarios(p0(), scenarios, horizon, t)
     p1_out = run_over_scenarios(p1(), scenarios, horizon, t)
 

@@ -20,14 +20,16 @@ from ..metrics.tables import format_float, render_table
 from ..model.failures import FailureMode
 from ..protocols.p0 import p0
 from ..protocols.p0opt import p0opt
-from ..sim.engine import run_over_scenarios
+from ..sim.engine import ScenarioViews, run_over_scenarios
 from ..workloads.scenarios import exhaustive_scenarios
 from .framework import ExperimentResult
 
 
 def run(n: int = 4, t: int = 1, horizon: int = None) -> ExperimentResult:
     horizon = (t + 2) if horizon is None else horizon
-    scenarios = exhaustive_scenarios(FailureMode.CRASH, n, t, horizon)
+    scenarios = ScenarioViews(
+        exhaustive_scenarios(FailureMode.CRASH, n, t, horizon), horizon, t
+    )
     p0_out = run_over_scenarios(p0(), scenarios, horizon, t)
     opt_out = run_over_scenarios(p0opt(), scenarios, horizon, t)
 

@@ -23,13 +23,13 @@ from ..protocols.flood_sba import flood_sba
 from ..protocols.fip import fip
 from ..protocols.p0opt import p0opt
 from ..protocols.sba_ck import sba_common_knowledge_pair
-from ..sim.engine import run_over_scenarios
+from ..sim.engine import ScenarioViews, run_over_scenarios
 from .framework import ExperimentResult
 
 
 def run(n: int = 3, t: int = 1, horizon: int = None) -> ExperimentResult:
     system = crash_system(n, t, horizon)
-    scenarios = system.scenarios()
+    scenarios = ScenarioViews(system.scenarios(), system.horizon, t)
     eba_out = run_over_scenarios(p0opt(), scenarios, system.horizon, t)
     flood_out = run_over_scenarios(flood_sba(), scenarios, system.horizon, t)
     ck = fip(sba_common_knowledge_pair(system))

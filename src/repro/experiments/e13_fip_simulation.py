@@ -5,7 +5,9 @@ Proposition 2.2 says that for every protocol ``P`` there is a function
 ``f_i`` from the full-information state to ``P``'s state at corresponding
 points.  We check this *extensionally*: running each concrete protocol over
 the exhaustive scenario space, no full-information view may map to two
-different protocol states at corresponding points.
+different protocol states at corresponding points.  Each scenario runs as
+its own execution, so no view is shared between runs: batch runs fold over
+shared views and would make ``f_i`` a function by construction.
 
 Corollary 2.3 (a full-information protocol dominates ``P``) is then checked
 constructively: the FIP whose decision sets are the *images* of ``P``'s
@@ -25,14 +27,15 @@ from ..protocols.chain_eba import chain_eba
 from ..protocols.fip import fip
 from ..protocols.p0 import p0
 from ..protocols.p0opt import p0opt
-from ..sim.engine import traces_over_scenarios
+from ..sim.engine import execute
 from .framework import ExperimentResult
 
 
 def _check_simulation(system, protocol, t):
-    traces = traces_over_scenarios(
-        protocol, system.scenarios(), system.horizon, t
-    )
+    traces = [
+        execute(protocol, config, pattern, system.horizon, t)
+        for config, pattern in system.scenarios()
+    ]
     mapping: Dict[int, object] = {}
     functional = True
     zero_triggers = []

@@ -24,7 +24,7 @@ from ..model.system import build_system
 from ..protocols.chain_eba import chain_eba
 from ..protocols.p0 import p0
 from ..protocols.p0opt import p0opt
-from ..sim.engine import traces_over_scenarios
+from ..sim.engine import ScenarioViews, traces_over_scenarios
 from .framework import ExperimentResult
 
 DEFAULT_CELLS = (
@@ -54,7 +54,7 @@ def message_rows() -> list:
     """Message complexity of the concrete protocols on one shared cell."""
     mode, n, t, horizon = FailureMode.CRASH, 4, 1, 3
     system = build_system(exhaustive_adversary(mode, n, t, horizon))
-    scenarios = system.scenarios()
+    scenarios = ScenarioViews(system.scenarios(), horizon, t)
     result = []
     for protocol in (p0(), p0opt(), chain_eba()):
         stats = message_stats(

@@ -44,7 +44,7 @@ from ..protocols.f_lambda import f_lambda_2_pair
 from ..protocols.fip import fip
 from ..protocols.p0 import p0
 from ..protocols.p0opt import p0opt
-from ..sim.engine import run_over_scenarios
+from ..sim.engine import ScenarioViews, run_over_scenarios
 from .framework import ExperimentResult
 
 
@@ -65,7 +65,7 @@ def run(
     receive_system = build_system(
         ExhaustiveReceiveOmissionAdversary(n, t, horizon)
     )
-    receive_scenarios = receive_system.scenarios()
+    receive_scenarios = ScenarioViews(receive_system.scenarios(), horizon, t)
     receive_ok = True
     for protocol in (p0(), p0opt(), chain_eba()):
         outcome = run_over_scenarios(protocol, receive_scenarios, horizon, t)
@@ -95,11 +95,15 @@ def run(
         samples=general_samples * 4, seed=seed,
     )
     patterns = list(adversary.patterns())[: general_samples + 1]
-    scenarios = [
-        (config, pattern)
-        for config in all_configurations(general_n)
-        for pattern in patterns
-    ]
+    scenarios = ScenarioViews(
+        [
+            (config, pattern)
+            for config in all_configurations(general_n)
+            for pattern in patterns
+        ],
+        general_horizon,
+        general_t,
+    )
     breakage = {}
     for protocol in (p0(), p0opt(), chain_eba()):
         outcome = run_over_scenarios(

@@ -27,13 +27,13 @@ from ..protocols.fip import fip
 from ..protocols.flood_sba import flood_sba
 from ..protocols.p0opt import p0opt
 from ..protocols.sba_ck import sba_common_knowledge_pair
-from ..sim.engine import run_over_scenarios
+from ..sim.engine import ScenarioViews, run_over_scenarios
 from .framework import ExperimentResult
 
 
 def run(n: int = 4, t: int = 1, horizon: int = None) -> ExperimentResult:
     system = crash_system(n, t, horizon)
-    scenarios = system.scenarios()
+    scenarios = ScenarioViews(system.scenarios(), system.horizon, t)
 
     oracle = fip(sba_common_knowledge_pair(system)).outcome(system)
     concrete = run_over_scenarios(dm90_waste(), scenarios, system.horizon, t)
@@ -62,8 +62,8 @@ def run(n: int = 4, t: int = 1, horizon: int = None) -> ExperimentResult:
     from ..model.failures import FailureMode
     from ..workloads.scenarios import random_scenarios
 
-    deep = random_scenarios(
-        FailureMode.CRASH, 5, 2, 4, count=400, seed=11
+    deep = ScenarioViews(
+        random_scenarios(FailureMode.CRASH, 5, 2, 4, count=400, seed=11), 4, 2
     )
     deep_dm90 = run_over_scenarios(dm90_waste(), deep, 4, 2)
     deep_flood = run_over_scenarios(flood_sba(), deep, 4, 2)

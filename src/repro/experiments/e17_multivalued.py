@@ -27,7 +27,7 @@ from ..multivalued.config import all_multi_configurations
 from ..multivalued.protocols import multi_opt, multi_race
 from ..protocols.p0 import p0
 from ..protocols.p0opt import p0opt
-from ..sim.engine import run_over_scenarios
+from ..sim.engine import ScenarioViews, run_over_scenarios
 from .framework import ExperimentResult
 
 
@@ -40,11 +40,15 @@ def run(
     all_ok = True
     binary_collapse = True
     for domain_size in domain_sizes:
-        scenarios = [
-            (config, pattern)
-            for config in all_multi_configurations(n, domain_size)
-            for pattern in patterns
-        ]
+        scenarios = ScenarioViews(
+            [
+                (config, pattern)
+                for config in all_multi_configurations(n, domain_size)
+                for pattern in patterns
+            ],
+            horizon,
+            t,
+        )
         race = run_over_scenarios(
             multi_race(domain_size), scenarios, horizon, t
         )
@@ -65,14 +69,12 @@ def run(
 
         if domain_size == 2:
             # conservativity: identical decisions to the binary originals
-            binary_scenarios = [
-                (config, pattern) for config, pattern in scenarios
-            ]
-            p0_out = run_over_scenarios(
-                p0(), _as_binary(binary_scenarios), horizon, t
+            binary_scenarios = ScenarioViews(
+                _as_binary(scenarios), horizon, t
             )
+            p0_out = run_over_scenarios(p0(), binary_scenarios, horizon, t)
             popt_out = run_over_scenarios(
-                p0opt(), _as_binary(binary_scenarios), horizon, t
+                p0opt(), binary_scenarios, horizon, t
             )
             binary_collapse = (
                 _same_decisions(race, p0_out)

@@ -35,14 +35,14 @@ from ..protocols.fip import fip
 from ..protocols.flood_sba import flood_sba
 from ..protocols.p0 import p0
 from ..protocols.p0opt import p0opt
-from ..sim.engine import run_over_scenarios
+from ..sim.engine import ScenarioViews, run_over_scenarios
 from .framework import ExperimentResult
 
 
 def run(n: int = 3, t: int = 1, horizon: int = None) -> ExperimentResult:
     crash = crash_system(n, t, horizon)
     omission = omission_system(n, t, horizon)
-    crash_scenarios = crash.scenarios()
+    crash_scenarios = ScenarioViews(crash.scenarios(), crash.horizon, t)
     omission_scenarios = omission.scenarios()
 
     rows = []

@@ -29,7 +29,7 @@ from ..protocols.dm90 import dm90_waste
 from ..protocols.flood_sba import flood_sba
 from ..protocols.p0 import p0
 from ..protocols.p0opt import p0opt
-from ..sim.engine import run_over_scenarios
+from ..sim.engine import ScenarioViews, run_over_scenarios
 from ..workloads.scenarios import random_scenarios
 from .framework import ExperimentResult
 
@@ -67,6 +67,7 @@ def cell_result(n: int, t: int, samples: int, seed: int) -> Dict[str, object]:
     scenarios += [
         scenario for scenario in extra if scenario not in set(scenarios)
     ]
+    scenarios = ScenarioViews(scenarios, horizon, t)
     outcomes = {
         protocol.name: run_over_scenarios(protocol, scenarios, horizon, t)
         for protocol in (p0(), p0opt(), dm90_waste(), flood_sba())

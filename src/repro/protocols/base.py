@@ -34,12 +34,22 @@ class ConcreteProtocol(ABC):
     Subclasses define the tuple ``(Q, σ_i, L, μ_ij, δ_i, O)`` of Section 2.3
     through four methods.  The engine guarantees:
 
-    * :meth:`messages` is called once per processor per round, *before* any
-      round delivery, with the processor's state at the previous time;
+    * :meth:`messages` receives a processor's state at time ``k - 1`` and
+      the round ``k``, *before* any round-``k`` delivery;
     * :meth:`transition` is called with exactly the messages that survived
       the failure pattern;
-    * :meth:`output` is consulted at every time ``0..horizon``; the first
-      non-``None`` output is the processor's (irreversible) decision.
+    * :meth:`output` is consulted at every time ``0..horizon`` until it
+      first returns a value, which is the processor's (irreversible)
+      decision.
+
+    Each function runs once per distinct *full-information view* — a
+    processor's view at the previous time plus the views it heard from —
+    not once per processor per round: the engine folds every scenario of
+    a batch over their shared views (:class:`repro.sim.engine.ScenarioViews`).
+    That is exact because a protocol is a deterministic function of its
+    state, which the view determines (Proposition 2.2).  So a protocol
+    must not count its calls or keep per-call state, and it must not
+    mutate the states it is given.
 
     Faulty processors run the same code; the *pattern* drops their
     messages.  A processor that has halted simply returns no messages.

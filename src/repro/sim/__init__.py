@@ -1,11 +1,17 @@
 """Synchronous round-based execution of concrete protocols, plus the
 streaming knowledge monitor."""
 
-from .engine import execute, run_over_scenarios, traces_over_scenarios
+from .engine import (
+    ScenarioViews,
+    execute,
+    run_over_scenarios,
+    traces_over_scenarios,
+)
 from .monitor import StreamingMonitor, monitor_scenario
 from .trace import Trace
 
 __all__ = [
+    "ScenarioViews",
     "StreamingMonitor",
     "Trace",
     "execute",

@@ -3,7 +3,7 @@
 :mod:`repro.obs` answers "how much, in total" with flat process-wide
 counters and stage timers; this module answers "where, exactly" with a tree
 of **spans**.  A span is one timed region — a system enumeration, a fixpoint
-evaluation, a simulator execution, an experiment — with a name, a parent,
+evaluation, a simulator batch, an experiment — with a name, a parent,
 free-form attributes (iteration counts, cache outcomes, parameters) and a
 wall-clock interval.  Spans nest: the builder span opened while experiment
 E4 enumerates its crash system is a child of E4's experiment span, and the
@@ -14,7 +14,7 @@ Design constraints, in priority order:
 1. **Always-on and cheap.**  Like :data:`repro.obs.OBS`, the process-wide
    :data:`TRACER` is enabled by default.  Opening a span is one object
    allocation plus two ``perf_counter`` calls; spans wrap whole stages
-   (an enumeration, a fixpoint, one simulator execution), never inner
+   (an enumeration, a fixpoint, one simulator batch), never inner
    loops, so tracing costs well under 5% on the micro benches (asserted in
    ``benchmarks/bench_micro_core.py``).
 2. **Bounded, with visible overflow.**  Finished spans land in a ring

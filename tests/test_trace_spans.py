@@ -291,11 +291,56 @@ class TestPipelineIntegration:
         execute(
             p0(), InitialConfiguration([0, 1, 1]), FailurePattern({}), 2, 1
         )
+        # One execution is a batch of one: one span, as for any batch.
         (record,) = [
-            s for s in trace.TRACER.collect(mark) if s.name == "sim.execute"
+            s for s in trace.TRACER.collect(mark) if s.name.startswith("sim.")
         ]
+        assert record.name == "sim.traces_over_scenarios"
+        assert record.attributes["scenarios"] == 1
+        assert record.attributes["views"] == 3 * 3
         assert record.attributes["sent"] == record.attributes["delivered"]
         assert record.attributes["sent"] > 0
+
+    def test_one_span_per_simulator_batch(self):
+        from repro.model.failures import FailureMode
+        from repro.protocols.p0opt import p0opt
+        from repro.sim.engine import (
+            ScenarioViews,
+            run_over_scenarios,
+            traces_over_scenarios,
+        )
+        from repro.workloads.scenarios import exhaustive_scenarios
+
+        scenarios = ScenarioViews(
+            exhaustive_scenarios(FailureMode.CRASH, 3, 1, 3), 3, 1
+        )
+        mark = trace.TRACER.watermark()
+        outcome = run_over_scenarios(p0opt(), scenarios, 3, 1)
+        traces = traces_over_scenarios(p0opt(), scenarios, 3, 1)
+        batch, kept = [
+            s for s in trace.TRACER.collect(mark) if s.name.startswith("sim.")
+        ]
+        assert batch.name == "sim.run_over_scenarios"
+        assert kept.name == "sim.traces_over_scenarios"
+        assert batch.attributes["scenarios"] == len(outcome) == len(scenarios)
+        assert 0 < batch.attributes["views"] < len(scenarios) * 3 * 4
+        assert batch.attributes["sent"] == sum(t.total_sent() for t in traces)
+        assert batch.attributes["delivered"] == sum(
+            t.total_delivered() for t in traces
+        )
+        assert kept.attributes == batch.attributes
+
+    def test_experiment_tree_has_one_span_per_batch(self):
+        from repro.experiments.registry import run_experiment
+
+        def names(nodes):
+            for node in nodes:
+                yield node["name"]
+                yield from names(node["children"])
+
+        found = list(names(run_experiment("E1").data["trace"]))
+        assert found.count("sim.run_over_scenarios") == 2
+        assert "sim.execute" not in found
 
 
 class TestTraceCli:
