@@ -51,7 +51,7 @@ def _evaluate(arrays) -> int:
 
     Builds the block partition and sweeps NONFAULTY component labels
     over every block (welded with ``merge_component_labels``) — the
-    Corollary 3.3 reachability pass the E4/E9/E21 plans are built on.
+    Corollary 3.3 reachability pass the E9 plan is built on.
     Returns the number of labelled runs so the work cannot be
     dead-code-eliminated.
     """

@@ -5,9 +5,6 @@ These measure the acceptance criteria of the provider refactor directly:
 * warm-path speedup — the second request for crash ``n=5, t=2`` through the
   provider must be at least 5x faster than the cold enumeration (it is an
   in-memory LRU hit; the cross-process disk path is exercised separately);
-* parallel enumeration — the chunked multiprocessing build must produce a
-  byte-identical run order to the serial build, and must beat it on wall
-  time when at least two cores are available;
 * instrumentation overhead — keeping :mod:`repro.obs` enabled must cost at
   most 5% on an enumeration-heavy workload.
 
@@ -16,10 +13,7 @@ horizon-independent, and horizon 1 keeps the cold build around 6s instead
 of the minute-scale horizon-2 space.
 """
 
-import os
 import time
-
-import pytest
 
 from repro import obs
 from repro.model.adversary import ExhaustiveOmissionAdversary
@@ -64,37 +58,6 @@ def test_provider_disk_warm_path(tmp_path, benchmark):
     loaded = benchmark(load_cold_process)
     assert len(loaded.runs) == len(built.runs)
     benchmark.extra_info["cold_build_seconds"] = round(cold_seconds, 3)
-
-
-def test_parallel_enumeration_matches_serial():
-    """Acceptance: parallel cold enumeration of omission n=4, t=1,
-    horizon=3 yields a byte-identical run order; on a multi-core box it
-    must also be faster than the serial build."""
-    adversary = ExhaustiveOmissionAdversary(4, 1, 3)
-
-    start = time.perf_counter()
-    serial = build_system(adversary)
-    serial_seconds = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = build_system(adversary, workers=2)
-    parallel_seconds = time.perf_counter() - start
-
-    assert [r.scenario_key() for r in parallel.runs] == [
-        r.scenario_key() for r in serial.runs
-    ]
-    assert [r.views for r in parallel.runs] == [r.views for r in serial.runs]
-    assert parallel.table.export_entries() == serial.table.export_entries()
-
-    if (os.cpu_count() or 1) >= 2:
-        assert parallel_seconds < serial_seconds, (
-            f"parallel build {parallel_seconds:.3f}s not faster than "
-            f"serial {serial_seconds:.3f}s on {os.cpu_count()} cores"
-        )
-    else:
-        pytest.skip(
-            "single-core host: correctness asserted, speedup not measurable"
-        )
 
 
 def test_instrumentation_overhead_within_5_percent():

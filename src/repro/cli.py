@@ -116,6 +116,12 @@ def normalize_experiment_id(experiment_id: str) -> str:
     return experiment_id
 
 
+def _unknown_experiments(ids: List[str]) -> str:
+    """The one-line report for ids that name no experiment."""
+    names = ", ".join(repr(eid) for eid in ids)
+    return f"repro-eba: unknown experiment {names}; try `repro-eba list`"
+
+
 def _cmd_run(
     ids: List[str],
     run_all: bool,
@@ -131,6 +137,10 @@ def _cmd_run(
     selected = [eid for eid in selected if eid not in skip]
     if not selected:
         print("nothing to run; try `repro-eba list`", file=sys.stderr)
+        return 2
+    unknown = [eid for eid in selected if eid not in EXPERIMENTS]
+    if unknown:
+        print(_unknown_experiments(unknown), file=sys.stderr)
         return 2
     failures = 0
     exported = []
@@ -795,7 +805,7 @@ def _parse_batch_params(specs: List[str]) -> Dict[str, int]:
 
 def _cmd_batch(args) -> int:
     from .exec.checkpoint import list_batches
-    from .exec.plan import plan_for, run_batch
+    from .exec.plan import plan_for, run_batch, wired_plans
 
     if args.batch_action == "top":
         return _cmd_batch_top(
@@ -844,10 +854,28 @@ def _cmd_batch(args) -> int:
     if not args.batch_ids:
         print("nothing to run; try `repro-eba batch run E9`", file=sys.stderr)
         return 2
-    params = _parse_batch_params(args.param)
+    try:
+        params = _parse_batch_params(args.param)
+    except ReproError as error:
+        print(f"repro-eba: {error}", file=sys.stderr)
+        return 2
+    selected = [normalize_experiment_id(eid) for eid in args.batch_ids]
+    unknown = [eid for eid in selected if eid not in EXPERIMENTS]
+    if unknown:
+        print(_unknown_experiments(unknown), file=sys.stderr)
+        return 2
+    wired = wired_plans()
+    unplanned = [eid for eid in selected if eid not in wired]
+    if unplanned:
+        print(
+            f"repro-eba: no batch plan for {', '.join(unplanned)} "
+            f"(batch plans: {', '.join(wired)}); run "
+            f"`repro-eba run {' '.join(unplanned)}` instead",
+            file=sys.stderr,
+        )
+        return 2
     failures = 0
-    for experiment_id in args.batch_ids:
-        experiment_id = normalize_experiment_id(experiment_id)
+    for experiment_id in selected:
         plan = plan_for(experiment_id, **params)
         start = time.perf_counter()
         try:
@@ -1092,7 +1120,23 @@ def _handle_interrupt() -> int:
     return 130
 
 
+def _batch_ids_help(argv: List[str]) -> str:
+    """Help for ``batch``'s ids, naming the experiments with a batch plan.
+
+    Only a ``batch`` command line can print it, so only that one pays for
+    importing the plan registry's tasks.
+    """
+    text = "experiment ids with batch plans"
+    if not argv or argv[0] != "batch":
+        return text
+    from .exec.plan import wired_plans
+
+    return f"{text} ({', '.join(wired_plans())})"
+
+
 def _dispatch(argv: List[str] = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = argparse.ArgumentParser(
         prog="repro-eba",
         description=(
@@ -1252,8 +1296,7 @@ def _dispatch(argv: List[str] = None) -> int:
         help="run a batch, list checkpointed batches, or watch one live",
     )
     batch_parser.add_argument(
-        "batch_ids", nargs="*", metavar="ID",
-        help="experiment ids with batch plans (E4, E5, E9, E14, E20, E21)",
+        "batch_ids", nargs="*", metavar="ID", help=_batch_ids_help(argv),
     )
     batch_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",

@@ -23,8 +23,7 @@ data in the environment, fault schedules are fully deterministic and
 reproducible.
 
 Malformed specs raise :class:`~repro.errors.ConfigurationError` naming the
-variable and the offending value, matching the ``REPRO_BUILD_WORKERS``
-convention.
+variable and the offending value, never a bare :class:`ValueError`.
 """
 
 from __future__ import annotations

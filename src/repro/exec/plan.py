@@ -48,19 +48,23 @@ def register_plan(
     return decorate
 
 
+def wired_plans() -> List[str]:
+    """The experiment ids that have a batch plan, sorted."""
+    from . import tasks  # noqa: F401  (populates EXEC_PLANS on first use)
+
+    return sorted(EXEC_PLANS)
+
+
 def plan_for(experiment_id: str, **params: Any) -> "BatchPlan":
     """The batch plan for an experiment; unknown ids raise with the known
     set listed (mirroring the experiment registry's behaviour)."""
-    from . import tasks  # noqa: F401  (populates EXEC_PLANS on first use)
-
-    factory = EXEC_PLANS.get(experiment_id)
-    if factory is None:
-        known = ", ".join(sorted(EXEC_PLANS))
+    known = wired_plans()
+    if experiment_id not in known:
         raise ConfigurationError(
             f"no batch plan for experiment {experiment_id!r}; "
-            f"sharded execution is wired for: {known}"
+            f"sharded execution is wired for: {', '.join(known)}"
         )
-    return factory(**params)
+    return EXEC_PLANS[experiment_id](**params)
 
 
 @dataclass

@@ -36,9 +36,9 @@ SHA-256 the supervisor re-verifies), its :mod:`repro.obs` counter delta and
 its :mod:`repro.trace` spans; the supervisor folds deltas into the parent
 instrumentation — histograms merging per-bucket alongside the counters —
 and grafts spans under the stage span, so a sharded batch reports the same
-counters and a coherent timeline, exactly like the parallel system
-builder.  The supervisor additionally records every shard's wall time in
-the ``exec_shard_seconds`` histogram.
+counters and a coherent timeline as an in-process run.  The supervisor
+additionally records every shard's wall time in the
+``exec_shard_seconds`` histogram.
 
 Heartbeats double as the resource-telemetry channel: roughly once a
 second the beat thread attaches a :func:`repro.obs.resource.read_sample`

@@ -12,8 +12,7 @@ Tasks are plain functions ``params -> payload`` registered by name with
 stage's ``prepare`` hook has loaded any heavy shared state (typically the
 enumerated :class:`~repro.model.system.System`) into the module-level
 worker context, so children inherit it copy-on-write instead of
-re-deserializing it per process (the same trick as the parallel system
-builder in :mod:`repro.model.system`).
+re-deserializing it per process.
 """
 
 from __future__ import annotations

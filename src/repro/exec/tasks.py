@@ -41,12 +41,13 @@ exact block bounds — a relaid partition can never silently resume
 another layout's shards.
 
 E14 and E20 shard per sweep cell; their tasks call the same per-cell
-helpers the monolithic experiments use.
+helpers the monolithic experiments use.  Every other experiment runs
+only through :func:`~repro.experiments.registry.run_experiment`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from ..core.decision_sets import DecisionPair
 from ..model.partition import (
@@ -68,32 +69,6 @@ from .shard import (
 DEFAULT_RUN_CHUNK = 131072
 
 
-# -- run-level bit masks ---------------------------------------------------
-
-
-def pack_run_levels(values: Iterable[bool]) -> int:
-    """Pack per-run booleans into an int (bit ``i`` = run ``i``).
-
-    Accumulates little-endian bytes and converts once — bit-by-bit
-    ``mask |= 1 << i`` would be quadratic in the run count (385k-bit masks
-    on the E9 cell).
-    """
-    data = bytearray()
-    byte = 0
-    shift = 0
-    for value in values:
-        if value:
-            byte |= 1 << shift
-        shift += 1
-        if shift == 8:
-            data.append(byte)
-            byte = 0
-            shift = 0
-    if shift:
-        data.append(byte)
-    return int.from_bytes(bytes(data), "little")
-
-
 # -- E9 tasks --------------------------------------------------------------
 
 
@@ -110,9 +85,7 @@ def _task_system_ensure(params: Dict[str, Any]) -> Dict[str, Any]:
 
     The provider builds the cell arrays-first
     (:mod:`repro.model.fastbuild`) and never materializes a ``Run``
-    object; the supervisor then loads the file — as arrays for E9-style
-    plans, or materialized into a ``System`` for plans whose finalize
-    replays the experiment's monolithic ``run()`` (E4/E5/E21).
+    object; the supervisor then loads the file as arrays.
 
     If the file already exists at the current cache version the shard is
     a no-op.  With the disk layer off there is nothing a worker could
@@ -511,593 +484,6 @@ def e9_plan(n: int = 4, t: int = 2, horizon: int = 2) -> BatchPlan:
         experiment_id="E9",
         params=params,
         stages=stages,
-        finalize=finalize,
-        partition="limb",
-    )
-
-
-# -- portfolio tasks: E4/E5/E21 formula portfolios over limb blocks --------
-#
-# E4, E5 and E21 evaluate formula *portfolios* — a dozen ``C□`` axioms,
-# two Proposition 4.3 conditions per processor per protocol, belief
-# sweeps over ``C◇`` operands — against the same crash and omission
-# cells.  Their plans shard the two heavy, blockable sweep families the
-# same way E9 does:
-#
-# * **components** — the Corollary 3.3 reachability labelling of a
-#   nonrigid set (``N`` or ``N∧Z``), one shard per limb block, welded by
-#   :func:`~repro.model.partition.merge_component_labels`;
-# * **believes** — per-view ``B_p^N φ`` verdicts for a *point-level*
-#   operand φ (shipped as a hex limb buffer), one shard per
-#   ``(processor, block)`` slice.
-#
-# The reduce hooks plant the merged results into the cells' evaluation
-# caches (``System.cached_components`` / ``System.cached_evaluation``)
-# under exactly the keys the experiments' unchanged ``run()`` bodies
-# compute — decision pairs are memoized per system
-# (:mod:`repro.protocols.memo`), so the tokens inside those keys are
-# stable from a plan's prepare hooks through its finalize.  ``run()``
-# then cache-hits every seeded sweep and its verdict logic is untouched:
-# sharded and monolithic verdicts are digest-identical by construction,
-# which the parity suite asserts.
-
-
-def _cell_id(mode: str, n: int, t: int, horizon: int) -> str:
-    return f"{mode}-n{n}t{t}h{horizon}"
-
-
-def _cell_system(mode: str, n: int, t: int, horizon: int):
-    from ..model.builder import crash_system, omission_system
-
-    make = crash_system if mode == "crash" else omission_system
-    return make(n, t, horizon)
-
-
-def _point_limbs_hex(truth, nlimbs: int) -> str:
-    """A truth assignment as a hex point-level limb buffer.
-
-    Point order is ``run * width + time`` on every kernel (the bitset
-    mask, the chunked limbs and the partition tables all share it), so
-    the conversion is a reinterpretation, not a per-point loop — except
-    on the reference kernel, whose row lists are packed bit by bit.
-    """
-    from ..model.chunked import ChunkedAssignment
-    from ..model.partition import limbs_to_hex
-    from ..model.system import BitsetAssignment
-
-    nbytes = nlimbs * 8
-    if isinstance(truth, ChunkedAssignment):
-        return limbs_to_hex(truth.limbs)
-    if isinstance(truth, BitsetAssignment):
-        return truth.mask.to_bytes(nbytes, "little").hex()
-    rows = truth.to_rows()
-    mask = pack_run_levels(value for row in rows for value in row)
-    return mask.to_bytes(nbytes, "little").hex()
-
-
-@register_task("portfolio.components")
-def _task_portfolio_components(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One limb block's slice of a nonrigid set's reachability components.
-
-    Like ``e9.components`` but cell-addressed: the worker context holds a
-    ``cells`` map (several systems per batch), and ``states`` may be the
-    sentinel ``"all"`` for the plain nonfaulty set ``N``.
-    """
-    cell = worker_context("cells")[params["cell"]]
-    partition: LimbBlockPartition = cell["partition"]
-    states = params["states"]
-    if states == "all":
-        states = range(partition.num_views)
-    flags = partition.state_flags(states)
-    runs, reps = partition.component_labels(
-        params["block"]["block"], flags, cell["nf_limbs"]
-    )
-    return {
-        "runs": [int(run) for run in runs],
-        "reps": [int(rep) for rep in reps],
-    }
-
-
-@register_task("portfolio.believes")
-def _task_portfolio_believes(params: Dict[str, Any]) -> Dict[str, Any]:
-    """``B_p^N(φ)`` true views over one limb block, for point-level φ.
-
-    Unlike ``e9.believes`` (whose operands are run-level masks), the
-    operand here is a full point-level limb buffer — E5's Proposition
-    4.3 consequents and E21's ``C◇`` operands are time-dependent.
-    """
-    from ..model.partition import hex_to_limbs
-
-    cell = worker_context("cells")[params["cell"]]
-    partition: LimbBlockPartition = cell["partition"]
-    processor = params["processor"]
-    phi = hex_to_limbs(params["operand"])
-    views = partition.believes_true_views(
-        processor,
-        params["block"]["block"],
-        cell["nf_limbs"][processor],
-        phi,
-    )
-    return {"true_views": [int(view) for view in views]}
-
-
-def _portfolio_build_stage(cells: List[Tuple[str, int, int, int]]) -> Stage:
-    """Ensure every cell's ``.npz`` is on disk (one shard per cell)."""
-
-    def make(context: Dict[str, Any]) -> List[Shard]:
-        return [
-            Shard(
-                shard_id=f"build/{_cell_id(*cell)}",
-                task="system.ensure",
-                params={
-                    "mode": cell[0],
-                    "n": cell[1],
-                    "t": cell[2],
-                    "horizon": cell[3],
-                },
-                stage="build",
-            )
-            for cell in cells
-        ]
-
-    def reduce(results, context) -> None:
-        context["build_info"] = {
-            shard_id: results[shard_id]
-            for shard_id in _shard_id_order(results)
-        }
-
-    return Stage(name="build", make_shards=make, reduce=reduce)
-
-
-def _prepare_portfolio_cells(
-    context: Dict[str, Any], cells: List[Tuple[str, int, int, int]]
-) -> None:
-    """Cut each cell's limb-block partition and publish the worker context
-    (one epoch for the whole batch — the pool forks once)."""
-    from ..model.failures import FailureMode
-    from ..model.provider import get_provider
-
-    provider = get_provider()
-    cell_map: Dict[str, Dict[str, Any]] = {}
-    for mode, n, t, horizon in cells:
-        arrays = provider.get_arrays(FailureMode(mode), n, t, horizon)
-        partition = LimbBlockPartition.from_arrays(
-            arrays, target_entries=context.get("shard_size") or None
-        )
-        cell_map[_cell_id(mode, n, t, horizon)] = {
-            "arrays": arrays,
-            "partition": partition,
-            "nf_limbs": [
-                partition.nonfaulty_limbs(processor)
-                for processor in range(arrays.n)
-            ],
-        }
-    context["cells"] = cell_map
-    set_worker_context(
-        cells={
-            key: {
-                "partition": value["partition"],
-                "nf_limbs": value["nf_limbs"],
-            }
-            for key, value in cell_map.items()
-        }
-    )
-
-
-def _component_shards(
-    cell: str,
-    partition: LimbBlockPartition,
-    prefix: str,
-    states,
-    stage: str,
-) -> List[Shard]:
-    return [
-        Shard(
-            shard_id=f"{prefix}/b{block['block']}",
-            task="portfolio.components",
-            params={"cell": cell, "states": states, "block": block},
-            stage=stage,
-        )
-        for block in partition.block_descriptors()
-    ]
-
-
-def _believes_shards(
-    cell: str,
-    partition: LimbBlockPartition,
-    prefix: str,
-    processor: int,
-    operand_hex: str,
-    stage: str,
-) -> List[Shard]:
-    return [
-        Shard(
-            shard_id=f"{prefix}/b{block['block']}",
-            task="portfolio.believes",
-            params={
-                "cell": cell,
-                "processor": processor,
-                "operand": operand_hex,
-                "block": block,
-            },
-            stage=stage,
-        )
-        for block in partition.block_descriptors()
-    ]
-
-
-def _merged_labels(results, prefix: str, num_runs: int) -> List[int]:
-    """Weld one prefix's block shards into a global component labelling."""
-    block_results = [
-        (results[shard_id]["runs"], results[shard_id]["reps"])
-        for shard_id in _shard_id_order(results)
-        if shard_id.startswith(prefix)
-    ]
-    return [
-        int(label)
-        for label in merge_component_labels(num_runs, block_results)
-    ]
-
-
-def _collected_views(results, prefix: str) -> List[int]:
-    """Concatenate one prefix's block shards' true views (views never
-    span blocks, so this is a disjoint union)."""
-    views: List[int] = []
-    for shard_id in _shard_id_order(results):
-        if shard_id.startswith(prefix):
-            views.extend(results[shard_id]["true_views"])
-    return views
-
-
-def _seed_believes(system, node, processor: int, views: List[int]) -> None:
-    """Plant a ``Believes`` verdict assembled from sharded true views.
-
-    Belief verdicts are constant per view, so the truth assignment is
-    exactly ``from_states`` over the collected view set (no recall
-    closure — that is a decision-*set* operation, not a verdict one),
-    built under the ambient kernel so the cache key matches what the
-    experiment's ``run()`` will look up.
-    """
-    from ..model.system import TruthAssignment
-
-    truth = TruthAssignment.from_states(system, processor, frozenset(views))
-    system.cached_evaluation(node.cache_key(), lambda: truth)
-
-
-# -- E4 plan ---------------------------------------------------------------
-
-
-@register_plan("E4")
-def e4_plan(n: int = 3, t: int = 1, horizon: Optional[int] = None) -> BatchPlan:
-    """E4 sharded: the ``C□`` portfolio's shared ``N`` component labelling
-    is computed block-by-block; finalize seeds it and replays ``run()``."""
-    from ..model.builder import default_horizon
-
-    resolved = default_horizon(t) if horizon is None else horizon
-    cells = [("crash", n, t, resolved), ("omission", n, t, resolved)]
-    params = {"n": n, "t": t, "horizon": resolved}
-
-    def make_components(context: Dict[str, Any]) -> List[Shard]:
-        shards: List[Shard] = []
-        for cell in cells:
-            key = _cell_id(*cell)
-            shards += _component_shards(
-                key,
-                context["cells"][key]["partition"],
-                f"components/{key}",
-                "all",
-                "components",
-            )
-        return shards
-
-    def reduce_components(results, context) -> None:
-        from ..knowledge.nonrigid import NONFAULTY
-
-        for cell in cells:
-            key = _cell_id(*cell)
-            labels = _merged_labels(
-                results,
-                f"components/{key}/",
-                context["cells"][key]["arrays"].num_runs,
-            )
-            system = _cell_system(*cell)
-            system.cached_components(
-                NONFAULTY.cache_key(), lambda labels=labels: labels
-            )
-
-    def finalize(context: Dict[str, Any]):
-        from ..experiments.e04_continual_ck import run as e4_run
-
-        return e4_run(n, t, resolved)
-
-    return BatchPlan(
-        experiment_id="E4",
-        params=params,
-        stages=[
-            _portfolio_build_stage(cells),
-            Stage(
-                "components",
-                make_components,
-                reduce_components,
-                prepare=lambda context: _prepare_portfolio_cells(
-                    context, cells
-                ),
-            ),
-        ],
-        finalize=finalize,
-        partition="limb",
-    )
-
-
-# -- E5 plan ---------------------------------------------------------------
-
-
-@register_plan("E5")
-def e5_plan(n: int = 3, t: int = 1, horizon: Optional[int] = None) -> BatchPlan:
-    """E5 sharded: per protocol, the sticky pair's ``N∧Z`` / ``N∧O``
-    component labellings and the Proposition 4.3 belief consequents run
-    as limb-block shards; finalize seeds both and replays ``run()``."""
-    from ..model.builder import default_horizon
-
-    resolved = default_horizon(t) if horizon is None else horizon
-    cells = [("crash", n, t, resolved), ("omission", n, t, resolved)]
-    params = {"n": n, "t": t, "horizon": resolved}
-
-    def prepare_components(context: Dict[str, Any]) -> None:
-        """Build the cells' partitions, then the protocol portfolio —
-        the same factories ``run()`` calls, memoized per system, so the
-        sticky pairs (and their cache-key tokens) here are the objects
-        ``run()`` sees again at finalize."""
-        from ..protocols.chain_fip import chain_pair
-        from ..protocols.f_lambda import f_lambda_sequence
-        from ..protocols.f_star import f_star_pair
-        from ..protocols.fip import fip
-
-        _prepare_portfolio_cells(context, cells)
-        entries: List[Dict[str, Any]] = []
-        for cell in cells:
-            system = _cell_system(*cell)
-            pairs = list(f_lambda_sequence(system))
-            if cell[0] == "omission":
-                pairs += [chain_pair(system), f_star_pair(system)]
-            for pair in pairs:
-                entries.append(
-                    {
-                        "cell": _cell_id(*cell),
-                        "system": system,
-                        "sticky": fip(pair).sticky_pair(system),
-                    }
-                )
-        context["entries"] = entries
-
-    def make_components(context: Dict[str, Any]) -> List[Shard]:
-        shards: List[Shard] = []
-        for index, entry in enumerate(context["entries"]):
-            partition = context["cells"][entry["cell"]]["partition"]
-            for which in ("zeros", "ones"):
-                shards += _component_shards(
-                    entry["cell"],
-                    partition,
-                    f"components/e{index}-{which}",
-                    sorted(getattr(entry["sticky"], which)),
-                    "components",
-                )
-        return shards
-
-    def reduce_components(results, context) -> None:
-        from ..knowledge.nonrigid import NonfaultyAndDeciding
-
-        for index, entry in enumerate(context["entries"]):
-            num_runs = context["cells"][entry["cell"]]["arrays"].num_runs
-            for which in ("zeros", "ones"):
-                labels = _merged_labels(
-                    results, f"components/e{index}-{which}/", num_runs
-                )
-                nonrigid = NonfaultyAndDeciding(entry["sticky"], which)
-                entry["system"].cached_components(
-                    nonrigid.cache_key(), lambda labels=labels: labels
-                )
-
-    def prepare_believes(context: Dict[str, Any]) -> None:
-        """Evaluate each condition's belief *operand* under the ambient
-        kernel (its run-level ``C□`` core hits the labellings just
-        seeded) and ship it to the shards as point-level limbs."""
-        from ..core.optimality import proposition_4_3_conditions
-
-        seeds: List[Dict[str, Any]] = []
-        for index, entry in enumerate(context["entries"]):
-            system = entry["system"]
-            partition = context["cells"][entry["cell"]]["partition"]
-            cond_a, cond_b = proposition_4_3_conditions(entry["sticky"])
-            for tag, cond in (("a", cond_a), ("b", cond_b)):
-                for processor in range(system.n):
-                    node = cond(processor).consequent
-                    operand = node.operand.evaluate(system)
-                    seeds.append(
-                        {
-                            "prefix": f"believes/e{index}-{tag}-p{processor}",
-                            "cell": entry["cell"],
-                            "system": system,
-                            "node": node,
-                            "processor": processor,
-                            "operand": _point_limbs_hex(
-                                operand, partition.nlimbs
-                            ),
-                        }
-                    )
-        context["seeds"] = seeds
-
-    def make_believes(context: Dict[str, Any]) -> List[Shard]:
-        shards: List[Shard] = []
-        for seed in context["seeds"]:
-            shards += _believes_shards(
-                seed["cell"],
-                context["cells"][seed["cell"]]["partition"],
-                seed["prefix"],
-                seed["processor"],
-                seed["operand"],
-                "believes",
-            )
-        return shards
-
-    def reduce_believes(results, context) -> None:
-        for seed in context["seeds"]:
-            _seed_believes(
-                seed["system"],
-                seed["node"],
-                seed["processor"],
-                _collected_views(results, seed["prefix"] + "/"),
-            )
-
-    def finalize(context: Dict[str, Any]):
-        from ..experiments.e05_knowledge_conditions import run as e5_run
-
-        return e5_run(n, t, resolved)
-
-    return BatchPlan(
-        experiment_id="E5",
-        params=params,
-        stages=[
-            _portfolio_build_stage(cells),
-            Stage(
-                "components",
-                make_components,
-                reduce_components,
-                prepare=prepare_components,
-            ),
-            Stage(
-                "believes",
-                make_believes,
-                reduce_believes,
-                prepare=prepare_believes,
-            ),
-        ],
-        finalize=finalize,
-        partition="limb",
-    )
-
-
-# -- E21 plan --------------------------------------------------------------
-
-
-@register_plan("E21")
-def e21_plan(
-    n: int = 3, t: int = 1, horizon: Optional[int] = None
-) -> BatchPlan:
-    """E21 sharded: the ``N`` component labelling (for the ``C□ ⇒ C◇``
-    implication's fast path) and the per-processor ``B_i^N C◇∃v`` belief
-    sweeps run as limb-block shards; finalize seeds and replays
-    ``run()``.  The ``C◇`` fixpoints themselves are inherently global
-    and stay in the supervisor — evaluated once in the believes
-    ``prepare``, where ``run()`` later cache-hits them."""
-    from ..model.builder import default_horizon
-
-    resolved = default_horizon(t) if horizon is None else horizon
-    cells = [("crash", n, t, resolved), ("omission", n, t, resolved)]
-    params = {"n": n, "t": t, "horizon": resolved}
-
-    def make_components(context: Dict[str, Any]) -> List[Shard]:
-        shards: List[Shard] = []
-        for cell in cells:
-            key = _cell_id(*cell)
-            shards += _component_shards(
-                key,
-                context["cells"][key]["partition"],
-                f"components/{key}",
-                "all",
-                "components",
-            )
-        return shards
-
-    def reduce_components(results, context) -> None:
-        from ..knowledge.nonrigid import NONFAULTY
-
-        for cell in cells:
-            key = _cell_id(*cell)
-            labels = _merged_labels(
-                results,
-                f"components/{key}/",
-                context["cells"][key]["arrays"].num_runs,
-            )
-            system = _cell_system(*cell)
-            system.cached_components(
-                NONFAULTY.cache_key(), lambda labels=labels: labels
-            )
-
-    def prepare_believes(context: Dict[str, Any]) -> None:
-        from ..knowledge.formulas import Believes, EventualCommon, Exists
-        from ..knowledge.nonrigid import NONFAULTY
-
-        seeds: List[Dict[str, Any]] = []
-        for cell in cells:
-            key = _cell_id(*cell)
-            system = _cell_system(*cell)
-            partition = context["cells"][key]["partition"]
-            for value in (0, 1):
-                eventual = EventualCommon(NONFAULTY, Exists(value))
-                operand = _point_limbs_hex(
-                    eventual.evaluate(system), partition.nlimbs
-                )
-                for processor in range(system.n):
-                    seeds.append(
-                        {
-                            "prefix": f"believes/{key}-v{value}-p{processor}",
-                            "cell": key,
-                            "system": system,
-                            "node": Believes(processor, eventual),
-                            "processor": processor,
-                            "operand": operand,
-                        }
-                    )
-        context["seeds"] = seeds
-
-    def make_believes(context: Dict[str, Any]) -> List[Shard]:
-        shards: List[Shard] = []
-        for seed in context["seeds"]:
-            shards += _believes_shards(
-                seed["cell"],
-                context["cells"][seed["cell"]]["partition"],
-                seed["prefix"],
-                seed["processor"],
-                seed["operand"],
-                "believes",
-            )
-        return shards
-
-    def reduce_believes(results, context) -> None:
-        for seed in context["seeds"]:
-            _seed_believes(
-                seed["system"],
-                seed["node"],
-                seed["processor"],
-                _collected_views(results, seed["prefix"] + "/"),
-            )
-
-    def finalize(context: Dict[str, Any]):
-        from ..experiments.e21_eventual_ck import run as e21_run
-
-        return e21_run(n, t, resolved)
-
-    return BatchPlan(
-        experiment_id="E21",
-        params=params,
-        stages=[
-            _portfolio_build_stage(cells),
-            Stage(
-                "components",
-                make_components,
-                reduce_components,
-                prepare=lambda context: _prepare_portfolio_cells(
-                    context, cells
-                ),
-            ),
-            Stage(
-                "believes",
-                make_believes,
-                reduce_believes,
-                prepare=prepare_believes,
-            ),
-        ],
         finalize=finalize,
         partition="limb",
     )

@@ -46,7 +46,6 @@ def crash_system(
     *,
     configs: Optional[Iterable[InitialConfiguration]] = None,
     use_cache: bool = True,
-    workers: Optional[int] = None,
 ) -> System:
     """The exhaustive crash-mode system for ``(n, t, horizon)``."""
     horizon = default_horizon(t) if horizon is None else horizon
@@ -57,7 +56,6 @@ def crash_system(
         horizon,
         configs=configs,
         use_cache=use_cache,
-        workers=workers,
     )
 
 
@@ -68,7 +66,6 @@ def omission_system(
     *,
     configs: Optional[Iterable[InitialConfiguration]] = None,
     use_cache: bool = True,
-    workers: Optional[int] = None,
 ) -> System:
     """The exhaustive omission-mode system for ``(n, t, horizon)``.
 
@@ -83,7 +80,6 @@ def omission_system(
         horizon,
         configs=configs,
         use_cache=use_cache,
-        workers=workers,
     )
 
 

@@ -91,17 +91,6 @@ def bools_to_mask(values) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def limbs_to_hex(limbs) -> str:
-    """Hex serialization of a limb buffer (JSON-safe shard payloads)."""
-    return limbs.astype("<u8").tobytes().hex()
-
-
-def hex_to_limbs(text: str):
-    """Inverse of :func:`limbs_to_hex`."""
-    data = bytes.fromhex(text)
-    return np.frombuffer(data, dtype="<u8").astype(np.uint64)
-
-
 def cbox_mask_from_labels(labels, phi: int, num_runs: int) -> int:
     """Run-level ``C□`` mask from component labels and run-level φ.
 

@@ -231,18 +231,17 @@ class SystemProvider:
         *,
         configs: Optional[Iterable[InitialConfiguration]] = None,
         use_cache: bool = True,
-        workers: Optional[int] = None,
     ) -> System:
         """The exhaustive system for the cell, through the cache layers.
 
         A miss loads or builds the cell's arrays and materializes the
         system from them.  ``configs`` subsets and ``use_cache=False``
         bypass every layer and enumerate the object graph fresh through
-        ``build_system`` (on ``workers`` processes).
+        ``build_system``.
         """
         if configs is not None or not use_cache:
             adversary = exhaustive_adversary(mode, n, t, horizon)
-            return build_system(adversary, configs=configs, workers=workers)
+            return build_system(adversary, configs=configs)
         key: CacheKey = (mode.value, n, t, horizon)
         with self._lock:
             cached = self._memory.get(key)

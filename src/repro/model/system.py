@@ -15,9 +15,6 @@ the system keyed by formula cache keys (see :mod:`repro.knowledge.formulas`).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time as _time
 from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,7 +26,7 @@ from .adversary import Adversary
 from .config import InitialConfiguration, all_configurations
 from .failures import FailureMode, FailurePattern, ProcessorId, truncate_pattern
 from .runs import Run, build_run
-from .views import ViewId, ViewTable, merge_entries
+from .views import ViewId, ViewTable
 
 Point = Tuple[int, int]  # (run index, time)
 ScenarioKey = Tuple[InitialConfiguration, FailurePattern]
@@ -656,148 +653,11 @@ def _short_key(key: object, limit: int = 96) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-#: Minimum scenario count before the auto worker policy considers forking.
-PARALLEL_BUILD_THRESHOLD = 20000
-
-
-def _resolve_workers(workers: Optional[int], num_scenarios: int) -> int:
-    """How many processes to enumerate with (1 = serial).
-
-    Explicit *workers* wins; otherwise the ``REPRO_BUILD_WORKERS`` env var;
-    otherwise auto — parallel only when the scenario space is large enough
-    (:data:`PARALLEL_BUILD_THRESHOLD`) to amortize process startup and
-    result pickling, and the machine has more than one core.
-
-    An unset or blank ``REPRO_BUILD_WORKERS`` means auto; anything else
-    must parse as an integer >= 1 or the variable is reported via
-    :class:`ConfigurationError` (never a bare ``ValueError``).
-    """
-    if workers is None:
-        env = os.environ.get("REPRO_BUILD_WORKERS")
-        if env is not None and env.strip():
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"REPRO_BUILD_WORKERS must be an integer >= 1, "
-                    f"got {env!r}"
-                ) from None
-            if workers < 1:
-                raise ConfigurationError(
-                    f"REPRO_BUILD_WORKERS must be an integer >= 1, "
-                    f"got {env!r}"
-                )
-    if workers is None:
-        cores = os.cpu_count() or 1
-        if cores < 2 or num_scenarios < PARALLEL_BUILD_THRESHOLD:
-            return 1
-        workers = min(cores, 8)
-    if workers < 1:
-        raise ConfigurationError(f"need workers >= 1, got {workers}")
-    return min(workers, max(1, num_scenarios))
-
-
-def _build_chunk(args):
-    """Worker entry point: build a contiguous scenario slice into a fresh
-    table and return it with the table's exported entries, the worker's
-    instrumentation delta and its trace spans.
-
-    Counters (``runs_built``) are accumulated *in the worker* and shipped
-    back as an :func:`repro.obs.delta_since` delta — the parent folds them
-    into its own :class:`~repro.obs.Instrumentation` so parallel and serial
-    builds report identical totals.  (``views_interned`` is deliberately
-    *not* counted here: worker tables are private and re-interned by the
-    parent, which counts the merged total.)  Spans are exported relative to
-    the chunk span's start so the parent can graft them into its timeline.
-    """
-    scenarios, horizon = args
-    obs_before = obs.snapshot()
-    mark = trace.TRACER.watermark()
-    with trace.TRACER.span("build_chunk", scenarios=len(scenarios)) as chunk_span:
-        table = ViewTable()
-        runs = [
-            build_run(config, pattern, horizon, table)
-            for config, pattern in scenarios
-        ]
-        obs.count("runs_built", len(runs))
-    spans = trace.export_spans(trace.TRACER.collect(mark))
-    base = chunk_span.start if spans else 0.0
-    for exported in spans:
-        exported["start"] = float(exported["start"]) - base
-    return table.export_entries(), runs, obs.delta_since(obs_before), spans
-
-
-def _graft_offset(build_span) -> float:
-    """Timeline offset for grafting worker spans under *build_span*.
-
-    Worker spans are exported relative to their chunk's start, so the
-    graft must shift them to the parent build span's start.  When the
-    tracer dropped the parent span (tracing toggled mid-build, or the
-    ring buffer rejected it) the yielded null span has no ``start``
-    attribute — falling back to ``0.0`` would pin every worker timeline
-    to the tracer epoch, corrupting Chrome-trace exports.  Fall back to
-    the tracer clock instead: "now" is when the graft happens, which at
-    least keeps worker spans in the present.
-    """
-    start = getattr(build_span, "start", None)
-    if start is None:
-        return _time.perf_counter() - trace.TRACER.epoch
-    return float(start)
-
-
-def _build_runs_parallel(
-    scenarios: List[Tuple[InitialConfiguration, FailurePattern]],
-    horizon: int,
-    table: ViewTable,
-    workers: int,
-) -> List[Run]:
-    """Build runs across *workers* processes with a deterministic merge.
-
-    Scenarios are split into contiguous chunks (preserving enumeration
-    order); each worker interns into its own :class:`ViewTable`, and the
-    parent replays every worker table into the shared *table* in chunk
-    order.  View ids are assigned by global first appearance — exactly the
-    serial builder's assignment — so the merged system is identical,
-    view-id for view-id, to a serial enumeration.
-    """
-    chunk_count = min(len(scenarios), workers * 4)
-    base, extra = divmod(len(scenarios), chunk_count)
-    chunks = []
-    start = 0
-    for index in range(chunk_count):
-        size = base + (1 if index < extra else 0)
-        chunks.append(scenarios[start:start + size])
-        start += size
-    with trace.span(
-        "parallel_build", workers=workers, chunks=chunk_count
-    ) as build_span:
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(
-                _build_chunk, [(chunk, horizon) for chunk in chunks]
-            )
-        parent_id = trace.TRACER.current_span_id()
-        offset = _graft_offset(build_span)
-        runs: List[Run] = []
-        for entries, chunk_runs, worker_delta, worker_spans in results:
-            obs.merge_delta(worker_delta)
-            trace.TRACER.graft(
-                worker_spans, parent_id=parent_id, offset=offset
-            )
-            mapping = merge_entries(table, entries)
-            for run in chunk_runs:
-                run.views = [
-                    tuple(mapping[view] for view in row) for row in run.views
-                ]
-                runs.append(run)
-    return runs
-
-
 def build_system(
     adversary: Adversary,
     *,
     configs: Optional[Iterable[InitialConfiguration]] = None,
     table: Optional[ViewTable] = None,
-    workers: Optional[int] = None,
 ) -> System:
     """Enumerate the system of full-information runs for *adversary*.
 
@@ -807,12 +667,6 @@ def build_system(
         table: View table to intern into; defaults to a fresh one.  Supplying
             a shared table lets several systems (e.g. crash and omission
             variants of the same parameters) share state ids.
-        workers: Number of processes for run construction.  ``None`` picks
-            automatically (serial below :data:`PARALLEL_BUILD_THRESHOLD`
-            scenarios, or on single-core machines; the
-            ``REPRO_BUILD_WORKERS`` env var overrides).  The parallel path
-            produces a system identical to the serial one — same run order,
-            same view ids.
 
     Returns:
         The enumerated :class:`System`.
@@ -837,7 +691,6 @@ def build_system(
         for config in config_list
         for pattern in patterns
     ]
-    workers = _resolve_workers(workers, len(scenarios))
     views_before = len(table)
     with obs.stage("build_system"), trace.span(
         "build_system",
@@ -846,19 +699,13 @@ def build_system(
         t=t,
         horizon=horizon,
         scenarios=len(scenarios),
-        workers=workers,
     ) as build_span:
-        if workers > 1:
-            # Workers count runs_built themselves (folded back by
-            # _build_runs_parallel), so the parent must not recount.
-            runs = _build_runs_parallel(scenarios, horizon, table, workers)
-        else:
-            with trace.span("enumerate_runs", scenarios=len(scenarios)):
-                runs = [
-                    build_run(config, pattern, horizon, table)
-                    for config, pattern in scenarios
-                ]
-            obs.count("runs_built", len(runs))
+        with trace.span("enumerate_runs", scenarios=len(scenarios)):
+            runs = [
+                build_run(config, pattern, horizon, table)
+                for config, pattern in scenarios
+            ]
+        obs.count("runs_built", len(runs))
         with trace.span("index_system", runs=len(runs)):
             system = System(n, t, horizon, runs, table, adversary.mode)
         build_span.set("views_interned", len(table) - views_before)

@@ -203,9 +203,9 @@ class ViewTable:
         """The structural keys of all views, in id order.
 
         Because the table is append-only and every internal node references
-        only smaller ids, replaying these entries into a fresh table (see
-        :func:`merge_entries`) reproduces the exact same id assignment —
-        the property the parallel-build merge relies on.
+        only smaller ids, two tables give every view the same id exactly
+        when their exported entries are equal — which is how tests compare
+        a materialized or extended table against a fresh build's.
         """
         entries: List[ViewKey] = []
         for info in self._info:
@@ -298,34 +298,3 @@ class ViewTable:
         chain = self.history(view_id)
         return self._info[chain[round_number]].senders
 
-
-def merge_entries(
-    master: ViewTable, entries: List[ViewKey]
-) -> List[ViewId]:
-    """Intern exported *entries* into *master*, returning the id mapping.
-
-    ``mapping[local_id]`` is the id in *master* of the view that held
-    ``local_id`` in the exporting table.  Entries must be in the exporting
-    table's id order (as produced by :meth:`ViewTable.export_entries`), so
-    every internal node's references are already mapped when it arrives.
-
-    Interning into a fresh table assigns ids by first appearance, which is
-    exactly the serial builder's assignment order — this is what makes the
-    parallel system build identical to a serial enumeration.
-    """
-    mapping: List[ViewId] = []
-    for entry in entries:
-        if entry[0] == "leaf":
-            _, processor, initial_value = entry
-            mapping.append(master.leaf(processor, initial_value))
-        elif entry[0] == "node":
-            _, previous, heard_from = entry
-            mapping.append(
-                master.extend(
-                    mapping[previous],
-                    {sender: mapping[view] for sender, view in heard_from},
-                )
-            )
-        else:
-            raise ConfigurationError(f"unknown view entry kind {entry[0]!r}")
-    return mapping

@@ -208,11 +208,11 @@ class Instrumentation:
     def merge_delta(self, delta: Dict[str, Any]) -> None:
         """Fold a snapshot/delta from another process into this instance.
 
-        Used by the parallel system builder and the sharded batch engine:
-        each worker returns the :func:`delta_since` it accumulated, and
-        the parent folds those into its own totals so parallel and serial
-        runs report identical counters — and, bucket for bucket,
-        identical histograms.  Gauges are last-write-wins.
+        Used by the sharded batch engine: each worker returns the
+        :func:`delta_since` it accumulated, and the supervisor folds those
+        into its own totals so sharded and in-process runs report
+        identical counters — and, bucket for bucket, identical
+        histograms.  Gauges are last-write-wins.
         """
         if not self.enabled:
             return

@@ -24,14 +24,11 @@ Design constraints, in priority order:
    tracer's :attr:`Tracer.dropped` total and the ``trace_spans_dropped``
    obs counter, and :func:`tracer_status` (surfaced by
    ``repro-eba stats``) reports watermark/capacity/drops.
-3. **Mergeable.**  Worker processes of the parallel system builder trace
-   into their own tracer and export their spans relative to the chunk
-   start; the parent grafts them under its own build span
-   (:meth:`Tracer.graft`), so the per-worker timeline survives the
-   process boundary instead of being silently dropped.  The sharded batch
-   engine in :mod:`repro.exec` reuses the same mechanism for its
-   ``exec.shard`` spans, grafted under the supervisor's ``exec.pool``
-   span.
+3. **Mergeable.**  Worker processes of the sharded batch engine
+   (:mod:`repro.exec`) trace into their own tracer and export their
+   ``exec.shard`` spans; the supervisor grafts them under its
+   ``exec.pool`` span (:meth:`Tracer.graft`), so the per-worker timeline
+   survives the process boundary instead of being silently dropped.
 
 Export formats:
 

@@ -112,3 +112,19 @@ class TestCli:
 
     def test_skip_filters(self, capsys):
         assert main(["run", "E3", "--skip", "E3"]) == 2
+
+    def test_run_unknown_experiment_fails_closed(self, capsys):
+        assert main(["run", "E3", "E99"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "repro-eba: unknown experiment 'E99'; try `repro-eba list`\n"
+
+    def test_key_error_inside_experiment_propagates(self, monkeypatch):
+        from repro.experiments.registry import EXPERIMENTS
+
+        def broken(**params):
+            raise KeyError("inside the experiment")
+
+        monkeypatch.setitem(EXPERIMENTS, "E3", broken)
+        with pytest.raises(KeyError, match="inside the experiment"):
+            main(["run", "E3"])

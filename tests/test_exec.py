@@ -504,36 +504,6 @@ class TestVerdictParity:
         assert_results_match(mono, sharded)
         assert sharded.data["kernel"] == kernel
 
-    @pytest.mark.parametrize("kernel", ["bitset", "chunked", "reference"])
-    @pytest.mark.parametrize("experiment", ["E4", "E5", "E21"])
-    def test_portfolio_parity_all_kernels(
-        self, experiment, kernel, tmp_path, monkeypatch
-    ):
-        """E4/E5/E21 limb-block sharding is verdict-identical everywhere.
-
-        The monolithic run goes first; the provider's memory LRU is then
-        dropped so the sharded run evaluates on fresh ``System`` objects
-        — its verdicts come from the caches the portfolio stages seeded,
-        not from leftovers of the monolithic pass.
-        """
-        from repro.experiments.e04_continual_ck import run as e4_run
-        from repro.experiments.e05_knowledge_conditions import run as e5_run
-        from repro.experiments.e21_eventual_ck import run as e21_run
-        from repro.model.provider import get_provider
-
-        runners = {"E4": e4_run, "E5": e5_run, "E21": e21_run}
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        with use_kernel(kernel):
-            mono = runners[experiment](3, 1, 2)
-            get_provider().clear(disk=False)
-            sharded = run_batch(
-                plan_for(experiment, n=3, t=1, horizon=2),
-                workers=2,
-                shard_size=64,
-                checkpoint_root=str(tmp_path / "exec"),
-            )
-        assert_results_match(mono, sharded)
-
     def test_e20_parity_exact(self, tmp_path):
         from repro.experiments.e20_scaling_gains import run as e20_run
 
@@ -547,18 +517,12 @@ class TestVerdictParity:
         assert_results_match(mono, sharded)
 
     def test_e14_parity_modulo_timings(self, tmp_path):
+        """E14 cells enumerate with ``build_system`` inside the pool's
+        daemonic workers.  Crash n=4, t=3, h=1 has 27,120 scenarios: a
+        cell that large must build there too (a daemonic worker may not
+        start processes of its own)."""
         from repro.experiments.e14_scaling import run as e14_run
         from repro.model.failures import FailureMode
-
-        cells = ((FailureMode.CRASH, 3, 1, 2),)
-        mono = e14_run(cells=cells)
-        sharded = run_batch(
-            plan_for("E14", cells=cells),
-            workers=2,
-            checkpoint_root=str(tmp_path / "exec"),
-        )
-        assert sharded.ok == mono.ok
-        assert sharded.notes == mono.notes
 
         def structural(table):
             scaling, _, messages = table.partition("\n\n")
@@ -566,15 +530,26 @@ class TestVerdictParity:
             rows = [line.split()[:6] for line in scaling.splitlines()]
             return rows, messages
 
-        assert structural(sharded.table) == structural(mono.table)
+        for cell in ((FailureMode.CRASH, 3, 1, 2), (FailureMode.CRASH, 4, 3, 1)):
+            cells = (cell,)
+            mono = e14_run(cells=cells)
+            sharded = run_batch(
+                plan_for("E14", cells=cells),
+                workers=2,
+                checkpoint_root=str(tmp_path / "exec"),
+            )
+            assert sharded.ok == mono.ok
+            assert sharded.notes == mono.notes
+            assert structural(sharded.table) == structural(mono.table)
 
     def test_unknown_experiment_lists_wired_plans(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            plan_for("E7")
-        message = str(excinfo.value)
-        assert "E7" in message
-        for wired in ("E9", "E14", "E20"):
-            assert wired in message
+        for experiment_id in ("E7", "E4", "E5", "E21"):
+            with pytest.raises(ConfigurationError) as excinfo:
+                plan_for(experiment_id)
+            message = str(excinfo.value)
+            assert repr(experiment_id) in message
+            listed = message.rsplit(": ", 1)[1].split(", ")
+            assert set(listed) == {"E9", "E14", "E20"}
 
 
 class TestTelemetryJournal:
@@ -735,6 +710,42 @@ class TestCli:
 
         assert cli.main(["batch", "run"]) == 2
         assert "nothing to run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (
+                [experiment_id],
+                f"no batch plan for {experiment_id} (batch plans: E14, E20, "
+                f"E9); run `repro-eba run {experiment_id}` instead",
+            )
+            for experiment_id in ("E7", "E4", "E5", "E21")
+        ]
+        + [
+            (["E99"], "unknown experiment 'E99'; try `repro-eba list`"),
+            (["--param", "n=x"], "--param 'n=x' has a non-integer value 'x'"),
+            (["--param", "n"], "--param 'n' must look like key=value"),
+        ],
+    )
+    def test_batch_run_bad_input_fails_closed(self, args, message, capsys):
+        """Checked before anything runs: E9 comes first and never starts."""
+        from repro import cli
+
+        assert cli.main(["batch", "run", "E9", *args]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"repro-eba: {message}\n"
+
+    def test_batch_help_lists_exactly_the_wired_plans(self, capsys):
+        from repro import cli
+        from repro.exec.plan import EXEC_PLANS
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["batch", "--help"])
+        assert excinfo.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        expected = ", ".join(sorted(EXEC_PLANS))
+        assert f"experiment ids with batch plans ({expected})" in help_text
 
     def test_batch_top_once_renders_worker_rows(
         self, tmp_path, monkeypatch, capsys

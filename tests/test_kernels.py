@@ -390,30 +390,32 @@ class TestRandomizedDifferential:
         _differential(omission3, _random_formula(rng, omission3.n))
 
 
-def _seed_block_components(system, nonrigid):
-    """Plant limb-block component labels in *system*'s component cache.
-
-    Computes the Corollary 3.3 reachability partition block by block
-    over the cell's :class:`~repro.model.partition.LimbBlockPartition`
-    (forced to several blocks, so the weld is exercised) and merges the
-    per-block labels with
-    :func:`~repro.model.partition.merge_component_labels` — the E9
-    batch plan's component path — then seeds the result under the
-    nonrigid set's key, where the monolithic scan would put its own.
-    """
-    from repro.knowledge.nonrigid import NonfaultyAndDeciding
-    from repro.model.partition import (
-        LimbBlockPartition,
-        merge_component_labels,
-    )
+def cell_partition(system, **layout):
+    """The :class:`~repro.model.partition.LimbBlockPartition` of
+    *system*'s cell, cut by *layout* (``num_blocks`` or
+    ``target_entries``)."""
+    from repro.model.partition import LimbBlockPartition
     from repro.model.provider import get_provider
 
     arrays = get_provider().get_arrays(
         system.mode, system.n, system.t, system.horizon
     )
-    partition = LimbBlockPartition.from_arrays(arrays, num_blocks=4)
-    assert len(partition.blocks) > 1
-    nf_limbs = [partition.nonfaulty_limbs(p) for p in range(system.n)]
+    return LimbBlockPartition.from_arrays(arrays, **layout)
+
+
+def block_component_labels(partition, nonrigid):
+    """Corollary 3.3 reachability labels of *nonrigid*, block by block.
+
+    Computes each block's labels over *partition* and welds them with
+    :func:`~repro.model.partition.merge_component_labels` — the E9 batch
+    plan's component path.
+    """
+    from repro.knowledge.nonrigid import NonfaultyAndDeciding
+    from repro.model.partition import merge_component_labels
+
+    nf_limbs = [
+        partition.nonfaulty_limbs(p) for p in range(partition.n)
+    ]
     if isinstance(nonrigid, NonfaultyAndDeciding):
         states = nonrigid._states
     else:
@@ -426,9 +428,37 @@ def _seed_block_components(system, nonrigid):
             for desc in partition.block_descriptors()
         ],
     )
-    system.cached_components(
-        nonrigid.cache_key(), lambda: [int(label) for label in labels]
-    )
+    return [int(label) for label in labels]
+
+
+def induced_partition(labels):
+    """The run partition a component labelling induces, and its ``-1``
+    (no-occurrence) runs.
+
+    Label *values* are arbitrary representatives, so two labellings agree
+    exactly when these agree.
+    """
+    groups = {}
+    unlabelled = set()
+    for run, label in enumerate(labels):
+        if label == -1:
+            unlabelled.add(run)
+        else:
+            groups.setdefault(label, set()).add(run)
+    return set(map(frozenset, groups.values())), unlabelled
+
+
+def _seed_block_components(system, nonrigid):
+    """Plant limb-block component labels in *system*'s component cache.
+
+    The partition is forced to several blocks, so the weld is exercised,
+    and the labels land under the nonrigid set's key, where the
+    monolithic scan would put its own.
+    """
+    partition = cell_partition(system, num_blocks=4)
+    assert len(partition.blocks) > 1
+    labels = block_component_labels(partition, nonrigid)
+    system.cached_components(nonrigid.cache_key(), lambda: labels)
 
 
 class TestBlockComponentSeeding:
@@ -441,17 +471,6 @@ class TestBlockComponentSeeding:
     run-for-run), and ``C□`` evaluated off the seeded cache must match
     the unseeded evaluation.
     """
-
-    @staticmethod
-    def _partition(labels):
-        groups = {}
-        unlabelled = set()
-        for run, label in enumerate(labels):
-            if label == -1:
-                unlabelled.add(run)
-            else:
-                groups.setdefault(label, set()).add(run)
-        return set(map(frozenset, groups.values())), unlabelled
 
     @pytest.mark.parametrize("builder", ["crash", "omission"])
     def test_nonfaulty_partition_identical_to_monolithic(self, builder):
@@ -466,7 +485,7 @@ class TestBlockComponentSeeding:
         _seed_block_components(system, NONFAULTY)
         seeded = system._components_cache[NONFAULTY.cache_key()]
         monolithic = _compute_components(system, NONFAULTY)
-        assert self._partition(seeded) == self._partition(monolithic)
+        assert induced_partition(seeded) == induced_partition(monolithic)
 
     def test_nonfaulty_and_deciding_partition_identical(self):
         from repro.core.construction import two_step_optimization
@@ -482,7 +501,7 @@ class TestBlockComponentSeeding:
         _seed_block_components(system, nonrigid)
         seeded = system._components_cache[nonrigid.cache_key()]
         monolithic = _compute_components(system, nonrigid)
-        assert self._partition(seeded) == self._partition(monolithic)
+        assert induced_partition(seeded) == induced_partition(monolithic)
 
     def test_continual_common_agrees_with_unseeded_evaluation(self):
         from repro.knowledge.formulas import ContinualCommon, Exists

@@ -262,27 +262,6 @@ class TestMergeDelta:
         inst.merge_delta({"counters": {"runs_built": 3}})
         assert inst.counters == {}
 
-    def test_parallel_build_counts_match_serial(self):
-        """Worker deltas folded into the parent: parallel and serial
-        builds report identical run/view counters."""
-        from repro.model.adversary import ExhaustiveCrashAdversary
-        from repro.model.system import build_system
-
-        before = obs.snapshot()
-        serial = build_system(ExhaustiveCrashAdversary(3, 1, 2))
-        serial_delta = obs.delta_since(before)
-
-        before = obs.snapshot()
-        parallel = build_system(
-            ExhaustiveCrashAdversary(3, 1, 2), workers=2
-        )
-        parallel_delta = obs.delta_since(before)
-
-        assert len(parallel.runs) == len(serial.runs)
-        for delta in (serial_delta, parallel_delta):
-            assert delta["counters"]["runs_built"] == len(serial.runs)
-            assert delta["counters"]["views_interned"] == len(serial.table)
-
 
 class TestExperimentIntegration:
     @staticmethod
@@ -342,32 +321,3 @@ class TestCliStats:
         assert "instrumentation (this process):" in out
         assert "system cache:" in out
         assert "disk cache inventory" in out
-
-
-class TestGraftOffset:
-    """Regression: parallel-build span grafting when the parent span was
-    dropped (tracer ring overflow / disabled tracer hands out the null
-    span).  The offset must come from the tracer clock, never default to
-    0.0 — a zero offset grafts every worker span at the epoch, corrupting
-    the timeline."""
-
-    def test_null_parent_uses_tracer_clock(self):
-        import time
-
-        from repro import trace
-        from repro.model.system import _graft_offset
-        from repro.trace import _NULL_SPAN
-
-        before = time.perf_counter() - trace.TRACER.epoch
-        offset = _graft_offset(_NULL_SPAN)
-        after = time.perf_counter() - trace.TRACER.epoch
-        # Pre-fix this returned 0.0; the process has been alive longer.
-        assert before <= offset <= after
-        assert offset > 0.0
-
-    def test_real_parent_span_keeps_its_start(self):
-        from repro import trace
-        from repro.model.system import _graft_offset
-
-        with trace.span("parent") as parent:
-            assert _graft_offset(parent) == parent.start

@@ -1,11 +1,12 @@
 """Property-based tests (hypothesis) for the knowledge layer: random
 formulas over the exhaustive n=3 crash system must satisfy the logic's
-structural laws."""
+structural laws, and Corollary 3.3 must hold on random small cells."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.decision_sets import DecisionPair, close_under_recall
 from repro.knowledge.formulas import (
     AllStarted,
     Always,
@@ -22,8 +23,16 @@ from repro.knowledge.formulas import (
     Not,
     Or,
 )
-from repro.knowledge.nonrigid import NONFAULTY
-from repro.model.builder import crash_system
+from repro.knowledge.nonrigid import NONFAULTY, NonfaultyAndDeciding
+from repro.knowledge.semantics import _compute_components
+from repro.model import kernels
+from repro.model.builder import crash_system, omission_system
+
+from .test_kernels import (
+    block_component_labels,
+    cell_partition,
+    induced_partition,
+)
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +138,71 @@ def test_belief_consistent_for_members(system, phi):
         assert Implies(
             And((IsNonfaulty(processor), Believes(processor, phi))), phi
         ).is_valid(system)
+
+
+def run_level_formulas(n):
+    """Run-level φ: ∃v, all-started-with-v and i ∈ N, under ¬ and ∧."""
+    leaves = st.sampled_from(
+        [Exists(0), Exists(1), AllStarted(0), AllStarted(1)]
+        + [IsNonfaulty(processor) for processor in range(n)]
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.builds(Not, children),
+            st.builds(lambda a, b: And((a, b)), children, children),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def corollary_3_3_cases(draw):
+    """A random small cell, a run-level φ over it and a nonrigid set:
+    ``N``, or ``N ∧ A`` for one set of a pair whose sets are random
+    trigger sets closed under recall."""
+    make = draw(st.sampled_from([crash_system, omission_system]))
+    n = draw(st.integers(min_value=2, max_value=3))
+    horizon = draw(st.integers(min_value=1, max_value=3))
+    system = make(n, 1, horizon)
+    phi = draw(run_level_formulas(n))
+    if draw(st.booleans()):
+        return system, phi, NONFAULTY
+    views = sorted(system.occurring_views())
+    zeros, ones = (
+        close_under_recall(
+            draw(st.sets(st.sampled_from(views), max_size=6)),
+            views,
+            system.table,
+        )
+        for _ in range(2)
+    )
+    which = draw(st.sampled_from(["zeros", "ones"]))
+    return system, phi, NonfaultyAndDeciding(DecisionPair(zeros, ones), which)
+
+
+@given(case=corollary_3_3_cases(), target_entries=st.integers(1, 256))
+@settings(max_examples=30, deadline=None)
+def test_corollary_3_3_on_random_cells(case, target_entries):
+    """Corollary 3.3: for run-level φ, ``C□_S φ`` holds in a run iff φ
+    holds throughout the run's reachability component.
+
+    (a) The component evaluation equals the greatest-fixed-point
+    definition under every kernel.  (b) The components welded from limb
+    blocks of any size induce the same run partition, with the same
+    no-occurrence runs, as the monolithic same-state scan.
+    """
+    system, phi, nonrigid = case
+    assert phi.is_run_level()
+    for kernel in kernels.KERNELS:
+        with kernels.use_kernel(kernel):
+            components = ContinualCommon(nonrigid, phi).evaluate(system)
+            fixpoint = ContinualCommon(
+                nonrigid, phi, force_fixpoint=True
+            ).evaluate(system)
+        assert components.to_rows() == fixpoint.to_rows(), kernel
+
+    partition = cell_partition(system, target_entries=target_entries)
+    welded = block_component_labels(partition, nonrigid)
+    monolithic = _compute_components(system, nonrigid)
+    assert induced_partition(welded) == induced_partition(monolithic)

@@ -1,6 +1,5 @@
 """Tests for the SystemProvider pipeline: the disk and LRU cache layers,
-fail-closed loading of the cell files, the cross-process drill, and the
-parallel enumeration path."""
+fail-closed loading of the cell files and the cross-process drill."""
 
 import json
 import os
@@ -237,72 +236,6 @@ class TestBuilderCacheApi:
         assert after["size"] >= 1
         for key in ("max_size", "evictions", "disk_enabled", "cache_dir"):
             assert key in after
-
-
-class TestParallelEnumeration:
-    def test_parallel_crash_identical_to_serial(self):
-        serial = build_system(ExhaustiveCrashAdversary(3, 1, 2))
-        parallel = build_system(ExhaustiveCrashAdversary(3, 1, 2), workers=2)
-        assert_systems_identical(parallel, serial)
-        # Interned view ids are also identical, not just isomorphic.
-        assert serial.table.export_entries() == parallel.table.export_entries()
-
-    def test_parallel_omission_identical_to_serial(self):
-        serial = build_system(ExhaustiveOmissionAdversary(3, 1, 2))
-        parallel = build_system(
-            ExhaustiveOmissionAdversary(3, 1, 2), workers=3
-        )
-        assert_systems_identical(parallel, serial)
-        assert serial.table.export_entries() == parallel.table.export_entries()
-
-    def test_worker_env_override(self, monkeypatch):
-        from repro.model.system import _resolve_workers
-
-        monkeypatch.setenv("REPRO_BUILD_WORKERS", "3")
-        assert _resolve_workers(None, 1000) == 3
-        monkeypatch.delenv("REPRO_BUILD_WORKERS")
-        assert _resolve_workers(2, 10) == 2
-        # Auto policy stays serial below the threshold.
-        assert _resolve_workers(None, 10) == 1
-
-    def test_invalid_worker_count_rejected(self):
-        from repro.errors import ConfigurationError
-        from repro.model.system import _resolve_workers
-
-        with pytest.raises(ConfigurationError):
-            _resolve_workers(0, 100)
-
-    @pytest.mark.parametrize("value", ["auto", "4x", "two", "1.5", "[]"])
-    def test_malformed_worker_env_raises_configuration_error(
-        self, monkeypatch, value
-    ):
-        from repro.errors import ConfigurationError
-        from repro.model.system import _resolve_workers
-
-        monkeypatch.setenv("REPRO_BUILD_WORKERS", value)
-        with pytest.raises(ConfigurationError) as excinfo:
-            _resolve_workers(None, 1000)
-        message = str(excinfo.value)
-        assert "REPRO_BUILD_WORKERS" in message
-        assert repr(value) in message
-
-    @pytest.mark.parametrize("value", ["0", "-2"])
-    def test_nonpositive_worker_env_raises_configuration_error(
-        self, monkeypatch, value
-    ):
-        from repro.errors import ConfigurationError
-        from repro.model.system import _resolve_workers
-
-        monkeypatch.setenv("REPRO_BUILD_WORKERS", value)
-        with pytest.raises(ConfigurationError) as excinfo:
-            _resolve_workers(None, 1000)
-        assert "REPRO_BUILD_WORKERS" in str(excinfo.value)
-
-    def test_blank_worker_env_means_auto(self, monkeypatch):
-        from repro.model.system import _resolve_workers
-
-        monkeypatch.setenv("REPRO_BUILD_WORKERS", "   ")
-        assert _resolve_workers(None, 10) == 1
 
 
 class TestDiskCacheEnvNormalization:

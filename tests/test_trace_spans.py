@@ -241,22 +241,6 @@ class TestPipelineIntegration:
         names = {s.name for s in trace.TRACER.collect(mark)}
         assert {"build_system", "enumerate_runs", "index_system"} <= names
 
-    def test_parallel_build_grafts_worker_spans(self):
-        from repro.model.adversary import ExhaustiveCrashAdversary
-        from repro.model.system import build_system
-
-        mark = trace.TRACER.watermark()
-        build_system(ExhaustiveCrashAdversary(3, 1, 2), workers=2)
-        spans = trace.TRACER.collect(mark)
-        by_name = {}
-        for record in spans:
-            by_name.setdefault(record.name, []).append(record)
-        assert "parallel_build" in by_name
-        chunks = by_name.get("build_chunk", [])
-        assert chunks, "worker spans were not grafted back"
-        parallel_id = by_name["parallel_build"][0].span_id
-        assert all(chunk.parent_id == parallel_id for chunk in chunks)
-
     def test_fixpoint_span_reports_iterations(self, crash3):
         from repro.knowledge.formulas import Common, Exists
         from repro.knowledge.nonrigid import NONFAULTY
