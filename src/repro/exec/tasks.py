@@ -131,8 +131,8 @@ def _task_components(params: Dict[str, Any]) -> Dict[str, Any]:
     touched runs and each one's component representative.  The stage
     barrier merges the blocks
     (:func:`~repro.model.partition.merge_component_labels`); the merged
-    labels may differ in value from the monolithic union-find scan's, but
-    the partition (all that
+    labels may differ in value from the monolithic scan's, but the
+    partition (all that
     :func:`~repro.model.partition.cbox_mask_from_labels` consumes) is
     identical.
     """

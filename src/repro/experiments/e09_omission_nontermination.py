@@ -136,13 +136,14 @@ def run(n: int = 4, t: int = 2, horizon: int = 2) -> ExperimentResult:
     system = omission_system(n, t, horizon)
     base, first, second = f_lambda_sequence(system)
     protocol = fip(second)
-    outcome = protocol.outcome(system)
 
-    target = witness_target(n, horizon)
-    target_run = outcome.get(target)
+    # Only the witness run's decisions matter (the batch plan's assemble
+    # stage reads the same ones).
+    target_index = system.run_index_for(*witness_target(n, horizon))
+    target_nonfaulty = sorted(system.runs[target_index].nonfaulty)
     nobody_decides = all(
-        target_run.decisions[processor] is None
-        for processor in target_run.nonfaulty
+        protocol.decision_for(system, target_index, processor) is None
+        for processor in target_nonfaulty
     )
 
     # Mechanism: C□_{N∧Z^{Λ,1}} ∃1 fails at every perturbed run r'_m.
@@ -156,10 +157,9 @@ def run(n: int = 4, t: int = 2, horizon: int = 2) -> ExperimentResult:
         perturbed_rows.append([label, holds])
 
     # Belief probe: B_i^N C□ ∃1 never true for nonfaulty i in the target.
-    target_index = system.run_index_for(*target)
     belief_never = all(
         not Believes(processor, cbox).evaluate(system).at(target_index, time)
-        for processor in target_run.nonfaulty
+        for processor in target_nonfaulty
         for time in range(horizon + 1)
     )
 

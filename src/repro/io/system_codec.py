@@ -5,8 +5,9 @@ A cached exhaustive cell is stored as one versioned ``.npz`` — its
 :mod:`repro.model.fastbuild` and validated on every load
 (:meth:`~repro.model.partition.SystemArrays.validate`).
 :func:`system_from_arrays` turns those arrays into the
-:class:`~repro.model.system.System` object graph that simulation,
-explanation and the evaluators read.  The result equals a fresh
+:class:`~repro.model.system.System` object graph that simulation and
+explanation read; the system keeps the arrays, which the evaluators
+read.  The result equals a fresh
 :func:`~repro.model.system.build_system` of the cell: same run order,
 same scenarios, same view ids and :class:`~repro.model.views.ViewTable`
 entries, same state and scenario indexes (``tests/test_system_codec.py``
@@ -140,6 +141,7 @@ def _materialize(arrays: SystemArrays) -> System:
         table,
         mode,
         indexes=(state_index, scenario_index),
+        arrays=arrays,
     )
 
 

@@ -126,8 +126,9 @@ class Exists(Formula):
         return ("exists", self.value)
 
     def _evaluate(self, system: System) -> TruthAssignment:
+        init = system.arrays().init
         return TruthAssignment.from_run_levels(
-            system, [run.exists(self.value) for run in system.runs]
+            system, (init == self.value).any(axis=1)
         )
 
     def is_run_level(self) -> bool:
@@ -147,9 +148,9 @@ class AllStarted(Formula):
         return ("all-started", self.value)
 
     def _evaluate(self, system: System) -> TruthAssignment:
+        init = system.arrays().init
         return TruthAssignment.from_run_levels(
-            system,
-            [run.config.all_equal(self.value) for run in system.runs],
+            system, (init == self.value).all(axis=1)
         )
 
     def is_run_level(self) -> bool:
@@ -167,8 +168,7 @@ class IsNonfaulty(Formula):
 
     def _evaluate(self, system: System) -> TruthAssignment:
         return TruthAssignment.from_run_levels(
-            system,
-            [run.is_nonfaulty(self.processor) for run in system.runs],
+            system, system.arrays().nonfaulty[:, self.processor]
         )
 
     def is_run_level(self) -> bool:
@@ -186,12 +186,9 @@ class InitialValueIs(Formula):
         return ("initial-value", self.processor, self.value)
 
     def _evaluate(self, system: System) -> TruthAssignment:
+        init = system.arrays().init
         return TruthAssignment.from_run_levels(
-            system,
-            [
-                run.config.value_of(self.processor) == self.value
-                for run in system.runs
-            ],
+            system, init[:, self.processor] == self.value
         )
 
     def is_run_level(self) -> bool:
@@ -230,10 +227,8 @@ class SetEmpty(Formula):
         return ("set-empty", self.nonrigid.cache_key())
 
     def _evaluate(self, system: System) -> TruthAssignment:
-        members = self.nonrigid.members_matrix(system)
-        return TruthAssignment.from_predicate(
-            system, lambda run_index, time: not members[run_index][time]
-        )
+        empty = ~self.nonrigid.membership(system).any(axis=2)
+        return TruthAssignment.from_rows(system, empty.tolist())
 
 
 class Predicate(Formula):

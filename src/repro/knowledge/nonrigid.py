@@ -8,8 +8,12 @@ processors.  The two instances the paper uses everywhere are:
 * ``N ∧ A`` — nonfaulty processors whose current local state lies in a
   decision set ``A``.
 
-Every nonrigid set exposes a per-point member matrix, memoized on the system
-by cache key, plus an O(1) membership test.
+Every nonrigid set computes a ``(runs, width, n)`` membership array from
+the system's :class:`~repro.model.partition.SystemArrays` in one
+vectorized pass, memoized on the system by cache key; the member masks
+of the packed kernels, the Corollary 3.3 components and the per-point
+member matrix (read by the reference kernel and explanations) all derive
+from it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,10 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import FrozenSet, List
 
+import numpy as np
+
 from ..core.decision_sets import DecisionPair
+from ..model.partition import SystemArrays
 from ..model.system import System
 
 
@@ -29,13 +36,20 @@ class NonrigidSet(ABC):
         """Stable key identifying this set for evaluation caching."""
 
     @abstractmethod
-    def _compute_members(self, system: System) -> List[List[FrozenSet[int]]]:
-        """Member matrix: ``matrix[run_index][time]``."""
+    def _membership(self, arrays: SystemArrays) -> np.ndarray:
+        """``(runs, width, n)`` bool: ``p`` ∈ S at ``(run, time)``."""
+
+    def membership(self, system: System) -> np.ndarray:
+        """The memoized membership array over *system* (read-only)."""
+        return system.cached_nonrigid(
+            self.cache_key(), lambda: self._membership(system.arrays())
+        )
 
     def members_matrix(self, system: System) -> List[List[FrozenSet[int]]]:
-        """The memoized member matrix over *system*."""
+        """The memoized member matrix ``matrix[run_index][time]``."""
         return system.cached_nonrigid(
-            self.cache_key(), lambda: self._compute_members(system)
+            (self.cache_key(), "matrix"),
+            lambda: _members_matrix(self.membership(system)),
         )
 
     def members(self, system: System, run_index: int, time: int) -> FrozenSet[int]:
@@ -46,12 +60,34 @@ class NonrigidSet(ABC):
         self, system: System, run_index: int, time: int, processor: int
     ) -> bool:
         """Whether *processor* belongs to ``S(r, m)``."""
-        return processor in self.members(system, run_index, time)
+        return bool(self.membership(system)[run_index, time, processor])
 
     def always_empty(self, system: System) -> bool:
         """Whether ``S`` is empty at every point of *system*."""
-        matrix = self.members_matrix(system)
-        return all(not cell for row in matrix for cell in row)
+        return not self.membership(system).any()
+
+
+def _members_matrix(member: np.ndarray) -> List[List[FrozenSet[int]]]:
+    """Per point, the frozenset of member processors (one shared frozenset
+    per distinct membership row)."""
+    runs, width, n = member.shape
+    codes = (member.astype(np.int64) << np.arange(n, dtype=np.int64)).sum(
+        axis=2
+    )
+    distinct, inverse = np.unique(codes.ravel(), return_inverse=True)
+    sets = np.empty(distinct.size, dtype=object)
+    sets[:] = [
+        frozenset(p for p in range(n) if code >> p & 1)
+        for code in distinct.tolist()
+    ]
+    return sets[inverse].reshape(runs, width).tolist()
+
+
+def _constant(arrays: SystemArrays, processors) -> np.ndarray:
+    """Membership of the same processors at every point."""
+    row = np.zeros(arrays.n, dtype=bool)
+    row[list(processors)] = True
+    return np.broadcast_to(row, (arrays.num_runs, arrays.width, arrays.n))
 
 
 class Nonfaulty(NonrigidSet):
@@ -65,10 +101,11 @@ class Nonfaulty(NonrigidSet):
     def cache_key(self) -> object:
         return ("nonrigid", "N")
 
-    def _compute_members(self, system: System) -> List[List[FrozenSet[int]]]:
-        return [
-            [run.nonfaulty] * (system.horizon + 1) for run in system.runs
-        ]
+    def _membership(self, arrays: SystemArrays) -> np.ndarray:
+        return np.broadcast_to(
+            arrays.nonfaulty[:, None, :],
+            (arrays.num_runs, arrays.width, arrays.n),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "N"
@@ -80,11 +117,8 @@ class Everyone(NonrigidSet):
     def cache_key(self) -> object:
         return ("nonrigid", "everyone")
 
-    def _compute_members(self, system: System) -> List[List[FrozenSet[int]]]:
-        everyone = frozenset(range(system.n))
-        return [
-            [everyone] * (system.horizon + 1) for _ in system.runs
-        ]
+    def _membership(self, arrays: SystemArrays) -> np.ndarray:
+        return _constant(arrays, range(arrays.n))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "ALL"
@@ -99,10 +133,8 @@ class ConstantSet(NonrigidSet):
     def cache_key(self) -> object:
         return ("nonrigid", "const", tuple(sorted(self.processors)))
 
-    def _compute_members(self, system: System) -> List[List[FrozenSet[int]]]:
-        return [
-            [self.processors] * (system.horizon + 1) for _ in system.runs
-        ]
+    def _membership(self, arrays: SystemArrays) -> np.ndarray:
+        return _constant(arrays, self.processors)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"G{sorted(self.processors)}"
@@ -125,29 +157,9 @@ class NonfaultyAndDeciding(NonrigidSet):
     def cache_key(self) -> object:
         return ("nonrigid", "N-and", self.pair.token, self.which)
 
-    def _compute_members(self, system: System) -> List[List[FrozenSet[int]]]:
-        # Scatter via the same-state index: each occurring view in ``A``
-        # deposits its (nonfaulty) owner at the view's occurrence points —
-        # work proportional to occurrences of deciding states, not to
-        # points × processors.
-        states = self._states
-        table = system.table
-        width = system.horizon + 1
-        empty: FrozenSet[int] = frozenset()
-        matrix: List[List[FrozenSet[int]]] = [
-            [empty] * width for _ in system.runs
-        ]
-        runs = system.runs
-        for view, points in system._state_index.items():
-            if view not in states:
-                continue
-            owner = table.info(view).processor
-            addition = frozenset((owner,))
-            for run_index, time in points:
-                if owner in runs[run_index].nonfaulty:
-                    row = matrix[run_index]
-                    row[time] = row[time] | addition
-        return matrix
+    def _membership(self, arrays: SystemArrays) -> np.ndarray:
+        deciding = arrays.view_flags(self._states)[arrays.views]
+        return deciding & arrays.nonfaulty[:, None, :]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         symbol = "Z" if self.which == "zeros" else "O"

@@ -41,13 +41,19 @@ Dispatch is by representation: operands built under the bitset kernel are
 are :class:`~repro.model.chunked.ChunkedAssignment` instances, and both
 take their fast paths; reference assignments take the original ones.
 
+What the evaluators read besides their operands comes from the system's
+:class:`~repro.model.partition.SystemArrays` in vectorized passes: the
+packed kernels' member masks are packed from a nonrigid set's membership
+array, and the Corollary 3.3 components are labelled over the
+``(run, view)`` incidence of the member points, whatever the kernel.
+
 Finite-horizon caveat: temporal operators treat the horizon as the end of
 time.  For the run-level and monotone facts used throughout the paper this
 is exact provided the horizon exceeds all decision times (see DESIGN.md).
 
 Incremental extension and cache invalidation: every memo these evaluators
 feed — the formula cache (``System.cached_evaluation``, keyed per resolved
-kernel), nonrigid member matrices, component labellings, and the packed
+kernel), nonrigid membership arrays, component labellings, and the packed
 kernel indexes — lives **on the System instance**, and
 :func:`~repro.model.system.extend_system` returns a *new* System per
 horizon step.  A verdict computed at horizon ``h`` can therefore never be
@@ -60,14 +66,17 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
+import numpy as np
+
 from .. import obs, trace
 from ..model.chunked import ChunkedAssignment, ChunkedIndex
+from ..model.partition import component_holds, reachability_labels
 from ..model.system import (
     BitsetAssignment,
     BitsetIndex,
-    Point,
     System,
     TruthAssignment,
+    _bits_mask,
 )
 from .nonrigid import NonrigidSet
 
@@ -86,34 +95,24 @@ def _reference_rows(system: System, value: bool) -> List[List[bool]]:
     ]
 
 
-# -- bitset kernel helpers ----------------------------------------------------
+# -- member masks -------------------------------------------------------------
 
 def _member_masks(
     system: System, index: BitsetIndex, nonrigid: NonrigidSet
 ) -> List[int]:
     """Per-processor bitmask of points where the processor is in ``S``.
 
-    Memoized on the system's :class:`BitsetIndex` by the nonrigid set's
-    cache key.
+    Packed from the nonrigid set's membership array; memoized on the
+    system's :class:`BitsetIndex` by the nonrigid set's cache key.
     """
     key = nonrigid.cache_key()
     masks = index.member_masks.get(key)
     if masks is None:
-        members = nonrigid.members_matrix(system)
-        masks = [0] * system.n
-        width = index.width
-        for run_index, row in enumerate(members):
-            base = run_index * width
-            for time, cell in enumerate(row):
-                if cell:
-                    bit = 1 << (base + time)
-                    for processor in cell:
-                        masks[processor] |= bit
+        member = nonrigid.membership(system)
+        masks = [_bits_mask(member[:, :, p]) for p in range(system.n)]
         index.member_masks[key] = masks
     return masks
 
-
-# -- chunked kernel helpers ---------------------------------------------------
 
 def _member_limbs(
     system: System, index: ChunkedIndex, nonrigid: NonrigidSet
@@ -126,10 +125,13 @@ def _member_limbs(
     key = nonrigid.cache_key()
     masks = index.member_masks.get(key)
     if masks is None:
-        masks = index.pack_member_masks(nonrigid.members_matrix(system))
+        member = nonrigid.membership(system)
+        masks = [index.pack_points(member[:, :, p]) for p in range(system.n)]
         index.member_masks[key] = masks
     return masks
 
+
+# -- bitset kernel helpers ----------------------------------------------------
 
 def _believes_mask(
     index: BitsetIndex, processor: int, pmask: int, phi_mask: int
@@ -568,30 +570,6 @@ def eval_eventual_common(
             current = candidate
 
 
-class _UnionFind:
-    """Minimal union-find over run indices (path halving + union by size)."""
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, item: int) -> int:
-        parent = self.parent
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
-
-    def union(self, a: int, b: int) -> None:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a == root_b:
-            return
-        if self.size[root_a] < self.size[root_b]:
-            root_a, root_b = root_b, root_a
-        self.parent[root_b] = root_a
-        self.size[root_a] += self.size[root_b]
-
-
 def run_reachability_components(
     system: System, nonrigid: NonrigidSet
 ) -> List[int]:
@@ -600,44 +578,33 @@ def run_reachability_components(
     Two runs are linked when some processor, while a member of ``S``, has
     the same local state at a point of each — exactly the one-step relation
     of the paper's ``S-□-reachability``, which (per Lemma 3.4(g)) depends
-    only on the runs, not the times.  Returns, for each run index, a
-    component representative; runs with **no** ``S`` occurrence at any point
-    get the sentinel ``-1`` (no point is reachable from them, so any
-    ``C□_S φ`` holds there vacuously).
+    only on the runs, not the times.  Returns, for each run index, its
+    component's label — the component's smallest run; runs with **no**
+    ``S`` occurrence at any point get the sentinel ``-1`` (no point is
+    reachable from them, so any ``C□_S φ`` holds there vacuously).
 
-    The scan walks the system's same-state index (one occurrence list per
-    distinct view) rather than re-deriving each point's view, linking every
-    run in a view's occurrence list — restricted to points where the view's
-    owner is an ``S``-member — to the first such run.
+    The scan reads the ``(run, view)`` incidence of the member points off
+    the view-id matrix (the set's membership array selects them) and
+    labels its components by min-label propagation with pointer jumping
+    (:func:`~repro.model.partition.reachability_labels`).
 
     Labellings are memoized on the system per nonrigid set (the explanation
     machinery asks for the same components once per explained point); treat
     the returned list as read-only.
     """
     return system.cached_components(
-        nonrigid.cache_key(), lambda: _compute_components(system, nonrigid)
+        nonrigid.cache_key(), lambda: _components(system, nonrigid)
     )
 
 
-def _compute_components(system: System, nonrigid: NonrigidSet) -> List[int]:
-    members = nonrigid.members_matrix(system)
-    uf = _UnionFind(len(system.runs))
-    has_occurrence = [False] * len(system.runs)
-    table = system.table
-    for view, points in system._state_index.items():
-        owner = table.info(view).processor
-        anchor = -1
-        for run_index, time in points:
-            if owner in members[run_index][time]:
-                has_occurrence[run_index] = True
-                if anchor < 0:
-                    anchor = run_index
-                else:
-                    uf.union(anchor, run_index)
-    return [
-        uf.find(run_index) if has_occurrence[run_index] else -1
-        for run_index in range(len(system.runs))
-    ]
+def _components(system: System, nonrigid: NonrigidSet) -> List[int]:
+    arrays = system.arrays()
+    points = np.flatnonzero(nonrigid.membership(system))
+    runs = points // (arrays.width * arrays.n)
+    views = arrays.views.reshape(-1)[points]
+    return reachability_labels(
+        arrays.num_runs, runs, views, arrays.num_views
+    ).tolist()
 
 
 def eval_continual_common_components(
@@ -659,17 +626,6 @@ def eval_continual_common_components(
         "reachability_components", runs=len(system.runs)
     ):
         components = run_reachability_components(system, nonrigid)
-    component_ok: Dict[int, bool] = {}
-    for run_index, component in enumerate(components):
-        if component == -1:
-            continue
-        component_ok[component] = component_ok.get(component, True) and (
-            run_level_phi[run_index]
-        )
     return TruthAssignment.from_run_levels(
-        system,
-        [
-            True if component == -1 else component_ok[component]
-            for component in components
-        ],
+        system, component_holds(components, run_level_phi)
     )

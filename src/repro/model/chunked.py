@@ -118,16 +118,6 @@ def _shift_up(a, k: int, tail: int):
     return out
 
 
-def _or_window(limbs: List[int], pos: int, bits: int) -> None:
-    """OR an arbitrary-width bit window into a list buffer at *pos*."""
-    i, off = divmod(pos, LIMB_BITS)
-    bits <<= off
-    while bits:
-        limbs[i] |= bits & LIMB_MASK
-        bits >>= LIMB_BITS
-        i += 1
-
-
 def _window_int(limbs, pos: int, width: int) -> int:
     """Extract a *width*-bit window starting at bit *pos* as an int."""
     i, off = divmod(pos, LIMB_BITS)
@@ -156,21 +146,72 @@ def _extract_windows(limbs, num_runs: int, width: int):
     return win
 
 
-def _pack_rows_to_limbs(
-    rows: Sequence[Sequence[bool]], width: int, num_runs: int
-) -> List[int]:
-    """Pack per-run boolean rows into a list limb buffer."""
-    limbs = [0] * _nlimbs(num_runs * width)
-    pos = 0
-    for row in rows:
-        bits = 0
-        for time, value in enumerate(row):
-            if value:
-                bits |= 1 << time
-        if bits:
-            _or_window(limbs, pos, bits)
-        pos += width
-    return limbs
+def _bits_to_limbs(bits, nlimbs: int):
+    """Pack a point-ordered bool array (bit ``i`` at position ``i``) into
+    a limb buffer of *nlimbs* limbs."""
+    packed = np.packbits(
+        np.asarray(bits, dtype=bool).ravel(), bitorder="little"
+    )
+    buf = np.zeros(nlimbs * 8, np.uint8)
+    buf[: packed.size] = packed
+    return buf.view(np.uint64)
+
+
+def group_tables(views) -> List[Dict[str, object]]:
+    """Same-state group tables of a ``(runs, width, n)`` view-id matrix.
+
+    One vectorized pass per processor: the processor's view column is
+    stably sorted by view id, and each run of equal ids (a *group*, one
+    distinct local state) is cut into *entries* — one per limb its
+    points occupy, holding that limb's bits of the group.  Per
+    processor: ``idx`` (entry limb indices) and ``val`` (entry limb
+    bits), ``starts`` (group boundaries, one past the last), ``gv`` (the
+    view of each group, ascending), ``first_limb`` (each group's first
+    entry limb) and ``entries``.  Point ``(run, time)`` is bit ``run *
+    width + time``.  This is the one builder of the tables the chunked
+    index, the bitset index and the limb-block partition read.
+    """
+    tables: List[Dict[str, object]] = []
+    for processor in range(views.shape[2]):
+        vv = views[:, :, processor].ravel().astype(np.int64)
+        order = np.argsort(vv, kind="stable")
+        sv = vv[order]
+        limb = order >> 6
+        bit = (order & 63).astype(np.uint64)
+        if sv.size == 0:
+            tables.append(
+                {
+                    "idx": np.zeros(0, np.int64),
+                    "val": np.zeros(0, np.uint64),
+                    "starts": np.zeros(1, np.int64),
+                    "gv": np.zeros(0, np.int64),
+                    "first_limb": np.zeros(0, np.int64),
+                    "entries": 0,
+                }
+            )
+            continue
+        new_entry = np.empty(sv.size, dtype=bool)
+        new_entry[0] = True
+        new_entry[1:] = (sv[1:] != sv[:-1]) | (limb[1:] != limb[:-1])
+        entry_starts = np.flatnonzero(new_entry)
+        val = np.bitwise_or.reduceat(np.uint64(1) << bit, entry_starts)
+        idx = limb[entry_starts]
+        sv_entries = sv[entry_starts]
+        new_group = np.empty(sv_entries.size, dtype=bool)
+        new_group[0] = True
+        new_group[1:] = sv_entries[1:] != sv_entries[:-1]
+        group_first = np.flatnonzero(new_group)
+        tables.append(
+            {
+                "idx": idx,
+                "val": val,
+                "starts": np.append(group_first, sv_entries.size),
+                "gv": sv_entries[group_first],
+                "first_limb": idx[group_first],
+                "entries": int(idx.size),
+            }
+        )
+    return tables
 
 
 class ChunkedAssignment(TruthAssignment):
@@ -213,9 +254,7 @@ class ChunkedAssignment(TruthAssignment):
         width = system.horizon + 1
         num_runs = len(system.runs)
         return ChunkedAssignment(
-            _array(_pack_rows_to_limbs(rows, width, num_runs)),
-            num_runs,
-            width,
+            _bits_to_limbs(rows, _nlimbs(num_runs * width)), num_runs, width
         )
 
     @staticmethod
@@ -224,12 +263,10 @@ class ChunkedAssignment(TruthAssignment):
     ) -> "ChunkedAssignment":
         width = system.horizon + 1
         num_runs = len(system.runs)
-        block = (1 << width) - 1
-        limbs = [0] * _nlimbs(num_runs * width)
-        for run_index, value in enumerate(run_levels):
-            if value:
-                _or_window(limbs, run_index * width, block)
-        return ChunkedAssignment(_array(limbs), num_runs, width)
+        bits = np.repeat(np.asarray(run_levels, dtype=bool), width)
+        return ChunkedAssignment(
+            _bits_to_limbs(bits, _nlimbs(num_runs * width)), num_runs, width
+        )
 
     def _replace(self, limbs) -> "ChunkedAssignment":
         """Same shape, different limb buffer."""
@@ -290,9 +327,7 @@ class ChunkedAssignment(TruthAssignment):
     def _limbs_of(self, other: "TruthAssignment"):
         if isinstance(other, ChunkedAssignment):
             return other.limbs
-        return _array(
-            _pack_rows_to_limbs(other.to_rows(), self.width, self.num_runs)
-        )
+        return _bits_to_limbs(other.to_rows(), len(self.limbs))
 
     def negate(self) -> "ChunkedAssignment":
         return self._replace(_not(self.limbs, _tail_mask(self.num_bits)))
@@ -316,8 +351,8 @@ class ChunkedIndex:
 
     The geometric part (``col0``, limb shape) is built eagerly — it is
     all the temporal sweeps need; the group tables are built lazily on
-    the first knowledge sweep (:meth:`_ensure_groups`), one python pass
-    over the system's state index:
+    the first knowledge sweep (:meth:`_ensure_groups`) by
+    :func:`group_tables` over the system's view-id matrix:
 
     * per processor, a flattened sparse entry table: ``_idx[p][k]`` is a
       limb index and ``_val[p][k]`` the limb's bits belonging to one
@@ -325,8 +360,8 @@ class ChunkedIndex:
       one *sparse* subset test per group — only the limbs the group's
       points occupy are touched, and all groups of a processor run in
       one gather/segmented-reduce/scatter pass;
-    * ``group_views[p]`` / ``view_owner`` — the view behind each group,
-      for decision-state extraction;
+    * ``group_views[p]`` — the view behind each group, for
+      decision-state extraction;
     * ``member_masks`` — per nonrigid-set cache key, the per-processor
       limb buffer of points where the processor is a member (memoized
       here by :mod:`repro.knowledge.semantics`);
@@ -343,11 +378,10 @@ class ChunkedIndex:
         "tail",
         "run_block",
         "col0",
-        "view_owner",
-        "view_slot",
         "group_views",
         "member_masks",
         "_groups_built",
+        "_tables",
         "_idx",
         "_val",
         "_starts",
@@ -367,17 +401,14 @@ class ChunkedIndex:
         self.nlimbs = _nlimbs(self.num_bits)
         self.tail = _tail_mask(self.num_bits)
         self.run_block = (1 << width) - 1
-        col0 = [0] * self.nlimbs
-        for run_index in range(num_runs):
-            pos = run_index * width
-            col0[pos >> 6] |= 1 << (pos & 63)
-        self.col0 = _array(col0)
-        self.view_owner: Dict[ViewId, int] = {}
-        self.view_slot: Dict[ViewId, Tuple[int, int]] = {}
+        column = np.zeros((num_runs, width), dtype=bool)
+        column[:, 0] = True
+        self.col0 = _bits_to_limbs(column, self.nlimbs)
         self.group_views: List[List[ViewId]] = [[] for _ in range(system.n)]
         self.member_masks: Dict[object, List[object]] = {}
         self._groups_built = False
         n = system.n
+        self._tables: List[Dict[str, object]] = []
         self._idx: List[object] = [None] * n
         self._val: List[object] = [None] * n
         self._starts: List[List[int]] = [[] for _ in range(n)]
@@ -403,47 +434,30 @@ class ChunkedIndex:
         """A :class:`ChunkedAssignment` of this system around *limbs*."""
         return ChunkedAssignment(limbs, self.num_runs, self.width)
 
+    def pack_points(self, bits):
+        """A point-ordered bool array (``(runs, width)``) as limbs."""
+        return _bits_to_limbs(bits, self.nlimbs)
+
     # -- group tables ------------------------------------------------------
 
     def _ensure_groups(self) -> None:
         if self._groups_built:
             return
-        system = self.system
         with obs.stage("chunked_index"), trace.span(
             "chunked_index_groups", runs=self.num_runs
         ):
-            width = self.width
-            n = system.n
-            idx_acc: List[List[int]] = [[] for _ in range(n)]
-            val_acc: List[List[int]] = [[] for _ in range(n)]
-            starts: List[List[int]] = [[0] for _ in range(n)]
-            table = system.table
-            for view, points in system._state_index.items():
-                owner = table.info(view).processor
-                acc: Dict[int, int] = {}
-                for run_index, time in points:
-                    pos = run_index * width + time
-                    limb = pos >> 6
-                    acc[limb] = acc.get(limb, 0) | (1 << (pos & 63))
-                slot = len(self.group_views[owner])
-                self.view_owner[view] = owner
-                self.view_slot[view] = (owner, slot)
-                self.group_views[owner].append(view)
-                target_idx = idx_acc[owner]
-                target_val = val_acc[owner]
-                for limb in sorted(acc):
-                    target_idx.append(limb)
-                    target_val.append(acc[limb])
-                starts[owner].append(len(target_idx))
-            for p in range(n):
+            self._tables = group_tables(self.system.arrays().views)
+            for p, table in enumerate(self._tables):
                 # Group-table sweep size per processor: how many
                 # (limb, mask) entries a full knowledge sweep visits.
-                obs.observe("chunked_group_entries", len(idx_acc[p]))
-                self._starts[p] = starts[p]
-                self._idx[p] = np.array(idx_acc[p], dtype=np.int64)
-                self._val[p] = np.array(val_acc[p], dtype=np.uint64)
-                self._rstarts[p] = np.array(starts[p][:-1], dtype=np.int64)
-                self._sizes[p] = np.diff(np.array(starts[p], dtype=np.int64))
+                obs.observe("chunked_group_entries", table["entries"])
+                starts = table["starts"]
+                self._idx[p] = table["idx"]
+                self._val[p] = table["val"]
+                self._starts[p] = starts.tolist()
+                self._rstarts[p] = starts[:-1]
+                self._sizes[p] = np.diff(starts)
+                self.group_views[p] = table["gv"].tolist()
         self._groups_built = True
 
     def extend_points(self, extended: "System") -> "ChunkedIndex":
@@ -624,41 +638,6 @@ class ChunkedIndex:
         full_ids = np.flatnonzero(~any_notall).tolist()
         mixed_ids = np.flatnonzero(any_some & any_notall).tolist()
         return views, full_ids, mixed_ids
-
-    def first_times(self, limbs) -> List[Optional[int]]:
-        """Per run, the earliest set bit in the run's window (or None)."""
-        width = self.width
-        if width <= LIMB_BITS:
-            win = _extract_windows(limbs, self.num_runs, width)
-            times = np.full(self.num_runs, -1, np.int64)
-            for t in range(width - 1, -1, -1):
-                hit = (win >> np.uint64(t)) & np.uint64(1)
-                times = np.where(hit == np.uint64(1), t, times)
-            return [None if t < 0 else t for t in times.tolist()]
-        out: List[Optional[int]] = []
-        for run_index in range(self.num_runs):
-            bits = _window_int(limbs, run_index * width, width)
-            out.append(
-                None if not bits else (bits & -bits).bit_length() - 1
-            )
-        return out
-
-    # -- member masks ------------------------------------------------------
-
-    def pack_member_masks(self, members) -> List[object]:
-        """Per-processor limb buffer of points where the processor ∈ S."""
-        width = self.width
-        masks = [[0] * self.nlimbs for _ in range(self.system.n)]
-        for run_index, row in enumerate(members):
-            base = run_index * width
-            for time, cell in enumerate(row):
-                if cell:
-                    pos = base + time
-                    limb = pos >> 6
-                    bit = 1 << (pos & 63)
-                    for processor in cell:
-                        masks[processor][limb] |= bit
-        return [_array(buf) for buf in masks]
 
     # -- fixpoints ---------------------------------------------------------
 

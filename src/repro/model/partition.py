@@ -49,7 +49,7 @@ import numpy as np
 from .. import obs, trace
 from ..errors import ConfigurationError, EvaluationError
 from .adversary import exhaustive_adversary
-from .chunked import LIMB_BITS, LIMB_MASK
+from .chunked import LIMB_BITS, LIMB_MASK, _bits_to_limbs, group_tables
 from .failures import FailureMode
 
 #: Target group-table entries per limb block when no explicit shard size
@@ -72,17 +72,12 @@ def run_mask_to_limbs(mask: int, num_runs: int, width: int):
     Bit ``r`` of *mask* becomes the full ``width``-bit window of run
     ``r`` — the limb form of a run-level truth assignment.
     """
-    nbits = num_runs * width
-    nlimbs = max(1, (nbits + LIMB_BITS - 1) // LIMB_BITS)
+    nlimbs = max(1, (num_runs * width + LIMB_BITS - 1) // LIMB_BITS)
     data = mask.to_bytes((num_runs + 7) // 8 or 1, "little")
     bits = np.unpackbits(
         np.frombuffer(data, dtype=np.uint8), bitorder="little"
     )[:num_runs]
-    points = np.repeat(bits, width)
-    packed = np.packbits(points, bitorder="little")
-    buf = np.zeros(nlimbs * 8, np.uint8)
-    buf[: packed.size] = packed
-    return buf.view(np.uint64)
+    return _bits_to_limbs(np.repeat(bits, width), nlimbs)
 
 
 def bools_to_mask(values) -> int:
@@ -91,35 +86,118 @@ def bools_to_mask(values) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def cbox_mask_from_labels(labels, phi: int, num_runs: int) -> int:
-    """Run-level ``C□`` mask from component labels and run-level φ.
+def component_holds(labels, phi):
+    """Per run, whether run-level *phi* (bool per run) holds throughout
+    the run's component.
 
-    A run's bit is the AND of φ over its component; label ``-1`` (no
-    nonfaulty member occurrence in the run) is vacuously true — the
-    contract of
+    *labels* are component labels that are run indices (as
+    :func:`reachability_labels` and :func:`merge_component_labels`
+    give them); label ``-1`` (no member occurrence in the run) is
+    vacuously true — the contract of
     :func:`repro.knowledge.semantics.eval_continual_common_components`.
     """
+    labels = np.asarray(labels, dtype=np.int64)
+    labelled = labels >= 0
+    failed = np.zeros(labels.size, dtype=bool)
+    failed[labels[labelled & ~np.asarray(phi, dtype=bool)]] = True
+    holds = ~labelled
+    holds[labelled] = ~failed[labels[labelled]]
+    return holds
+
+
+def cbox_mask_from_labels(labels, phi: int, num_runs: int) -> int:
+    """Run-level ``C□`` mask from component labels and run-level φ
+    (both masks: bit ``r`` is run ``r``)."""
     data = phi.to_bytes((num_runs + 7) // 8 or 1, "little")
     phi_bits = np.unpackbits(
         np.frombuffer(data, dtype=np.uint8), bitorder="little"
-    )[:num_runs].astype(bool)
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.ones(num_runs, dtype=bool)
-    labeled = np.flatnonzero(labels >= 0)
-    if labeled.size:
-        lab = labels[labeled]
-        order = np.argsort(lab, kind="stable")
-        sorted_lab = lab[order]
-        sorted_phi = phi_bits[labeled][order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_lab[1:] != sorted_lab[:-1]))
-        )
-        group_ok = np.logical_and.reduceat(sorted_phi, starts)
-        ok_sorted = np.repeat(group_ok, np.diff(np.append(starts, lab.size)))
-        ok = np.empty(lab.size, dtype=bool)
-        ok[order] = ok_sorted
-        out[labeled] = ok
-    return bools_to_mask(out)
+    )[:num_runs]
+    return bools_to_mask(component_holds(labels, phi_bits))
+
+
+def sorted_unique(values):
+    """The distinct values of *values*, ascending (``np.unique``'s output).
+
+    Sorts and drops repeats: numpy 2's bare 1-D ``np.unique`` takes a
+    hash path that is 25–30x slower on large integer arrays.
+    """
+    ordered = np.sort(np.asarray(values).ravel())
+    if ordered.size > 1:
+        keep = np.empty(ordered.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+        ordered = ordered[keep]
+    return ordered
+
+
+def reachability_labels(num_runs: int, runs, nodes, num_nodes: int):
+    """Connected components of a run/node incidence (Corollary 3.3).
+
+    Incidence ``k`` joins run ``runs[k]`` to node ``nodes[k]`` (a local
+    state, or a state group); two runs are connected when they share a
+    node.  Min-label propagation with pointer jumping: a sweep hands each
+    node the smallest label of its runs and each run the smallest label
+    of its nodes, then every label jumps to its label's label until
+    stable; sweeps repeat until one changes nothing.  Returns per-run
+    labels — each component labelled by its smallest run — with ``-1``
+    for runs on no incidence.
+    """
+    runs = np.asarray(runs, dtype=np.int64)
+    nodes = np.asarray(nodes, dtype=np.int64)
+    labels = np.arange(num_runs, dtype=np.int64)
+    node_min = np.empty(num_nodes, dtype=np.int64)
+    while runs.size:
+        node_min.fill(num_runs)
+        np.minimum.at(node_min, nodes, labels[runs])
+        swept = labels.copy()
+        np.minimum.at(swept, runs, node_min[nodes])
+        jumped = swept[swept]
+        while (jumped != swept).any():
+            swept = jumped
+            jumped = swept[swept]
+        if (swept == labels).all():
+            break
+        labels = swept
+    touched = np.zeros(num_runs, dtype=bool)
+    touched[runs] = True
+    labels[~touched] = -1
+    return labels
+
+
+def first_fire_times(views, zero_flags, one_flags):
+    """First decisions of a decision pair, read off a view-id matrix.
+
+    *views* is ``(runs, width, n)``; the owner of a view decides 0 (1)
+    where *zero_flags* (*one_flags*), indexed by view id, is set.
+    Returns ``(value, time, tie)``, each ``(runs, n)``: the value of the
+    processor's first decision (``-1`` if it never enters either set;
+    ``0`` when both are first entered at once), its time, and whether
+    both sets were first entered at that time.
+    """
+    runs, width, n = views.shape
+    fz = np.full((runs, n), width, dtype=np.int64)
+    fo = np.full((runs, n), width, dtype=np.int64)
+    for level in range(width - 1, -1, -1):
+        column = views[:, level]
+        fz[zero_flags[column]] = level
+        fo[one_flags[column]] = level
+    time = np.minimum(fz, fo)
+    value = np.where(fz <= fo, 0, 1).astype(np.int8)
+    value[time == width] = -1
+    return value, time, (fz == fo) & (time < width)
+
+
+def fired_views(views, value, time) -> Tuple[List[int], List[int]]:
+    """The distinct views at which decisions of *value* / *time* (from
+    :func:`first_fire_times` over *views*) fire: ``(zero, one)`` sorted
+    trigger lists."""
+    at = np.take_along_axis(
+        views, np.minimum(time, views.shape[1] - 1)[:, None, :], axis=1
+    )[:, 0, :]
+    return (
+        sorted_unique(at[value == 0]).tolist(),
+        sorted_unique(at[value == 1]).tolist(),
+    )
 
 
 # -- the stored cell --------------------------------------------------------
@@ -489,6 +567,18 @@ class SystemArrays:
 
     # -- recall closure ----------------------------------------------------
 
+    def view_flags(self, views: Iterable[int]):
+        """Membership in *views* as a flag per view id of this cell.
+
+        Ids the cell does not number (a pair built over a larger shared
+        :class:`~repro.model.views.ViewTable`) are ignored: no point of
+        the cell holds them.
+        """
+        ids = np.fromiter(views, dtype=np.int64)
+        flags = np.zeros(self.num_views, dtype=bool)
+        flags[ids[(ids >= 0) & (ids < self.num_views)]] = True
+        return flags
+
     def recall_closure(self, trigger_views: Iterable[int]) -> List[int]:
         """Occurring views closed under recall over the triggers.
 
@@ -498,10 +588,7 @@ class SystemArrays:
         trigger.  Vectorized by time level — each level ORs in its
         parents' already-final flags.
         """
-        closed = np.zeros(self.num_views, dtype=bool)
-        triggers = np.asarray(sorted(set(trigger_views)), dtype=np.int64)
-        if triggers.size:
-            closed[triggers] = True
+        closed = self.view_flags(trigger_views)
         if self._time_levels is None:
             self._time_levels = [
                 np.flatnonzero(self.vtime == level)
@@ -525,60 +612,32 @@ class SystemArrays:
     ) -> Tuple[List[int], List[int]]:
         """First-firing trigger views of a pair over a run range.
 
-        The per-(run, processor) scan of ``e9.triggers`` — first time a
-        view falls in either set, zero winning simultaneous firings —
-        vectorized over the run range.
+        The views at which each ``(run, processor)`` of the range first
+        enters either set, zero winning simultaneous firings — the
+        :func:`first_fire_times` scan that
+        :class:`~repro.protocols.fip.FullInformationProtocol` reads its
+        decisions from.
         """
         start, stop = run_range
-        zflags = np.zeros(self.num_views, dtype=bool)
-        oflags = np.zeros(self.num_views, dtype=bool)
-        zlist = np.asarray(sorted(set(zeros)), dtype=np.int64)
-        olist = np.asarray(sorted(set(ones)), dtype=np.int64)
-        if zlist.size:
-            zflags[zlist] = True
-        if olist.size:
-            oflags[olist] = True
-        width = self.width
-        zero_triggers: set = set()
-        one_triggers: set = set()
-        block = self.views[start:stop]  # (range, width, n)
-        for processor in range(self.n):
-            vv = block[:, :, processor]
-            zhit = zflags[vv]
-            ohit = oflags[vv]
-            fz = np.where(zhit.any(axis=1), zhit.argmax(axis=1), width)
-            fo = np.where(ohit.any(axis=1), ohit.argmax(axis=1), width)
-            zfire = (fz < width) & (fz <= fo)
-            ofire = (fo < width) & (fo < fz)
-            if zfire.any():
-                rows = np.flatnonzero(zfire)
-                zero_triggers.update(vv[rows, fz[rows]].tolist())
-            if ofire.any():
-                rows = np.flatnonzero(ofire)
-                one_triggers.update(vv[rows, fo[rows]].tolist())
-        return sorted(zero_triggers), sorted(one_triggers)
+        block = self.views[start:stop]
+        value, time, _ = first_fire_times(
+            block, self.view_flags(zeros), self.view_flags(ones)
+        )
+        return fired_views(block, value, time)
 
     def first_decision(
         self, run_index: int, processor: int, zeros, ones
     ) -> Optional[Tuple[int, int]]:
         """First decision of *processor* in one run (0 wins ties)."""
-        zero_time = one_time = None
-        row = self.views[run_index]
-        for time in range(self.width):
-            view = int(row[time][processor])
-            if view in zeros:
-                zero_time = time
-            if view in ones:
-                one_time = time
-            if zero_time is not None or one_time is not None:
-                break
-        if zero_time is None and one_time is None:
+        column = self.views[run_index, :, processor]
+        value, time, _ = first_fire_times(
+            column[None, :, None],
+            self.view_flags(zeros),
+            self.view_flags(ones),
+        )
+        if value[0, 0] < 0:
             return None
-        if zero_time is not None and (
-            one_time is None or zero_time <= one_time
-        ):
-            return (0, zero_time)
-        return (1, one_time)
+        return (int(value[0, 0]), int(time[0, 0]))
 
 
 # -- limb blocks ------------------------------------------------------------
@@ -666,54 +725,12 @@ class LimbBlockPartition:
         with obs.stage("limb_partition_build"), trace.span(
             "limb_partition_build", runs=arrays.num_runs
         ):
-            width = arrays.width
-            tables: List[Dict[str, Any]] = []
-            for processor in range(arrays.n):
-                vv = arrays.views[:, :, processor].ravel().astype(np.int64)
-                order = np.argsort(vv, kind="stable")
-                sv = vv[order]
-                limb = order >> 6
-                bit = (order & 63).astype(np.uint64)
-                if sv.size == 0:
-                    tables.append(
-                        {
-                            "idx": np.zeros(0, np.int64),
-                            "val": np.zeros(0, np.uint64),
-                            "starts": np.zeros(1, np.int64),
-                            "gv": np.zeros(0, np.int64),
-                            "first_limb": np.zeros(0, np.int64),
-                            "entries": 0,
-                        }
-                    )
-                    continue
-                new_entry = np.empty(sv.size, dtype=bool)
-                new_entry[0] = True
-                new_entry[1:] = (sv[1:] != sv[:-1]) | (limb[1:] != limb[:-1])
-                entry_starts = np.flatnonzero(new_entry)
-                val = np.bitwise_or.reduceat(np.uint64(1) << bit, entry_starts)
-                idx = limb[entry_starts]
-                sv_entries = sv[entry_starts]
-                new_group = np.empty(sv_entries.size, dtype=bool)
-                new_group[0] = True
-                new_group[1:] = sv_entries[1:] != sv_entries[:-1]
-                group_first = np.flatnonzero(new_group)
-                starts = np.append(group_first, sv_entries.size)
-                tables.append(
-                    {
-                        "idx": idx,
-                        "val": val,
-                        "starts": starts,
-                        "gv": sv_entries[group_first],
-                        "first_limb": idx[group_first],
-                        "entries": int(idx.size),
-                    }
-                )
             return cls(
                 n=arrays.n,
                 num_runs=arrays.num_runs,
-                width=width,
+                width=arrays.width,
                 num_views=arrays.num_views,
-                tables=tables,
+                tables=group_tables(arrays.views),
                 num_blocks=num_blocks,
                 target_entries=target_entries,
                 arrays=arrays,
@@ -729,31 +746,12 @@ class LimbBlockPartition:
     ) -> "LimbBlockPartition":
         """Slice an existing :class:`ChunkedIndex`'s tables."""
         index._ensure_groups()
-        tables: List[Dict[str, Any]] = []
-        for processor in range(index.system.n):
-            idx = index._idx[processor]
-            starts = np.asarray(index._starts[processor], dtype=np.int64)
-            tables.append(
-                {
-                    "idx": idx,
-                    "val": index._val[processor],
-                    "starts": starts,
-                    "gv": np.asarray(
-                        index.group_views[processor], dtype=np.int64
-                    ),
-                    "first_limb": idx[starts[:-1]]
-                    if idx.size
-                    else np.zeros(0, np.int64),
-                    "entries": int(idx.size),
-                }
-            )
-        num_views = len(index.system.table)
         return cls(
             n=index.system.n,
             num_runs=index.num_runs,
             width=index.width,
-            num_views=num_views,
-            tables=tables,
+            num_views=len(index.system.table),
+            tables=index._tables,
             num_blocks=num_blocks,
             target_entries=target_entries,
         )
@@ -963,66 +961,17 @@ class LimbBlockPartition:
         if not pairs_group:
             obs.observe("partition_component_runs", 0)
             return [], []
-        grp = np.concatenate(pairs_group)
-        run = np.concatenate(pairs_run)
-        key = grp * np.int64(self.num_runs) + run
-        unique_key = np.unique(key)
-        grp = unique_key // self.num_runs
-        run = unique_key % self.num_runs
-        # label propagation on the bipartite (group, run) incidence:
-        # converges to the minimum touched run per connected component.
-        uruns, run_inv = np.unique(run, return_inverse=True)
-        order = np.argsort(grp, kind="stable")
-        run_inv_sorted = run_inv[order]
-        grp_sorted = grp[order]
-        gstarts = np.flatnonzero(
-            np.concatenate(([True], grp_sorted[1:] != grp_sorted[:-1]))
+        # Each view occurs at most once per run, so the (group, run)
+        # incidences are distinct.
+        labels = reachability_labels(
+            self.num_runs,
+            np.concatenate(pairs_run),
+            np.concatenate(pairs_group),
+            group_base,
         )
-        gcounts = np.diff(np.append(gstarts, grp_sorted.size))
-        labels = np.arange(uruns.size, dtype=np.int64)
-        while True:
-            gmin = np.minimum.reduceat(labels[run_inv_sorted], gstarts)
-            new_labels = labels.copy()
-            np.minimum.at(
-                new_labels, run_inv_sorted, np.repeat(gmin, gcounts)
-            )
-            if (new_labels == labels).all():
-                break
-            labels = new_labels
-        obs.observe("partition_component_runs", int(uruns.size))
-        return uruns.tolist(), uruns[labels].tolist()
-
-    def states_limbs(self, processor: int, block_id: int, state_flags):
-        """Occurrence mask of the block's groups with view ∈ Z.
-
-        The block slice of ``ChunkedIndex.states_mask``; OR-merged with
-        the other blocks' slices at the stage barrier.
-        """
-        gids, entry_sel, local_starts = self._block_entries(
-            processor, block_id
-        )
-        table = self.tables[processor]
-        out = np.zeros(self.nlimbs, np.uint64)
-        if gids.size == 0:
-            return out
-        gv = np.asarray(table["gv"])
-        in_z = state_flags[gv[gids]]
-        if not in_z.any():
-            return out
-        z_gids = gids[in_z]
-        starts = table["starts"]
-        counts = starts[z_gids + 1] - starts[z_gids]
-        total = int(counts.sum())
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(
-            np.int64
-        )
-        base = np.repeat(starts[z_gids], counts)
-        intra = np.arange(total, dtype=np.int64) - np.repeat(
-            offsets, counts
-        )
-        sel = base + intra
-        np.bitwise_or.at(out, table["idx"][sel], table["val"][sel])
-        return out
+        runs = np.flatnonzero(labels >= 0)
+        obs.observe("partition_component_runs", int(runs.size))
+        return runs.tolist(), labels[runs].tolist()
 
     def probe_believes(
         self, processor: int, view: int, pmask, phi
@@ -1104,7 +1053,7 @@ def merge_component_labels(
                 union(int(a), int(b))
     touched = np.flatnonzero(labels >= 0)
     if touched.size:
-        distinct = np.unique(labels[touched])
+        distinct = sorted_unique(labels[touched])
         mapping = {int(label): find(int(label)) for label in distinct}
         lookup = np.vectorize(mapping.__getitem__, otypes=[np.int64])
         labels[touched] = lookup(labels[touched])

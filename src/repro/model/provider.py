@@ -13,7 +13,7 @@ Every experiment and knowledge query funnels through one enumeration per
    ``.npz`` per cell holding its arrays.  Every load is validated against
    the requested cell (:meth:`~repro.model.partition.SystemArrays.validate`)
    and the ``System`` is materialized from the arrays
-   (:func:`repro.io.system_codec.system_from_arrays`);
+   (:func:`repro.io.system_codec.system_from_arrays`), which it keeps;
 3. on a full miss, an arrays-first build (:mod:`repro.model.fastbuild`),
    after which the ``.npz`` is written for the next process.
 
@@ -329,9 +329,7 @@ class SystemProvider:
                 obs.count("system_extends")
                 self._remember((mode.value, n, t, next_horizon), system)
             if self.disk_enabled:
-                from .partition import SystemArrays
-
-                self._store(key, SystemArrays.from_system(system))
+                self._store(key, system.arrays())
         return system
 
     def _remember(self, key: CacheKey, system: System) -> None:

@@ -5,7 +5,8 @@ A *system* ``R`` (paper, Section 2.3) is a set of runs; knowledge at a point
 has the same local state.  This module provides:
 
 * :class:`System` — the enumerated run set for one ``(n, t, mode, horizon)``
-  together with the state index that powers knowledge evaluation, and
+  together with its :class:`~repro.model.partition.SystemArrays`, from
+  which the knowledge evaluators' indexes are built, and
 * :class:`TruthAssignment` — a boolean valuation of all points of a system,
   the working currency of the formula evaluator.
 
@@ -340,7 +341,10 @@ class BitsetAssignment(TruthAssignment):
 class BitsetIndex:
     """Dense same-state group index powering the bitset kernel.
 
-    Precomputed once per system (lazily, on the first bitset evaluation):
+    Precomputed once per system (lazily, on the first bitset evaluation)
+    from the group tables of the system's view-id matrix
+    (:func:`repro.model.chunked.group_tables`), each group's mask
+    assembled from its limb entries:
 
     * ``groups[p]`` — for each distinct local state of processor ``p``, the
       bitmask of the points sharing that state.  ``K_p φ`` is then one
@@ -352,8 +356,8 @@ class BitsetIndex:
     * ``member_masks`` — per nonrigid-set cache key, the per-processor
       bitmask of points where the processor is a member (computed on demand
       by :mod:`repro.knowledge.semantics` and memoized here);
-    * ``view_owner`` — owning processor per occurring view id, shared by
-      the Corollary 3.3 reachability scan.
+    * ``view_masks`` / ``view_owner`` — each occurring view's mask and
+      owning processor, for decision-state extraction.
     """
 
     __slots__ = (
@@ -378,32 +382,21 @@ class BitsetIndex:
         column[:, 0] = True
         self.col0 = _bits_mask(column)
         self.run_block = (1 << width) - 1
-        self.groups: List[List[int]] = [[] for _ in range(system.n)]
+        self.groups: List[List[int]] = []
         self.view_masks: Dict[ViewId, int] = {}
         self.view_owner: Dict[ViewId, int] = {}
-        table = system.table
-        for view, points in system._state_index.items():
-            gmask = 0
-            for run_index, time in points:
-                gmask |= 1 << (run_index * width + time)
-            owner = table.info(view).processor
-            self.view_masks[view] = gmask
-            self.view_owner[view] = owner
-            self.groups[owner].append(gmask)
+        tables = _chunked().group_tables(system.arrays().views)
+        for processor, table in enumerate(tables):
+            masks = _group_masks(table)
+            views = table["gv"].tolist()
+            self.groups.append(masks)
+            self.view_masks.update(zip(views, masks))
+            self.view_owner.update(dict.fromkeys(views, processor))
         self.member_masks: Dict[object, List[int]] = {}
 
     def position(self, run_index: int, time: int) -> int:
         """Bit position of the point ``(run_index, time)``."""
         return run_index * self.width + time
-
-    def first_times(self, mask: int) -> List[Optional[int]]:
-        """Per run, the earliest set bit of *mask* in the run's window
-        (or ``None``) — one vectorized pass over all windows."""
-        bits = _mask_bits(mask, self.num_runs * self.width).reshape(
-            self.num_runs, self.width
-        )
-        first = np.where(bits.any(axis=1), bits.argmax(axis=1), -1)
-        return [None if time < 0 else time for time in first.tolist()]
 
     def spread_run_levels(self, run_bits: int) -> int:
         """Broadcast a col0-aligned per-run bit to the run's full window.
@@ -413,6 +406,39 @@ class BitsetIndex:
         each into ``width`` consecutive bits with no carry overlap.
         """
         return run_bits * self.run_block
+
+
+#: Groups with more limb entries than this are assembled through one
+#: dense buffer instead of entry by entry (each OR would copy the
+#: growing mask).
+_DENSE_GROUP_ENTRIES = 32
+
+
+def _group_masks(table) -> List[int]:
+    """Each group of a processor's group table as one point mask.
+
+    A group with few limb entries ORs its limbs' bits shifted into
+    place; a wider group is its limb span laid out densely and read as
+    one little-endian integer.
+    """
+    idx, val, starts = table["idx"], table["val"], table["starts"]
+    shifts = (idx << 6).tolist()
+    values = val.tolist()
+    bounds = starts.tolist()
+    masks: List[int] = []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start <= _DENSE_GROUP_ENTRIES:
+            mask = values[start] << shifts[start]
+            for k in range(start + 1, stop):
+                mask |= values[k] << shifts[k]
+            masks.append(mask)
+            continue
+        span = idx[start:stop]
+        low = int(span[0])
+        dense = np.zeros(int(span[-1]) - low + 1, dtype="<u8")
+        dense[span - low] = val[start:stop]
+        masks.append(int.from_bytes(dense.tobytes(), "little") << (low << 6))
+    return masks
 
 
 class System:
@@ -426,6 +452,12 @@ class System:
         horizon: Times ``0..horizon`` exist in every run.
         runs: The run list; order is deterministic.
         table: The shared view-interning table.
+
+    The system also carries its
+    :class:`~repro.model.partition.SystemArrays` (:meth:`arrays`), which
+    the evaluators' per-point structures — group tables, nonrigid
+    membership, reachability components, FIP decisions — are computed
+    from.
     """
 
     def __init__(
@@ -440,10 +472,15 @@ class System:
         indexes: Optional[
             Tuple[Dict[ViewId, List[Point]], Dict[ScenarioKey, int]]
         ] = None,
+        arrays=None,
     ) -> None:
         """*indexes* — the state and scenario indexes of *runs*, when the
         caller already has them (the arrays materializer builds both
-        vectorized); taken as given, without the per-point walk."""
+        vectorized); taken as given, without the per-point walk.
+        *arrays* — the system's
+        :class:`~repro.model.partition.SystemArrays`, when the caller
+        has them (the provider hands over the arrays it loaded or
+        built); otherwise :meth:`arrays` projects the runs once."""
         if not runs:
             raise ConfigurationError("a system needs at least one run")
         self.n = n
@@ -459,10 +496,11 @@ class System:
         self._state_index: Dict[ViewId, List[Point]] = indexes[0]
         self._scenario_index: Dict[ScenarioKey, int] = indexes[1]
         self._formula_cache: Dict[object, TruthAssignment] = {}
-        self._nonrigid_cache: Dict[object, List[List[FrozenSet[int]]]] = {}
+        self._nonrigid_cache: Dict[object, object] = {}
         self._components_cache: Dict[object, List[int]] = {}
         self._bitset_index: Optional[BitsetIndex] = None
         self._chunked_index: Optional[object] = None
+        self._arrays = arrays
         self._noted_kernels: set = set()
 
     # -- structure ---------------------------------------------------------
@@ -536,6 +574,22 @@ class System:
             f"runs={len(self.runs)}"
         )
 
+    def arrays(self):
+        """The system's :class:`~repro.model.partition.SystemArrays`.
+
+        Handed over by the provider for cached cells; any other system
+        is projected once, with
+        :meth:`~repro.model.partition.SystemArrays.from_system`, on
+        first use.
+        """
+        arrays = self._arrays
+        if arrays is None:
+            from .partition import SystemArrays
+
+            arrays = SystemArrays.from_system(self)
+            self._arrays = arrays
+        return arrays
+
     def bitset_index(self) -> BitsetIndex:
         """The dense same-state group index (built lazily, then shared)."""
         index = self._bitset_index
@@ -588,10 +642,9 @@ class System:
         self._formula_cache[key] = result
         return result
 
-    def cached_nonrigid(
-        self, key: object, compute: Callable[[], List[List[FrozenSet[int]]]]
-    ) -> List[List[FrozenSet[int]]]:
-        """Memoize a nonrigid set's member matrix under *key*."""
+    def cached_nonrigid(self, key: object, compute: Callable[[], object]):
+        """Memoize a nonrigid set's membership (array or member matrix)
+        under *key*."""
         existing = self._nonrigid_cache.get(key)
         if existing is not None:
             return existing

@@ -20,15 +20,17 @@ This module provides:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 from weakref import WeakValueDictionary
 
-from ..core.decision_sets import DecisionPair, close_under_recall
+import numpy as np
+
+from ..core.decision_sets import DecisionPair
 from ..core.outcomes import DecisionRecord, ProtocolOutcome, RunOutcome
 from ..errors import EvaluationError, ProtocolViolationError
 from ..knowledge.formulas import Formula
-from ..model import kernels
 from ..model.chunked import ChunkedAssignment
+from ..model.partition import fired_views, first_fire_times
 from ..model.system import BitsetAssignment, System
 from ..model.views import ViewId
 
@@ -56,115 +58,59 @@ class FullInformationProtocol:
 
     def __init__(self, pair: DecisionPair) -> None:
         self.pair = pair
-        self._first_times: Dict[
-            System, List[List[Tuple[Optional[int], Optional[int]]]]
-        ] = {}
+        self._fires: Dict[System, Tuple[np.ndarray, ...]] = {}
         self._sticky: Dict[System, DecisionPair] = {}
 
     @property
     def name(self) -> str:
         return self.pair.name
 
-    def _firing_table(
-        self, system: System
-    ) -> List[List[Tuple[Optional[int], Optional[int]]]]:
-        """First zero-/one-firing time per ``(run, processor)``.
+    def _first_fires(self, system: System) -> Tuple[np.ndarray, ...]:
+        """``(value, time, tie)`` of every ``(run, processor)``'s first
+        decision (see :func:`~repro.model.partition.first_fire_times`).
 
-        Scanned once per system and memoized on the protocol instance —
-        ``outcome``, ``sticky_pair`` and ``conflicts`` all read the same
-        table.  Under the packed kernels the scan is a union of same-state
-        occurrence masks followed by one vectorized lowest-set-bit
-        extraction over all run windows, instead of per-point
-        set-membership tests.
+        Read off the system's view-id matrix in one vectorized pass —
+        the scan the batch plan's trigger shards run — and memoized on
+        the protocol instance: ``decision_for``, ``outcome``,
+        ``conflicts`` and ``sticky_pair`` all read it.
         """
-        table = self._first_times.get(system)
-        if table is not None:
-            return table
-        num_runs = len(system.runs)
-        n = system.n
-        table = [
-            [(None, None)] * n for _ in range(num_runs)
-        ]  # type: List[List[Tuple[Optional[int], Optional[int]]]]
-        kernel = system.effective_kernel()
-        if kernel in (kernels.CHUNKED, kernels.BITSET):
-            zeros = self.pair.zeros
-            ones = self.pair.ones
-            if kernel == kernels.CHUNKED:
-                index = system.chunked_index()
-                masks = [
-                    (
-                        index.states_mask(processor, zeros),
-                        index.states_mask(processor, ones),
-                    )
-                    for processor in range(n)
-                ]
-            else:
-                index = system.bitset_index()
-                owners = index.view_owner
-                zero_masks = [0] * n
-                one_masks = [0] * n
-                for view, gmask in index.view_masks.items():
-                    owner = owners[view]
-                    if view in zeros:
-                        zero_masks[owner] |= gmask
-                    if view in ones:
-                        one_masks[owner] |= gmask
-                masks = list(zip(zero_masks, one_masks))
-            for processor, (zero_mask, one_mask) in enumerate(masks):
-                zero_times = index.first_times(zero_mask)
-                one_times = index.first_times(one_mask)
-                for run_index in range(num_runs):
-                    zero_time = zero_times[run_index]
-                    one_time = one_times[run_index]
-                    if zero_time is not None or one_time is not None:
-                        table[run_index][processor] = (zero_time, one_time)
-        else:
-            for run_index, run in enumerate(system.runs):
-                row = table[run_index]
-                for processor in range(n):
-                    zero_time: Optional[int] = None
-                    one_time: Optional[int] = None
-                    for time in range(system.horizon + 1):
-                        view = run.view(processor, time)
-                        if self.pair.decides_zero(view):
-                            zero_time = time
-                        if self.pair.decides_one(view):
-                            one_time = time
-                        if zero_time is not None or one_time is not None:
-                            break
-                    row[processor] = (zero_time, one_time)
-        self._first_times[system] = table
-        return table
+        fires = self._fires.get(system)
+        if fires is None:
+            arrays = system.arrays()
+            fires = first_fire_times(
+                arrays.views,
+                arrays.view_flags(self.pair.zeros),
+                arrays.view_flags(self.pair.ones),
+            )
+            self._fires[system] = fires
+        return fires
 
     def decision_for(
         self, system: System, run_index: int, processor: int
     ) -> DecisionRecord:
-        """``(value, time)`` of the processor's decision in a run, if any."""
-        zero_time, one_time = self._firing_table(system)[run_index][processor]
-        if zero_time is None and one_time is None:
+        """``(value, time)`` of the processor's decision in a run, if any
+        (simultaneous firing tie-broken in favour of 0, see class doc)."""
+        value, time, _ = self._first_fires(system)
+        decided = int(value[run_index, processor])
+        if decided < 0:
             return None
-        if zero_time is not None and one_time is not None:
-            # Tie-break simultaneous firing in favour of 0 (see class doc).
-            return (
-                (0, zero_time) if zero_time <= one_time else (1, one_time)
-            )
-        if zero_time is not None:
-            return (0, zero_time)
-        return (1, one_time)  # type: ignore[arg-type]
+        return (decided, int(time[run_index, processor]))
 
     def outcome(self, system: System) -> ProtocolOutcome:
         """Decisions of every processor in every run of *system*."""
+        value, time, _ = self._first_fires(system)
         result = ProtocolOutcome(self.name)
-        for run_index, run in enumerate(system.runs):
-            decisions: List[DecisionRecord] = [
-                self.decision_for(system, run_index, processor)
-                for processor in range(system.n)
-            ]
+        for run, values, times in zip(
+            system.runs, value.tolist(), time.tolist()
+        ):
             result.add(
                 RunOutcome(
                     config=run.config,
                     pattern=run.pattern,
-                    decisions=tuple(decisions),
+                    decisions=tuple(
+                        None if decided < 0 else (decided, at)
+                        for decided, at in zip(values, times)
+                    ),
                     horizon=system.horizon,
                 )
             )
@@ -173,19 +119,11 @@ class FullInformationProtocol:
     def conflicts(self, system: System) -> List[Tuple[int, int, int]]:
         """Points ``(run_index, processor, time)`` where both decision rules
         first fired simultaneously (tie-broken to 0)."""
-        found: List[Tuple[int, int, int]] = []
-        table = self._firing_table(system)
-        for run_index in range(len(system.runs)):
-            row = table[run_index]
-            for processor in range(system.n):
-                zero_time, one_time = row[processor]
-                if (
-                    zero_time is not None
-                    and one_time is not None
-                    and zero_time == one_time
-                ):
-                    found.append((run_index, processor, zero_time))
-        return found
+        _, time, tie = self._first_fires(system)
+        runs, processors = np.nonzero(tie)
+        return list(
+            zip(runs.tolist(), processors.tolist(), time[tie].tolist())
+        )
 
     def assert_no_nonfaulty_conflicts(self, system: System) -> None:
         """Raise unless every simultaneous-firing point belongs to a faulty
@@ -209,28 +147,21 @@ class FullInformationProtocol:
         asserted by tests as a sanity check.
 
         Memoized on the protocol instance per system (like
-        :meth:`_firing_table`): evaluation caches key on the sticky
-        pair's *token*, so phases of one process that both ask for it —
-        a batch plan's prepare hook and its finalize-time ``run()`` —
-        must see the same object.
+        :meth:`_first_fires`): evaluation caches key on the sticky pair's
+        *token*, so every caller in one process — an experiment and the
+        explanations of its verdicts (:mod:`repro.knowledge.explain`)
+        reading ``C□_{N∧Z}`` over it — must see the same object to share
+        its component labellings and belief verdicts.
         """
         memoized = self._sticky.get(system)
         if memoized is not None:
             return memoized
-        zero_triggers: List[ViewId] = []
-        one_triggers: List[ViewId] = []
-        for run_index, run in enumerate(system.runs):
-            for processor in range(system.n):
-                record = self.decision_for(system, run_index, processor)
-                if record is None:
-                    continue
-                value, time = record
-                view = run.view(processor, time)
-                (zero_triggers if value == 0 else one_triggers).append(view)
-        all_states = list(system.occurring_views())
+        arrays = system.arrays()
+        value, time, _ = self._first_fires(system)
+        zero_triggers, one_triggers = fired_views(arrays.views, value, time)
         sticky = DecisionPair(
-            close_under_recall(zero_triggers, all_states, system.table),
-            close_under_recall(one_triggers, all_states, system.table),
+            frozenset(arrays.recall_closure(zero_triggers)),
+            frozenset(arrays.recall_closure(one_triggers)),
             name=self.pair.name,
         )
         self._sticky[system] = sticky
@@ -322,10 +253,10 @@ def pair_from_formulas(
                             )
                     by_state[view] = value
             sink.extend(view for view, value in by_state.items() if value)
-    all_states = list(system.occurring_views())
+    arrays = system.arrays()
     return DecisionPair(
-        close_under_recall(zero_states, all_states, system.table),
-        close_under_recall(one_states, all_states, system.table),
+        frozenset(arrays.recall_closure(zero_states)),
+        frozenset(arrays.recall_closure(one_states)),
         name=name,
     )
 

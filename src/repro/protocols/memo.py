@@ -4,12 +4,15 @@
 counter, not content (two pairs with identical sets get *distinct* tokens
 on purpose, see ``tests/test_decision_sets.py``).  Rebuilding a pair
 therefore never shares evaluation caches with the first build.  That
-matters once pairs are constructed in separate phases of one process: a
-batch plan's ``prepare`` hook seeds ``C□_{N∧Z}`` component labellings and
-``B_i^N`` verdicts under the pair tokens its finalize-time ``run()`` must
-hit again.  The canonical factories therefore memoize per system — the
-same ``(factory, system)`` always returns the *same* pair objects, tokens
-included.
+matters whenever one process asks for the same pair twice: experiments
+that share a construction over one system (E5, E7, E8, E18 and E21
+all derive the ``F^Λ`` sequence), the ``explain`` catalog entries that
+rebuild an experiment's formulas over the same resident system, and the
+query daemon re-answering those entries — each must hit the
+``C□_{N∧Z}`` component labellings and ``B_i^N`` verdicts already cached
+under the first build's tokens.  The canonical factories therefore
+memoize per system — the same ``(factory, system)`` always returns the
+*same* pair objects, tokens included.
 
 Memoization is by system identity in a :class:`weakref.WeakKeyDictionary`;
 systems already anchor every evaluation cache, and dropping the last

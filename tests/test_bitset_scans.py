@@ -1,8 +1,9 @@
 """The bitset kernel's whole-mask conversions against per-run loops.
 
-``to_rows``, ``run_levels``, ``from_run_levels``, row packing, the
-``col0`` column and the per-run first-set-bit scan convert a point mask
-in one ``to_bytes``/``unpackbits`` (or ``packbits``/``from_bytes``) pass.
+``to_rows``, ``run_levels``, ``from_run_levels``, row packing and the
+``col0`` column convert a point mask in one ``to_bytes``/``unpackbits``
+(or ``packbits``/``from_bytes``) pass; the per-run first-set-bit scan is
+the first-fire scan over a view matrix.
 The loops below are the per-run shift-and-mask versions they replaced,
 kept as the oracle: randomized masks, run counts whose ``runs * width``
 is and is not a multiple of 8, and the all-zero and all-one masks.
@@ -14,12 +15,15 @@ import random
 
 import pytest
 
+import numpy as np
+
 from repro.model import kernels
 from repro.model.adversary import ExhaustiveCrashAdversary
+from repro.model.partition import first_fire_times
 from repro.model.system import (
     BitsetAssignment,
-    BitsetIndex,
     TruthAssignment,
+    _mask_bits,
     _pack_rows,
     build_system,
 )
@@ -121,12 +125,19 @@ def test_pack_rows(num_runs, width):
 
 @pytest.mark.parametrize("num_runs,width", SHAPES)
 def test_first_times(num_runs, width):
-    index = BitsetIndex.__new__(BitsetIndex)
-    index.num_runs, index.width = num_runs, width
+    """The per-run first-set-bit scan, now :func:`first_fire_times` over
+    a one-processor view matrix whose every point holds its own view:
+    the mask's bits are the zero set, the one set is empty."""
+    views = np.arange(num_runs * width).reshape(num_runs, width, 1)
+    never = np.zeros(num_runs * width, dtype=bool)
     for mask in masks(num_runs, width, seed=11 + num_runs):
-        assert index.first_times(mask) == loop_first_times(
-            mask, num_runs, width
-        )
+        bits = _mask_bits(mask, num_runs * width)
+        value, time, tie = first_fire_times(views, bits, never)
+        assert not tie.any()
+        assert [
+            int(at) if decided == 0 else None
+            for decided, at in zip(value[:, 0], time[:, 0])
+        ] == loop_first_times(mask, num_runs, width)
 
 
 #: 4 runs x width 3 (12 bits) and 152 runs x width 3 (456 bits).

@@ -504,6 +504,27 @@ class TestVerdictParity:
         assert_results_match(mono, sharded)
         assert sharded.data["kernel"] == kernel
 
+    @pytest.mark.parametrize("kernel", ["bitset", "chunked"])
+    def test_e9_proposition_cell(self, kernel, tmp_path, monkeypatch):
+        """The benchmark cell n=5, t=2, h=1 meets Proposition 6.3's
+        hypotheses (t > 1, n >= t + 2): every claim holds, monolithic and
+        on two workers alike.  (The reference kernel is too slow for
+        its 148,864 points.)"""
+        from repro.experiments.registry import run_experiment
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        with use_kernel(kernel):
+            mono = run_experiment("E9", n=5, t=2, horizon=1)
+            sharded = run_batch(
+                plan_for("E9", n=5, t=2, horizon=1),
+                workers=2,
+                checkpoint_root=str(tmp_path / "exec"),
+            )
+        assert mono.ok
+        assert mono.table.count("True") == 3
+        assert "False" not in mono.table
+        assert_results_match(mono, sharded)
+
     def test_e20_parity_exact(self, tmp_path):
         from repro.experiments.e20_scaling_gains import run as e20_run
 

@@ -475,8 +475,9 @@ class TestBlockComponentSeeding:
     @pytest.mark.parametrize("builder", ["crash", "omission"])
     def test_nonfaulty_partition_identical_to_monolithic(self, builder):
         from repro.knowledge.nonrigid import NONFAULTY
-        from repro.knowledge.semantics import _compute_components
         from repro.model.builder import crash_system, omission_system
+
+        from .oracles import components
 
         system = (crash_system if builder == "crash" else omission_system)(
             3, 1, 3
@@ -484,15 +485,16 @@ class TestBlockComponentSeeding:
         system.clear_caches()
         _seed_block_components(system, NONFAULTY)
         seeded = system._components_cache[NONFAULTY.cache_key()]
-        monolithic = _compute_components(system, NONFAULTY)
+        monolithic = components(system, NONFAULTY)
         assert induced_partition(seeded) == induced_partition(monolithic)
 
     def test_nonfaulty_and_deciding_partition_identical(self):
         from repro.core.construction import two_step_optimization
         from repro.core.decision_sets import empty_pair
         from repro.knowledge.nonrigid import nonfaulty_and_zeros
-        from repro.knowledge.semantics import _compute_components
         from repro.model.builder import crash_system
+
+        from .oracles import components
 
         system = crash_system(3, 1, 3)
         pair = two_step_optimization(system, empty_pair())[0]
@@ -500,7 +502,7 @@ class TestBlockComponentSeeding:
         system._components_cache.pop(nonrigid.cache_key(), None)
         _seed_block_components(system, nonrigid)
         seeded = system._components_cache[nonrigid.cache_key()]
-        monolithic = _compute_components(system, nonrigid)
+        monolithic = components(system, nonrigid)
         assert induced_partition(seeded) == induced_partition(monolithic)
 
     def test_continual_common_agrees_with_unseeded_evaluation(self):

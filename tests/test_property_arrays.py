@@ -1,0 +1,269 @@
+"""Differential property: the evaluators that read the view-id matrix
+against the per-point oracles of :mod:`tests.oracles`.
+
+Nonrigid membership, Corollary 3.3 components and ``FIP(Z, O)``
+decisions are computed from a system's
+:class:`~repro.model.partition.SystemArrays`.  The cells drawn here cover
+every way a system gets its arrays — handed over by the provider
+(exhaustive crash, omission and receive-omission cells), or projected on
+first use (a restricted pattern family, an explicit configuration
+subset, a one-round extension, and two systems interned into one shared
+:class:`~repro.model.views.ViewTable`).  In the shared-table case view
+ids are not dense, and the random decision pairs hold ids the evaluated
+system never sees: ids of the other system, some beyond the evaluated
+system's projected arrays.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.decision_sets import DecisionPair, close_under_recall
+from repro.knowledge.formulas import ContinualCommon, Exists, SetEmpty
+from repro.knowledge.nonrigid import (
+    EVERYONE,
+    NONFAULTY,
+    ConstantSet,
+    NonfaultyAndDeciding,
+)
+from repro.knowledge.semantics import (
+    _member_limbs,
+    _member_masks,
+    run_reachability_components,
+)
+from repro.model import kernels
+from repro.model.adversary import exhaustive_adversary
+from repro.model.builder import restricted_system
+from repro.model.config import all_configurations
+from repro.model.failures import FailureMode
+from repro.model.partition import reachability_labels
+from repro.model.provider import PROVIDER
+from repro.model.system import _mask_bits, build_system, extend_system
+from repro.model.views import ViewTable
+from repro.protocols.fip import FullInformationProtocol
+
+from . import oracles
+from .test_kernels import induced_partition
+
+#: ``(mode, n, t, horizon)`` of the exhaustive cells drawn (at most a few
+#: thousand points each).
+CELLS = [
+    (FailureMode.CRASH, 2, 1, 2),
+    (FailureMode.CRASH, 3, 1, 2),
+    (FailureMode.CRASH, 3, 2, 2),
+    (FailureMode.CRASH, 4, 1, 2),
+    (FailureMode.OMISSION, 2, 1, 2),
+    (FailureMode.OMISSION, 3, 1, 2),
+    (FailureMode.OMISSION, 4, 1, 1),
+    (FailureMode.RECEIVE_OMISSION, 2, 1, 2),
+    (FailureMode.RECEIVE_OMISSION, 3, 1, 2),
+    (FailureMode.RECEIVE_OMISSION, 4, 1, 1),
+]
+
+KINDS = ("exhaustive", "restricted", "configs", "extended", "shared")
+
+
+@st.composite
+def cells(draw):
+    """``(system, pool)``: a system and the view ids its decision pairs
+    are drawn from (the ids of every system sharing its table)."""
+    kind = draw(st.sampled_from(KINDS))
+    mode, n, t, horizon = draw(
+        st.sampled_from(
+            [cell for cell in CELLS if kind != "extended" or cell[3] == 2]
+        )
+    )
+    if kind == "exhaustive":
+        system = PROVIDER.get(mode, n, t, horizon)
+        return system, sorted(system.occurring_views())
+    if kind == "restricted":
+        patterns = list(exhaustive_adversary(mode, n, t, horizon).patterns())
+        chosen = draw(
+            st.lists(
+                st.sampled_from(patterns[1:]), min_size=1, unique=True
+            )
+        )
+        system = restricted_system(mode, n, t, horizon, chosen)
+        return system, sorted(system.occurring_views())
+    if kind == "configs":
+        configs = list(all_configurations(n))
+        chosen = draw(
+            st.lists(st.sampled_from(configs), min_size=1, unique=True)
+        )
+        adversary = exhaustive_adversary(mode, n, t, horizon)
+        system = build_system(adversary, configs=chosen)
+        return system, sorted(system.occurring_views())
+    if kind == "extended":
+        base = PROVIDER.get(mode, n, t, 1)
+        system = extend_system(base, exhaustive_adversary(mode, n, t, 2))
+        return system, sorted(system.occurring_views())
+    # Two systems in one table: the evaluated one is interned second, or
+    # first and projected before the other grows the table past it.
+    table = ViewTable()
+    other_mode = draw(
+        st.sampled_from(
+            [m for m in (FailureMode.CRASH, FailureMode.OMISSION)
+             if m is not mode]
+        )
+    )
+    first = build_system(
+        exhaustive_adversary(other_mode, n, t, horizon), table=table
+    )
+    if draw(st.booleans()):
+        first.arrays()
+        second = build_system(
+            exhaustive_adversary(mode, n, t, horizon), table=table
+        )
+        system, other = first, second
+    else:
+        second = build_system(
+            exhaustive_adversary(mode, n, t, horizon), table=table
+        )
+        system, other = second, first
+    pool = sorted(
+        set(system.occurring_views()) | set(other.occurring_views())
+    )
+    return system, pool
+
+
+@st.composite
+def pairs(draw, system, pool):
+    """A random recall-closed pair over *pool*; its one-triggers share
+    some zero-triggers, so simultaneous first firings occur."""
+    views = st.sampled_from(pool)
+    zero_triggers = draw(st.sets(views, max_size=12))
+    shared = draw(
+        st.sets(st.sampled_from(sorted(zero_triggers) or pool), max_size=3)
+    )
+    one_triggers = draw(st.sets(views, max_size=12)) | shared
+    return DecisionPair(
+        close_under_recall(zero_triggers, pool, system.table),
+        close_under_recall(one_triggers, pool, system.table),
+    )
+
+
+def check_membership(system, nonrigid, kernel):
+    expected = oracles.members_matrix(system, nonrigid)
+    assert nonrigid.members_matrix(system) == expected
+    member = nonrigid.membership(system)
+    assert member.shape == (len(system.runs), system.horizon + 1, system.n)
+    rows = [
+        [[p in cell for p in range(system.n)] for cell in row]
+        for row in expected
+    ]
+    assert member.tolist() == rows
+    assert nonrigid.always_empty(system) == (not member.any())
+    empty = [[not cell for cell in row] for row in expected]
+    assert SetEmpty(nonrigid).evaluate(system).to_rows() == empty
+    points = len(system.runs) * (system.horizon + 1)
+    for processor in range(system.n):
+        wanted = [
+            processor in cell for row in expected for cell in row
+        ]
+        if kernel == kernels.BITSET:
+            mask = _member_masks(system, system.bitset_index(), nonrigid)
+            got = _mask_bits(mask[processor], points).tolist()
+        elif kernel == kernels.CHUNKED:
+            limbs = _member_limbs(system, system.chunked_index(), nonrigid)
+            got = np.unpackbits(
+                limbs[processor].view(np.uint8), bitorder="little"
+            )[:points].astype(bool).tolist()
+        else:
+            continue
+        assert got == wanted, (kernel, processor)
+
+
+def check_components(system, nonrigid):
+    labels = run_reachability_components(system, nonrigid)
+    expected = oracles.components(system, nonrigid)
+    assert induced_partition(labels) == induced_partition(expected)
+    # Each component is labelled by its smallest run.
+    for run_index, label in enumerate(labels):
+        assert label == -1 or label <= run_index
+        assert label == -1 or labels[label] == label
+    exists1 = [1 in run.config.values for run in system.runs]
+    ok = {}
+    for run_index, label in enumerate(expected):
+        if label != -1:
+            ok[label] = ok.get(label, True) and exists1[run_index]
+    width = system.horizon + 1
+    wanted = [
+        [label == -1 or ok[label]] * width for label in expected
+    ]
+    cbox = ContinualCommon(nonrigid, Exists(1)).evaluate(system)
+    assert cbox.to_rows() == wanted
+
+
+def check_fip(system, pair):
+    protocol = FullInformationProtocol(pair)
+    times = oracles.first_times(system, pair)
+    for run_index in range(len(system.runs)):
+        for processor in range(system.n):
+            assert protocol.decision_for(
+                system, run_index, processor
+            ) == oracles.decision_for(times, run_index, processor)
+    outcome = protocol.outcome(system)
+    for run_index, run in enumerate(system.runs):
+        decisions = outcome.get((run.config, run.pattern)).decisions
+        assert list(decisions) == [
+            oracles.decision_for(times, run_index, processor)
+            for processor in range(system.n)
+        ]
+    assert protocol.conflicts(system) == oracles.conflicts(times)
+    sticky = protocol.sticky_pair(system)
+    assert (sticky.zeros, sticky.ones) == oracles.sticky_pair(system, pair)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_arrays_paths_match_oracles(data):
+    system, pool = data.draw(cells())
+    pair = data.draw(pairs(system, pool))
+    group = frozenset(
+        data.draw(st.sets(st.integers(0, system.n - 1), max_size=system.n))
+    )
+    sets = [
+        NONFAULTY,
+        EVERYONE,
+        ConstantSet(group),
+        NonfaultyAndDeciding(pair, "zeros"),
+        NonfaultyAndDeciding(pair, "ones"),
+    ]
+    for kernel in kernels.KERNELS:
+        with kernels.use_kernel(kernel):
+            for nonrigid in sets:
+                check_membership(system, nonrigid, kernel)
+                check_components(system, nonrigid)
+            check_fip(system, pair)
+
+
+@given(
+    num_runs=st.integers(1, 24),
+    edges=st.lists(
+        st.tuples(st.integers(0, 23), st.integers(0, 11)), max_size=40
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_reachability_labels_match_union_find(num_runs, edges):
+    """Min-label propagation on random sparse incidences — chains whose
+    middle runs have larger indices than their ends take several
+    sweeps — against the union-find oracle: same partition, each
+    component labelled by its smallest run, ``-1`` off the incidence."""
+    edges = [(run % num_runs, node) for run, node in edges]
+    runs = [run for run, _ in edges]
+    nodes = [node for _, node in edges]
+    labels = reachability_labels(num_runs, runs, nodes, 12).tolist()
+    uf = oracles.UnionFind(num_runs)
+    anchor = {}
+    for run, node in edges:
+        uf.union(anchor.setdefault(node, run), run)
+    touched = set(runs)
+    smallest = {}
+    for run in sorted(touched):
+        smallest.setdefault(uf.find(run), run)
+    assert labels == [
+        smallest[uf.find(run)] if run in touched else -1
+        for run in range(num_runs)
+    ]

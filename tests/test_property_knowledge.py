@@ -24,10 +24,10 @@ from repro.knowledge.formulas import (
     Or,
 )
 from repro.knowledge.nonrigid import NONFAULTY, NonfaultyAndDeciding
-from repro.knowledge.semantics import _compute_components
 from repro.model import kernels
 from repro.model.builder import crash_system, omission_system
 
+from . import oracles
 from .test_kernels import (
     block_component_labels,
     cell_partition,
@@ -204,5 +204,5 @@ def test_corollary_3_3_on_random_cells(case, target_entries):
 
     partition = cell_partition(system, target_entries=target_entries)
     welded = block_component_labels(partition, nonrigid)
-    monolithic = _compute_components(system, nonrigid)
+    monolithic = oracles.components(system, nonrigid)
     assert induced_partition(welded) == induced_partition(monolithic)
