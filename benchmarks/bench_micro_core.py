@@ -11,8 +11,6 @@ checker or the simulator show up directly:
 * simulator throughput for the concrete protocols.
 """
 
-import time
-
 import pytest
 
 from repro import trace
@@ -29,6 +27,8 @@ from repro.model.builder import crash_system, omission_system
 from repro.model.system import build_system
 from repro.protocols.p0opt import p0opt
 from repro.sim.engine import run_over_scenarios
+
+from conftest import best_enabled_disabled
 
 
 def test_enumerate_crash_system_n4(benchmark):
@@ -92,22 +92,16 @@ def test_tracing_overhead_within_5_percent():
     def workload():
         return build_system(ExhaustiveCrashAdversary(4, 1, 3))
 
-    def measure(rounds=3):
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            workload()
-            best = min(best, time.perf_counter() - start)
-        return best
+    def switch(on):
+        trace.TRACER.enabled = on
 
     workload()  # warm imports and allocator
     assert trace.TRACER.enabled
-    enabled_seconds = measure()
-    trace.TRACER.enabled = False
     try:
-        disabled_seconds = measure()
+        enabled_seconds, disabled_seconds = best_enabled_disabled(
+            workload, switch
+        )
     finally:
-        trace.TRACER.enabled = True
         trace.TRACER.clear()
 
     assert enabled_seconds <= disabled_seconds * 1.05, (
@@ -125,22 +119,14 @@ def test_instrumentation_overhead_within_5_percent():
     def workload():
         return build_system(ExhaustiveCrashAdversary(4, 1, 3))
 
-    def measure(rounds=3):
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            workload()
-            best = min(best, time.perf_counter() - start)
-        return best
+    def switch(on):
+        obs.OBS.enabled = on
 
     workload()  # warm imports and allocator
     assert obs.OBS.enabled
-    enabled_seconds = measure()
-    obs.OBS.enabled = False
-    try:
-        disabled_seconds = measure()
-    finally:
-        obs.OBS.enabled = True
+    enabled_seconds, disabled_seconds = best_enabled_disabled(
+        workload, switch
+    )
 
     assert enabled_seconds <= disabled_seconds * 1.05, (
         f"instrumentation overhead "

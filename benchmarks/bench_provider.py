@@ -21,6 +21,8 @@ from repro.model.failures import FailureMode
 from repro.model.provider import SystemProvider
 from repro.model.system import build_system
 
+from conftest import best_enabled_disabled
+
 
 def test_provider_warm_path_speedup(tmp_path):
     """Acceptance: repeated build of crash n=5, t=2 must be >=5x faster."""
@@ -66,21 +68,13 @@ def test_instrumentation_overhead_within_5_percent():
     def workload():
         return build_system(ExhaustiveOmissionAdversary(3, 1, 3))
 
-    def measure(rounds=3):
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            workload()
-            best = min(best, time.perf_counter() - start)
-        return best
+    def switch(on):
+        obs.OBS.enabled = on
 
     workload()  # warm imports and allocator
-    enabled_seconds = measure()
-    obs.OBS.enabled = False
-    try:
-        disabled_seconds = measure()
-    finally:
-        obs.OBS.enabled = True
+    enabled_seconds, disabled_seconds = best_enabled_disabled(
+        workload, switch
+    )
 
     assert enabled_seconds <= disabled_seconds * 1.05, (
         f"instrumentation overhead "

@@ -12,6 +12,9 @@ run spaces.  The reproduced tables are attached to the benchmark's
 
 from __future__ import annotations
 
+import gc
+import time
+
 from repro import obs
 from repro.experiments.framework import attach_instrumentation
 
@@ -30,3 +33,34 @@ def run_experiment_benchmark(benchmark, runner, **params):
     benchmark.extra_info["instrumentation"] = result.data["instrumentation"]
     assert result.ok, result.render()
     return result
+
+
+#: Timed runs per side of an instrumentation-overhead gate.
+OVERHEAD_ROUNDS = 9
+
+
+def best_enabled_disabled(workload, switch):
+    """Best wall time of *workload* over :data:`OVERHEAD_ROUNDS` runs
+    with some instrumentation on, and as many with it off:
+    ``(enabled_seconds, disabled_seconds)``.
+
+    ``switch(on)`` turns the instrumentation on or off.  Enabled and
+    disabled runs alternate, each round swapping which side goes first,
+    so drift in the machine's speed reaches both sides alike instead of
+    reading as overhead, and every run starts from a collected heap, so
+    the cyclic collector's full passes land on neither side.  The
+    instrumentation is left on.
+    """
+    best = {True: float("inf"), False: float("inf")}
+    try:
+        for round_index in range(OVERHEAD_ROUNDS):
+            order = (True, False) if round_index % 2 == 0 else (False, True)
+            for enabled in order:
+                switch(enabled)
+                gc.collect()
+                start = time.perf_counter()
+                workload()
+                best[enabled] = min(best[enabled], time.perf_counter() - start)
+    finally:
+        switch(True)
+    return best[True], best[False]

@@ -254,6 +254,13 @@ def _print_stats() -> None:
         f"{info['disk_prunes']} stale file(s) pruned, "
         f"{info['disk_stale']} stale on disk"
     )
+    counters = obs.snapshot()["counters"]
+    print(
+        f"  degraded: {counters.get('arrays_cache_repairs', 0)} "
+        f"arrays_cache_repairs, "
+        f"{counters.get('provider_extend_fallbacks', 0)} "
+        f"provider_extend_fallbacks"
+    )
     print(f"  kernel: {active_kernel()} (selected)")
     selections = kernel_selections()
     if selections:

@@ -1,5 +1,5 @@
 """Serialization: JSON export/import of outcomes and results, and
-materialization of stored systems."""
+stored systems as lazy views over their arrays."""
 
 from .export import (
     FORMAT_VERSION,

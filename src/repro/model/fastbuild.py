@@ -26,7 +26,7 @@ cached exhaustive cell, which is stored as its
 The builder covers what the provider caches: exhaustive crash /
 sending-omission / receive-omission adversaries over the full initial
 configuration list — every cached cell is built here, and its ``System``
-is materialized from the arrays (:mod:`repro.io.system_codec`).
+is a view over the arrays (:mod:`repro.io.system_codec`).
 Restricted and explicit adversaries go through ``build_system``.
 """
 

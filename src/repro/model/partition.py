@@ -12,8 +12,8 @@ group tables.  This module closes that gap with two pieces:
   sets, delivery tensors).  It carries everything the sharded knowledge
   sweeps need, and it is the one stored form of a cached cell: one
   versioned ``.npz`` per cell, managed by
-  :class:`~repro.model.provider.SystemProvider`, from which
-  :mod:`repro.io.system_codec` materializes the ``System``.  Scenario
+  :class:`~repro.model.provider.SystemProvider`, over which
+  :mod:`repro.io.system_codec` wraps the ``System``.  Scenario
   lookup (``run_index_of``) matches the *observable* run content —
   initial values, nonfaulty set, delivery tensor — which identifies a
   run uniquely under the canonical adversaries.
@@ -674,13 +674,11 @@ class LimbBlock:
 class LimbBlockPartition:
     """Group tables of a chunked index, cut into limb blocks.
 
-    Built either from :class:`SystemArrays` (vectorized, no
-    :class:`System` required — the exec path) or from an existing
-    :class:`~repro.model.chunked.ChunkedIndex` (differential tests).
-    Per-processor tables mirror the index: ``idx[p]`` limb indices,
-    ``val[p]`` limb values, ``starts[p]`` group boundaries, ``gv[p]``
-    the view id behind each group.  Blocks partition groups by first
-    entry limb, balanced by entry count.
+    Built from :class:`SystemArrays` (vectorized, no :class:`System`
+    required — the exec path).  Per-processor tables mirror the index:
+    ``idx[p]`` limb indices, ``val[p]`` limb values, ``starts[p]`` group
+    boundaries, ``gv[p]`` the view id behind each group.  Blocks
+    partition groups by first entry limb, balanced by entry count.
     """
 
     def __init__(
@@ -735,26 +733,6 @@ class LimbBlockPartition:
                 target_entries=target_entries,
                 arrays=arrays,
             )
-
-    @classmethod
-    def from_index(
-        cls,
-        index,
-        *,
-        num_blocks: Optional[int] = None,
-        target_entries: Optional[int] = None,
-    ) -> "LimbBlockPartition":
-        """Slice an existing :class:`ChunkedIndex`'s tables."""
-        index._ensure_groups()
-        return cls(
-            n=index.system.n,
-            num_runs=index.num_runs,
-            width=index.width,
-            num_views=len(index.system.table),
-            tables=index._tables,
-            num_blocks=num_blocks,
-            target_entries=target_entries,
-        )
 
     # -- block layout ------------------------------------------------------
 

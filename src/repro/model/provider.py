@@ -12,8 +12,10 @@ Every experiment and knowledge query funnels through one enumeration per
    ``REPRO_CACHE_DIR`` env var, disable with ``REPRO_DISK_CACHE=0``): one
    ``.npz`` per cell holding its arrays.  Every load is validated against
    the requested cell (:meth:`~repro.model.partition.SystemArrays.validate`)
-   and the ``System`` is materialized from the arrays
-   (:func:`repro.io.system_codec.system_from_arrays`), which it keeps;
+   and the ``System`` is a view over the arrays
+   (:func:`repro.io.system_codec.system_from_arrays`): a load builds no
+   ``Run`` and no ``ViewTable``; the system builds them the first time
+   something reads them;
 3. on a full miss, an arrays-first build (:mod:`repro.model.fastbuild`),
    after which the ``.npz`` is written for the next process.
 
@@ -234,8 +236,9 @@ class SystemProvider:
     ) -> System:
         """The exhaustive system for the cell, through the cache layers.
 
-        A miss loads or builds the cell's arrays and materializes the
-        system from them.  ``configs`` subsets and ``use_cache=False``
+        A miss loads or builds the cell's arrays and wraps them as the
+        system, whose runs and view table are built only when something
+        reads them.  ``configs`` subsets and ``use_cache=False``
         bypass every layer and enumerate the object graph fresh through
         ``build_system``.
         """
@@ -263,10 +266,7 @@ class SystemProvider:
                 lookup_span.set("source", "disk")
             from ..io.system_codec import system_from_arrays
 
-            with obs.stage("materialize_system"), trace.span(
-                "materialize_system", runs=arrays.num_runs
-            ):
-                system = system_from_arrays(arrays)
+            system = system_from_arrays(arrays)
         self._remember(key, system)
         return system
 
@@ -284,7 +284,7 @@ class SystemProvider:
         LRU, so a streaming monitor advancing one round at a time always
         extends from the previous round.  Only the target cell is written
         to disk, as its arrays.  With no shallower cell cached this
-        degrades to :meth:`get`.
+        degrades to :meth:`get`, counted as ``provider_extend_fallbacks``.
         """
         key: CacheKey = (mode.value, n, t, horizon)
         with self._lock:
@@ -310,6 +310,7 @@ class SystemProvider:
                 base_horizon = h0
                 break
         if base is None:
+            obs.count("provider_extend_fallbacks")
             return self.get(mode, n, t, horizon)
         with self._lock:
             self._misses += 1

@@ -80,7 +80,7 @@ class ViewTable:
 
         No interning checks run: the caller guarantees what
         :meth:`extend` would (dense ids, references to smaller ids only,
-        consistent owners and times).  The arrays materializer
+        consistent owners and times).  A loaded system's table builder
         (:mod:`repro.io.system_codec`) relies on
         :meth:`~repro.model.partition.SystemArrays.validate` for that.
         """

@@ -100,13 +100,13 @@ class FullInformationProtocol:
         """Decisions of every processor in every run of *system*."""
         value, time, _ = self._first_fires(system)
         result = ProtocolOutcome(self.name)
-        for run, values, times in zip(
-            system.runs, value.tolist(), time.tolist()
+        for (config, pattern), values, times in zip(
+            system.scenarios(), value.tolist(), time.tolist()
         ):
             result.add(
                 RunOutcome(
-                    config=run.config,
-                    pattern=run.pattern,
+                    config=config,
+                    pattern=pattern,
                     decisions=tuple(
                         None if decided < 0 else (decided, at)
                         for decided, at in zip(values, times)
@@ -128,9 +128,10 @@ class FullInformationProtocol:
     def assert_no_nonfaulty_conflicts(self, system: System) -> None:
         """Raise unless every simultaneous-firing point belongs to a faulty
         processor (Proposition 4.1(a) forbids nonfaulty conflicts)."""
+        nonfaulty = system.arrays().nonfaulty
         for run_index, processor, time in self.conflicts(system):
-            run = system.runs[run_index]
-            if run.is_nonfaulty(processor):
+            if nonfaulty[run_index, processor]:
+                run = system.runs[run_index]
                 raise ProtocolViolationError(
                     f"{self.name}: nonfaulty processor {processor} would "
                     f"decide both values at time {time} of run "

@@ -6,6 +6,9 @@ FIP first decisions in vectorized passes over a system's
 per-point walks over the object graph (runs, the same-state index, the
 view table) that those passes replaced, kept as the differential oracle:
 
+* :func:`state_index`, :func:`scenario_index` — the per-point and
+  per-run walks that ``System.same_state_points`` and
+  ``System.run_index_for`` replace;
 * :func:`members_matrix` — the member-matrix scatters of ``N``,
   ``EVERYONE``, constant sets and ``N ∧ A``;
 * :func:`components` — the Corollary 3.3 union-find over the same-state
@@ -17,7 +20,7 @@ view table) that those passes replaced, kept as the differential oracle:
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.decision_sets import DecisionPair, close_under_recall
 from repro.knowledge.nonrigid import (
@@ -29,6 +32,25 @@ from repro.knowledge.nonrigid import (
 )
 
 Matrix = List[List[FrozenSet[int]]]
+
+
+# -- indexes ------------------------------------------------------------------
+
+
+def state_index(system) -> Dict[int, List[Tuple[int, int]]]:
+    """View id -> the points holding it, both in scan order (run, time,
+    processor)."""
+    index: Dict[int, List[Tuple[int, int]]] = {}
+    for run_index, run in enumerate(system.runs):
+        for time, row in enumerate(run.views):
+            for view in row:
+                index.setdefault(view, []).append((run_index, time))
+    return index
+
+
+def scenario_index(system) -> Dict[tuple, int]:
+    """``(config, pattern)`` -> run index."""
+    return {run.scenario_key(): index for index, run in enumerate(system.runs)}
 
 
 # -- nonrigid membership ------------------------------------------------------
@@ -51,7 +73,7 @@ def members_matrix(system, nonrigid: NonrigidSet) -> Matrix:
         states = pair.zeros if nonrigid.which == "zeros" else pair.ones
         empty: FrozenSet[int] = frozenset()
         matrix = [[empty] * width for _ in system.runs]
-        for view, points in system._state_index.items():
+        for view, points in state_index(system).items():
             if view not in states:
                 continue
             owner = system.table.info(view).processor
@@ -101,7 +123,7 @@ def components(system, nonrigid: NonrigidSet) -> List[int]:
     members = members_matrix(system, nonrigid)
     uf = UnionFind(len(system.runs))
     has_occurrence = [False] * len(system.runs)
-    for view, points in system._state_index.items():
+    for view, points in state_index(system).items():
         owner = system.table.info(view).processor
         anchor = -1
         for run_index, time in points:

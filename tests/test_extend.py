@@ -30,6 +30,7 @@ from repro.model.provider import SystemProvider
 from repro.model.system import build_system, extend_system
 
 from .test_fastbuild import assert_arrays_byte_identical
+from .test_provider import assert_indexes_match
 
 
 def build(mode, n, t, horizon):
@@ -57,8 +58,8 @@ def assert_systems_identical(actual, expected):
         assert mine.views == theirs.views
         assert mine.nonfaulty == theirs.nonfaulty
         assert mine.deliveries == theirs.deliveries
-    assert actual._scenario_index == expected._scenario_index
-    assert actual._state_index == expected._state_index
+    assert_indexes_match(actual, expected)
+    assert_indexes_match(expected, expected)
 
 
 class TestTruncatePattern:
@@ -282,6 +283,20 @@ class TestProviderExtend:
             FailureMode.CRASH, 3, 1, 2
         )
         assert_systems_identical(system, fresh)
+
+    def test_fallback_to_get_counted(self, tmp_path):
+        from repro import obs
+
+        def fallbacks():
+            counters = obs.snapshot()["counters"]
+            return counters.get("provider_extend_fallbacks", 0)
+
+        provider = SystemProvider(cache_dir=str(tmp_path))
+        before = fallbacks()
+        provider.extend(FailureMode.CRASH, 3, 1, 2)
+        assert fallbacks() == before + 1
+        provider.extend(FailureMode.CRASH, 3, 1, 3)
+        assert fallbacks() == before + 1
 
 
 class TestChunkedExtendPoints:

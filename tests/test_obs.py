@@ -320,4 +320,6 @@ class TestCliStats:
         out = capsys.readouterr().out
         assert "instrumentation (this process):" in out
         assert "system cache:" in out
+        assert "arrays_cache_repairs" in out
+        assert "provider_extend_fallbacks" in out
         assert "disk cache inventory" in out
