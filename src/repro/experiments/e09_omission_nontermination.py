@@ -140,7 +140,7 @@ def run(n: int = 4, t: int = 2, horizon: int = 2) -> ExperimentResult:
     # Only the witness run's decisions matter (the batch plan's assemble
     # stage reads the same ones).
     target_index = system.run_index_for(*witness_target(n, horizon))
-    target_nonfaulty = sorted(system.runs[target_index].nonfaulty)
+    target_nonfaulty = system.arrays().nonfaulty_of(target_index)
     nobody_decides = all(
         protocol.decision_for(system, target_index, processor) is None
         for processor in target_nonfaulty
