@@ -644,8 +644,12 @@ def _cmd_compare(names: List[str], mode: str, n: int, t: int) -> int:
     from .model.failures import FailureMode
     from .protocols.registry import outcome_for
 
-    system = system_for(FailureMode(mode), n, t)
-    outcomes = [outcome_for(name, system) for name in names]
+    try:
+        system = system_for(FailureMode(mode), n, t)
+        outcomes = [outcome_for(name, system) for name in names]
+    except ReproError as error:
+        print(f"repro-eba: {error}", file=sys.stderr)
+        return 2
     rows = []
     for outcome in outcomes:
         stats = decision_time_stats(outcome)

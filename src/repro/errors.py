@@ -56,6 +56,7 @@ class UnsupportedModeError(ReproError):
     """An operation was requested for a failure mode it does not support.
 
     For example the :class:`~repro.protocols.flood_sba.FloodSBA` baseline is
-    only sound for crash failures; running it under omission failures raises
-    this error instead of silently producing a protocol that can disagree.
+    only sound for crash failures; running it through the protocol registry
+    over an omission cell raises this error instead of silently producing a
+    protocol that can disagree.
     """

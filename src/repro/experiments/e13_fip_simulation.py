@@ -6,8 +6,9 @@ Proposition 2.2 says that for every protocol ``P`` there is a function
 points.  We check this *extensionally*: running each concrete protocol over
 the exhaustive scenario space, no full-information view may map to two
 different protocol states at corresponding points.  Each scenario runs as
-its own execution, so no view is shared between runs: batch runs fold over
-shared views and would make ``f_i`` a function by construction.
+its own execution, so nothing is shared between runs: batch runs share
+each transition among the scenarios that reach it, which would make
+``f_i`` a function by construction.
 
 Corollary 2.3 (a full-information protocol dominates ``P``) is then checked
 constructively: the FIP whose decision sets are the *images* of ``P``'s

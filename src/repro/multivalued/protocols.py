@@ -26,7 +26,7 @@ decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..model.failures import ProcessorId
@@ -105,8 +105,11 @@ class _MultiBase(ConcreteProtocol):
             decided = self._decide(state, known, heard_now, round_number)
             if decided is not None:
                 decided_at = round_number
-        return replace(
-            state,
+        return _MultiState(
+            processor=state.processor,
+            n=state.n,
+            t=state.t,
+            domain_size=state.domain_size,
             known=tuple(sorted(known.items())),
             heard_last=heard_now,
             decided=decided,

@@ -21,7 +21,8 @@ from typing import Any, Dict, Optional
 
 from ..model.failures import ProcessorId
 
-#: A concrete protocol's local state — opaque to the engine.
+#: A concrete protocol's local state — hashable; the engine interns states
+#: and never looks inside them.
 State = Any
 
 #: A message payload — opaque to the engine (``None`` entries are dropped).
@@ -42,14 +43,16 @@ class ConcreteProtocol(ABC):
       first returns a value, which is the processor's (irreversible)
       decision.
 
-    Each function runs once per distinct *full-information view* — a
-    processor's view at the previous time plus the views it heard from —
-    not once per processor per round: the engine folds every scenario of
-    a batch over their shared views (:class:`repro.sim.engine.ScenarioViews`).
-    That is exact because a protocol is a deterministic function of its
-    state, which the view determines (Proposition 2.2).  So a protocol
-    must not count its calls or keep per-call state, and it must not
-    mutate the states it is given.
+    States are hashable, and equal states behave identically: the engine
+    folds every scenario of a batch over the protocol's own states.
+    :meth:`initial_state` runs once per (n, processor, initial value),
+    :meth:`messages` once per distinct (time, processor, n, state, decision
+    so far), and :meth:`transition` and :meth:`output` once per distinct
+    state and inbox — not once per processor per round.  That is exact
+    because every function is a deterministic function of its state.  So
+    a protocol must not count its calls or keep per-call state, and it
+    must not mutate the states it is given.  A batch whose states cannot
+    be hashed is rejected with :class:`~repro.errors.ConfigurationError`.
 
     Faulty processors run the same code; the *pattern* drops their
     messages.  A processor that has halted simply returns no messages.

@@ -33,7 +33,7 @@ the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..model.failures import ProcessorId
@@ -142,8 +142,11 @@ class ChainEBA(ConcreteProtocol):
                 decided = 0
             elif frozenset(known_faulty) == state.known_faulty:
                 decided = 1  # no new failure news this round, no chain
-        return replace(
-            state,
+        return _ChainState(
+            processor=state.processor,
+            n=state.n,
+            t=state.t,
+            value=state.value,
             known_faulty=frozenset(known_faulty),
             accepted_chain=accepted,
             accepted_at=accepted_at,

@@ -29,7 +29,7 @@ crash-specific).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..model.failures import ProcessorId
@@ -125,8 +125,10 @@ class DM90Waste(ConcreteProtocol):
             )
             if round_number >= state.t + 1 - current_waste:
                 decided = 0 if 0 in values else 1
-        return replace(
-            state,
+        return _WasteState(
+            processor=state.processor,
+            n=state.n,
+            t=state.t,
             values_seen=frozenset(values),
             deliveries=tuple(sorted(deliveries.items())),
             decided=decided,

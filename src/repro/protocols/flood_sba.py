@@ -14,13 +14,14 @@ simultaneous protocol — regenerated as experiment E12.
 
 **Crash mode only.**  Under sending omissions a faulty processor can inject
 its value to a single processor arbitrarily late, so plain flooding loses
-agreement; constructing the protocol for an omission-mode comparison is
-rejected at run time via the scenario guard :func:`assert_crash_pattern`.
+agreement; :func:`repro.protocols.registry.outcome_for` (and so
+``repro-eba compare``) rejects a FloodSBA run over a cell with any other
+pattern through the scenario guard :func:`assert_crash_pattern`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional
 
 from ..errors import UnsupportedModeError
@@ -87,8 +88,13 @@ class FloodSBA(ConcreteProtocol):
         decided = state.decided
         if decided is None and round_number >= state.t + 1:
             decided = 0 if 0 in seen else 1
-        return replace(
-            state, seen=frozenset(seen), decided=decided, time=round_number
+        return _FloodState(
+            processor=state.processor,
+            n=state.n,
+            t=state.t,
+            seen=frozenset(seen),
+            decided=decided,
+            time=round_number,
         )
 
     def output(self, state: _FloodState) -> Optional[int]:

@@ -13,7 +13,7 @@ no *optimum* EBA protocol exists — regenerated as experiment E1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core.values import other
@@ -87,8 +87,11 @@ class ValueRaceProtocol(ConcreteProtocol):
             decided = state.favored
         if decided is None and round_number >= state.t + 1:
             decided = other(state.favored)
-        return replace(
-            state,
+        return _RaceState(
+            processor=state.processor,
+            n=state.n,
+            t=state.t,
+            favored=state.favored,
             knows_favored=knows,
             relayed=relayed,
             decided=decided,

@@ -23,7 +23,7 @@ EBA protocols there — regenerated as experiments E2 and E8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..model.failures import ProcessorId
@@ -131,8 +131,10 @@ class P0OptProtocol(ConcreteProtocol):
             if decided is not None:
                 decided_at = round_number
 
-        return replace(
-            state,
+        return _OptState(
+            processor=state.processor,
+            n=state.n,
+            t=state.t,
             known=tuple(sorted(known.items())),
             heard_last=heard_now,
             decided=decided,

@@ -26,7 +26,7 @@ from .f_lambda import f_lambda_2_pair, zcr_ocr_pair
 from .f_star import f_star_pair
 from .f_zero import f_zero_pair
 from .fip import fip
-from .flood_sba import flood_sba
+from .flood_sba import assert_crash_pattern, flood_sba
 from .p0 import p0, p1
 from .p0opt import p0opt
 from .sba_ck import sba_common_knowledge_pair
@@ -75,6 +75,10 @@ def outcome_for(name: str, system: System, t: int = None) -> ProtocolOutcome:
     knowledge-level ones evaluate their decision pair over the system.
     Either way the result covers corresponding runs, so any two registry
     outcomes over the same system are directly comparable.
+
+    Raises:
+        UnsupportedModeError: for ``FloodSBA`` over a system with a
+            pattern that is not a crash pattern.
     """
     t = system.t if t is None else t
     if is_knowledge_level(name):
@@ -86,8 +90,12 @@ def outcome_for(name: str, system: System, t: int = None) -> ProtocolOutcome:
         return outcome
     from ..sim.engine import run_over_scenarios
 
+    scenarios = system.scenarios()
+    if name == "FloodSBA":
+        for _config, pattern in scenarios:
+            assert_crash_pattern(pattern)
     outcome = run_over_scenarios(
-        CONCRETE_PROTOCOLS[name](), system.scenarios(), system.horizon, t
+        CONCRETE_PROTOCOLS[name](), scenarios, system.horizon, t
     )
     outcome.name = name
     return outcome

@@ -13,6 +13,13 @@ from repro.protocols.base import ConcreteProtocol, broadcast
 from repro.sim.engine import execute, run_over_scenarios
 
 
+class EchoState(dict):
+    """A dict state hashed by its items, as the engine interns states."""
+
+    def __hash__(self):
+        return hash(tuple(self.items()))
+
+
 class EchoProtocol(ConcreteProtocol):
     """Test protocol: broadcast own id each round; remember who was heard;
     decide own initial value at time 1."""
@@ -20,20 +27,16 @@ class EchoProtocol(ConcreteProtocol):
     name = "echo"
 
     def initial_state(self, processor, n, t, initial_value):
-        return {
-            "me": processor,
-            "n": n,
-            "value": initial_value,
-            "heard": [],
-            "time": 0,
-        }
+        return EchoState(
+            me=processor, n=n, value=initial_value, heard=(), time=0
+        )
 
     def messages(self, state, round_number):
         return broadcast(state["n"], state["me"], ("id", state["me"]))
 
     def transition(self, state, round_number, received):
-        new = dict(state)
-        new["heard"] = state["heard"] + [frozenset(received)]
+        new = EchoState(state)
+        new["heard"] = state["heard"] + (frozenset(received),)
         new["time"] = round_number
         return new
 
@@ -57,10 +60,10 @@ class TestExecute:
         trace = execute(EchoProtocol(), _config(0, 1, 1), FailurePattern(()), 2, 1)
         for processor in range(3):
             state = trace.state_of(processor, 2)
-            assert state["heard"] == [
+            assert state["heard"] == (
                 frozenset(range(3)) - {processor},
                 frozenset(range(3)) - {processor},
-            ]
+            )
 
     def test_decisions_recorded_at_first_output(self):
         trace = execute(EchoProtocol(), _config(0, 1), FailurePattern(()), 3, 1)
@@ -69,22 +72,22 @@ class TestExecute:
     def test_crash_filters_messages(self):
         pattern = FailurePattern({0: CrashBehavior(1, frozenset((1,)))})
         trace = execute(EchoProtocol(), _config(0, 1, 1), pattern, 2, 1)
-        assert trace.state_of(1, 2)["heard"] == [
+        assert trace.state_of(1, 2)["heard"] == (
             frozenset((0, 2)),
             frozenset((2,)),
-        ]
-        assert trace.state_of(2, 2)["heard"] == [
+        )
+        assert trace.state_of(2, 2)["heard"] == (
             frozenset((1,)),
             frozenset((1,)),
-        ]
+        )
 
     def test_omission_filters_selectively(self):
         pattern = FailurePattern({0: OmissionBehavior({2: [1]})})
         trace = execute(EchoProtocol(), _config(0, 1, 1), pattern, 2, 1)
-        assert trace.state_of(1, 2)["heard"] == [
+        assert trace.state_of(1, 2)["heard"] == (
             frozenset((0, 2)),
             frozenset((2,)),
-        ]
+        )
 
     def test_message_counts(self):
         trace = execute(EchoProtocol(), _config(0, 1, 1), FailurePattern(()), 2, 1)

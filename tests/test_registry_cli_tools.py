@@ -91,6 +91,18 @@ class TestCliTools:
         assert "strictly dominates" in output
         assert "mean t" in output
 
+    def test_compare_rejects_flood_sba_under_omissions(self, capsys):
+        assert main(
+            [
+                "compare", "FloodSBA", "P0opt", "--mode", "omission",
+                "-n", "3", "-t", "1",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-eba: ") and "FloodSBA" in line
+
     def test_diagram_concrete(self, capsys):
         assert main(
             ["diagram", "P0opt", "--config", "011", "--crash", "0:1:1"]

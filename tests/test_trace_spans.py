@@ -281,7 +281,7 @@ class TestPipelineIntegration:
         ]
         assert record.name == "sim.traces_over_scenarios"
         assert record.attributes["scenarios"] == 1
-        assert record.attributes["views"] == 3 * 3
+        assert record.attributes["states"] == 3 * 3
         assert record.attributes["sent"] == record.attributes["delivered"]
         assert record.attributes["sent"] > 0
 
@@ -307,7 +307,7 @@ class TestPipelineIntegration:
         assert batch.name == "sim.run_over_scenarios"
         assert kept.name == "sim.traces_over_scenarios"
         assert batch.attributes["scenarios"] == len(outcome) == len(scenarios)
-        assert 0 < batch.attributes["views"] < len(scenarios) * 3 * 4
+        assert 0 < batch.attributes["states"] < len(scenarios) * 3 * 4
         assert batch.attributes["sent"] == sum(t.total_sent() for t in traces)
         assert batch.attributes["delivered"] == sum(
             t.total_delivered() for t in traces
