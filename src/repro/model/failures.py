@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -342,9 +343,10 @@ class FailurePattern:
             self, "behaviors", tuple(sorted(items, key=lambda kv: kv[0]))
         )
 
-    @property
+    @cached_property
     def faulty(self) -> FrozenSet[ProcessorId]:
-        """The set of processors that are faulty in this pattern."""
+        """The set of processors that are faulty in this pattern (computed
+        on first read and kept outside the fields)."""
         return frozenset(processor for processor, _ in self.behaviors)
 
     def behavior_of(self, processor: ProcessorId) -> Optional[FaultyBehavior]:
