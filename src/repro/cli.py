@@ -670,6 +670,19 @@ def _cmd_compare(names: List[str], mode: str, n: int, t: int) -> int:
     return 0
 
 
+def _parse_config(config_bits: str, n: int):
+    """``--config`` as the initial configuration of *n* binary values."""
+    from .model.config import InitialConfiguration
+
+    if not set(config_bits) <= {"0", "1"}:
+        raise ReproError(f"--config {config_bits!r} must be 0/1 bits")
+    if len(config_bits) != n:
+        raise ReproError(
+            f"--config {config_bits!r} has {len(config_bits)} bits but n={n}"
+        )
+    return InitialConfiguration([int(bit) for bit in config_bits])
+
+
 def _cmd_diagram(
     name: str,
     mode: str,
@@ -680,32 +693,27 @@ def _cmd_diagram(
     omit_specs: List[str],
 ) -> int:
     from .analysis.diagram import render_outcome_diagram
-    from .model.config import InitialConfiguration
+    from .model.builder import system_for
+    from .model.failures import FailureMode
+    from .protocols.registry import (
+        concrete_protocol,
+        is_knowledge_level,
+        outcome_for,
+    )
+    from .sim.engine import execute
 
-    config = InitialConfiguration([int(bit) for bit in config_bits])
-    if config.n != n:
-        raise ReproError(
-            f"--config {config_bits!r} has {config.n} bits but n={n}"
-        )
-    pattern = _build_pattern(crash_specs, omit_specs).validate(n, t)
-    from .protocols.registry import is_knowledge_level
-
-    if is_knowledge_level(name):
-        from .model.builder import system_for
-        from .model.failures import FailureMode
-
-        system = system_for(FailureMode(mode), n, t)
-        from .protocols.registry import outcome_for
-
-        outcome = outcome_for(name, system)
-        run = outcome.get((config, pattern))
-    else:
-        from .protocols.registry import CONCRETE_PROTOCOLS
-        from .sim.engine import execute
-
-        run = execute(
-            CONCRETE_PROTOCOLS[name](), config, pattern, t + 2, t
-        ).to_outcome()
+    try:
+        config = _parse_config(config_bits, n)
+        pattern = _build_pattern(crash_specs, omit_specs).validate(n, t)
+        if is_knowledge_level(name):
+            system = system_for(FailureMode(mode), n, t)
+            run = outcome_for(name, system).get((config, pattern))
+        else:
+            protocol = concrete_protocol(name, [(config, pattern)])
+            run = execute(protocol, config, pattern, t + 2, t).to_outcome()
+    except ReproError as error:
+        print(f"repro-eba: {error}", file=sys.stderr)
+        return 2
     print(f"protocol: {name}")
     print(render_outcome_diagram(run))
     return 0
@@ -746,15 +754,10 @@ def _cmd_monitor(
     journal_path: Optional[str],
 ) -> int:
     """Stream one scenario round by round with online K/E/C□ verdicts."""
-    from .model.config import InitialConfiguration
     from .model.failures import FailureMode, FailurePattern
     from .sim.monitor import StreamingMonitor
 
-    config = InitialConfiguration([int(bit) for bit in config_bits])
-    if config.n != n:
-        raise ReproError(
-            f"--config {config_bits!r} has {config.n} bits but n={n}"
-        )
+    config = _parse_config(config_bits, n)
     pattern = _build_pattern(crash_specs, omit_specs)
     if recv_omit_specs:
         behaviors = dict(pattern.behaviors)

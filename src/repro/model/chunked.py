@@ -118,34 +118,6 @@ def _shift_up(a, k: int, tail: int):
     return out
 
 
-def _window_int(limbs, pos: int, width: int) -> int:
-    """Extract a *width*-bit window starting at bit *pos* as an int."""
-    i, off = divmod(pos, LIMB_BITS)
-    acc = int(limbs[i]) >> off
-    got = LIMB_BITS - off
-    while got < width and i + 1 < len(limbs):
-        i += 1
-        acc |= int(limbs[i]) << got
-        got += LIMB_BITS
-    return acc & ((1 << width) - 1)
-
-
-def _extract_windows(limbs, num_runs: int, width: int):
-    """Vectorized per-run windows (``width <= 64``)."""
-    pos = np.arange(num_runs, dtype=np.int64) * width
-    idx = pos >> 6
-    off = (pos & 63).astype(np.uint64)
-    ext = np.zeros(len(limbs) + 1, np.uint64)
-    ext[:-1] = limbs
-    lo = ext[idx] >> off
-    inv = (np.uint64(LIMB_BITS) - off) & np.uint64(63)
-    hi = np.where(off == np.uint64(0), np.uint64(0), ext[idx + 1] << inv)
-    win = lo | hi
-    if width < LIMB_BITS:
-        win &= np.uint64((1 << width) - 1)
-    return win
-
-
 def _bits_to_limbs(bits, nlimbs: int):
     """Pack a point-ordered bool array (bit ``i`` at position ``i``) into
     a limb buffer of *nlimbs* limbs."""
@@ -291,33 +263,22 @@ class ChunkedAssignment(TruthAssignment):
     def count_true(self) -> int:
         return _popcount(self.limbs)
 
-    def to_rows(self) -> List[List[bool]]:
-        width = self.width
-        rows = []
-        for run_index in range(self.num_runs):
-            bits = _window_int(self.limbs, run_index * width, width)
-            rows.append([bool((bits >> time) & 1) for time in range(width)])
-        return rows
-
-    def run_levels(self) -> List[bool]:
-        limbs = self.limbs
-        if self.width <= LIMB_BITS:
-            win = _extract_windows(limbs, self.num_runs, self.width)
-            return ((win & np.uint64(1)) != 0).tolist()
-        width = self.width
-        return [
-            bool((int(limbs[pos >> 6]) >> (pos & 63)) & 1)
-            for pos in range(0, self.num_bits, width)
-        ]
+    def bits(self) -> np.ndarray:
+        """The inverse of :func:`_bits_to_limbs`: one ``unpackbits`` of
+        the limbs' little-endian bytes."""
+        data = np.ascontiguousarray(self.limbs, dtype="<u8").view(np.uint8)
+        return (
+            np.unpackbits(data, count=self.num_bits, bitorder="little")
+            .view(bool)
+            .reshape(self.num_runs, self.width)
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ChunkedAssignment):
             if self.num_runs != other.num_runs or self.width != other.width:
                 return False
             return bool((self.limbs == other.limbs).all())
-        if isinstance(other, TruthAssignment):
-            return self.to_rows() == other.to_rows()
-        return NotImplemented
+        return super().__eq__(other)
 
     def __hash__(self) -> int:  # pragma: no cover - not hashed in practice
         return hash((tuple(int(x) for x in self.limbs), self.num_runs, self.width))
@@ -327,7 +288,7 @@ class ChunkedAssignment(TruthAssignment):
     def _limbs_of(self, other: "TruthAssignment"):
         if isinstance(other, ChunkedAssignment):
             return other.limbs
-        return _bits_to_limbs(other.to_rows(), len(self.limbs))
+        return _bits_to_limbs(other.bits(), len(self.limbs))
 
     def negate(self) -> "ChunkedAssignment":
         return self._replace(_not(self.limbs, _tail_mask(self.num_bits)))

@@ -86,7 +86,9 @@ class TruthAssignment:
     which is what huge systems resolve to.  The class factories
     ``constant`` / ``from_predicate`` / ``from_rows`` / ``from_run_levels``
     build whichever representation ``System.effective_kernel`` selects, so
-    evaluator code is written against this shared interface.
+    evaluator code is written against this shared interface.  Every kind
+    reads out as one ``(runs, width)`` bool array (:meth:`bits`), from
+    which rows, run levels, cross-kind equality and coercion derive.
 
     Instances are treated as immutable by the evaluator; helpers that
     derive new assignments always allocate.
@@ -195,21 +197,24 @@ class TruthAssignment:
     def count_true(self) -> int:
         return sum(sum(1 for v in row if v) for row in self.values)
 
+    def bits(self) -> np.ndarray:
+        """The valuation as a ``(runs, width)`` bool array, indexed
+        ``[run, time]``: the one read every kind provides (the packed
+        kernels unpack their bits, this kernel copies its rows)."""
+        return np.array(self.values, dtype=bool)
+
     def to_rows(self) -> List[List[bool]]:
-        """Per-run boolean rows (treat as read-only for the reference
-        kernel, which returns its backing storage)."""
-        return self.values
+        """Per-run boolean rows, indexed ``[run][time]`` (a fresh list)."""
+        return self.bits().tolist()
 
     def run_levels(self) -> List[bool]:
         """Time-0 truth per run (exact for run-level assignments)."""
-        return [bool(row[0]) for row in self.values]
+        return self.bits()[:, 0].tolist()
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, BitsetAssignment):
-            return other == self
         if not isinstance(other, TruthAssignment):
             return NotImplemented
-        return self.values == other.values
+        return np.array_equal(self.bits(), other.bits())
 
     def __hash__(self) -> int:  # pragma: no cover - not hashed in practice
         return hash(tuple(tuple(row) for row in self.values))
@@ -223,7 +228,7 @@ class TruthAssignment:
         return TruthAssignment(
             [
                 [a and b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self.values, other.to_rows())
+                for row_a, row_b in zip(self.values, other.values)
             ]
         )
 
@@ -231,7 +236,7 @@ class TruthAssignment:
         return TruthAssignment(
             [
                 [a or b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self.values, other.to_rows())
+                for row_a, row_b in zip(self.values, other.values)
             ]
         )
 
@@ -239,7 +244,7 @@ class TruthAssignment:
         return TruthAssignment(
             [
                 [(not a) or b for a, b in zip(row_a, row_b)]
-                for row_a, row_b in zip(self.values, other.to_rows())
+                for row_a, row_b in zip(self.values, other.values)
             ]
         )
 
@@ -302,13 +307,10 @@ class BitsetAssignment(TruthAssignment):
     def count_true(self) -> int:
         return self.mask.bit_count()
 
-    def to_rows(self) -> List[List[bool]]:
-        bits = _mask_bits(self.mask, self.num_runs * self.width)
-        return bits.reshape(self.num_runs, self.width).tolist()
-
-    def run_levels(self) -> List[bool]:
-        bits = _mask_bits(self.mask, self.num_runs * self.width)
-        return bits[:: self.width].tolist()
+    def bits(self) -> np.ndarray:
+        return _mask_bits(self.mask, self.num_runs * self.width).reshape(
+            self.num_runs, self.width
+        )
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BitsetAssignment):
@@ -317,9 +319,7 @@ class BitsetAssignment(TruthAssignment):
                 and self.num_runs == other.num_runs
                 and self.width == other.width
             )
-        if isinstance(other, TruthAssignment):
-            return self.to_rows() == other.values
-        return NotImplemented
+        return super().__eq__(other)
 
     def __hash__(self) -> int:  # pragma: no cover - not hashed in practice
         return hash((self.mask, self.num_runs, self.width))
@@ -329,7 +329,7 @@ class BitsetAssignment(TruthAssignment):
     def _mask_of(self, other: "TruthAssignment") -> int:
         if isinstance(other, BitsetAssignment):
             return other.mask
-        return _pack_rows(other.values, self.width)
+        return _bits_mask(other.bits())
 
     def negate(self) -> "BitsetAssignment":
         return self._replace(self.full & ~self.mask)

@@ -14,9 +14,10 @@ simultaneous protocol — regenerated as experiment E12.
 
 **Crash mode only.**  Under sending omissions a faulty processor can inject
 its value to a single processor arbitrarily late, so plain flooding loses
-agreement; :func:`repro.protocols.registry.outcome_for` (and so
-``repro-eba compare``) rejects a FloodSBA run over a cell with any other
-pattern through the scenario guard :func:`assert_crash_pattern`.
+agreement; :func:`repro.protocols.registry.concrete_protocol`, which
+``outcome_for`` (and so ``repro-eba compare``) and ``repro-eba diagram``
+call, rejects a FloodSBA run over any other pattern through the scenario
+guard :func:`assert_crash_pattern`.
 """
 
 from __future__ import annotations

@@ -8,16 +8,18 @@ Two namespaces, reflecting the library's two layers:
 
 ``outcome_for`` resolves either kind uniformly, which is what lets the CLI
 say ``repro-eba compare P0opt F_LAMBDA2 --mode crash`` without caring which
-layer each name lives in.
+layer each name lives in.  ``compare`` and ``diagram`` get concrete
+protocols from ``concrete_protocol``, which runs the protocol's scenario
+guard first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List
 
 from ..core.outcomes import ProtocolOutcome
 from ..errors import ConfigurationError
-from ..model.system import System
+from ..model.system import ScenarioKey, System
 from .base import ConcreteProtocol
 from .chain_eba import chain_eba
 from .chain_fip import chain_pair
@@ -68,6 +70,22 @@ def is_knowledge_level(name: str) -> bool:
     )
 
 
+def concrete_protocol(
+    name: str, scenarios: Iterable[ScenarioKey]
+) -> ConcreteProtocol:
+    """A fresh instance of the named concrete protocol, once its scenario
+    guard has accepted every ``(config, pattern)`` in *scenarios*.
+
+    Raises:
+        UnsupportedModeError: for ``FloodSBA`` with a pattern that is not
+            a crash pattern.
+    """
+    if name == "FloodSBA":
+        for _config, pattern in scenarios:
+            assert_crash_pattern(pattern)
+    return CONCRETE_PROTOCOLS[name]()
+
+
 def outcome_for(name: str, system: System, t: int = None) -> ProtocolOutcome:
     """Run the named protocol over *system*'s scenario space.
 
@@ -91,11 +109,8 @@ def outcome_for(name: str, system: System, t: int = None) -> ProtocolOutcome:
     from ..sim.engine import run_over_scenarios
 
     scenarios = system.scenarios()
-    if name == "FloodSBA":
-        for _config, pattern in scenarios:
-            assert_crash_pattern(pattern)
     outcome = run_over_scenarios(
-        CONCRETE_PROTOCOLS[name](), scenarios, system.horizon, t
+        concrete_protocol(name, scenarios), scenarios, system.horizon, t
     )
     outcome.name = name
     return outcome

@@ -37,6 +37,8 @@ import json
 import time
 from typing import Any, Callable, Dict, List, Optional
 
+import numpy as np
+
 from .. import obs
 from ..errors import ReproError, ShardExecutionError
 from ..model.failures import FailureMode
@@ -53,10 +55,26 @@ ENGINE_OPS = ("eval", "explain", "extend", "monitor", "debug_sleep")
 def verdict_digest(truth) -> str:
     """Canonical SHA-256 of a truth assignment's full point-by-point rows.
 
-    The parity suite compares this digest between served and in-process
+    The hashed bytes are the compact JSON of the rows, ``[[true,false,
+    ...],...]``: runs in run order, times ``0..horizon``, no spaces.  The
+    parity suite compares this digest between served and in-process
     evaluation — byte-identical rows, not just matching validity bits.
+
+    The bytes are rendered from the packed bits: each row pattern that
+    occurs (at most one per run) is rendered once, and each run's row is
+    its pattern's rendering, so no per-point list is built.
     """
-    blob = json.dumps(truth.to_rows(), separators=(",", ":"))
+    bits = np.ascontiguousarray(truth.bits())
+    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    _, first, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    patterns = bits[first].tolist()
+    table = np.array(
+        [json.dumps(row, separators=(",", ":")) for row in patterns],
+        dtype=object,
+    )
+    blob = "[" + ",".join(table[inverse].tolist()) + "]"
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

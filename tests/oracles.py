@@ -16,10 +16,16 @@ view table) that those passes replaced, kept as the differential oracle:
 * :func:`first_times`, :func:`decision_for`, :func:`conflicts`,
   :func:`sticky_pair` — the reference firing-table scan of
   ``FIP(Z, O)`` and what it derives.
+
+:func:`verdict_digest` is the served verdict digest as first written,
+one JSON token per point, which ``repro.serve.session.verdict_digest``
+renders from the packed bits instead.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.decision_sets import DecisionPair, close_under_recall
@@ -203,3 +209,12 @@ def sticky_pair(system, pair: DecisionPair) -> Tuple[frozenset, frozenset]:
         close_under_recall(zero_triggers, states, system.table),
         close_under_recall(one_triggers, states, system.table),
     )
+
+
+# -- served verdict digest ----------------------------------------------------
+
+
+def verdict_digest(truth) -> str:
+    """SHA-256 of the compact JSON of the assignment's per-run rows."""
+    blob = json.dumps(truth.to_rows(), separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()

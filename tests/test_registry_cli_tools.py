@@ -127,9 +127,31 @@ class TestCliTools:
         output = capsys.readouterr().out
         assert "omit" in output
 
-    def test_diagram_config_length_checked(self):
-        with pytest.raises(ReproError):
-            main(["diagram", "P0opt", "--config", "01", "-n", "3"])
+    def test_diagram_config_length_checked(self, capsys):
+        assert main(["diagram", "P0opt", "--config", "01", "-n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-eba: ") and "n=3" in line
+
+    def test_diagram_config_bits_checked(self, capsys):
+        assert main(["diagram", "P0opt", "--config", "012", "-n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-eba: ") and "0/1" in line
+
+    def test_diagram_rejects_flood_sba_under_omissions(self, capsys):
+        assert main(
+            [
+                "diagram", "FloodSBA", "--mode", "omission",
+                "--config", "011", "--omit", "0:1:2", "-n", "3", "-t", "1",
+            ]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-eba: ") and "FloodSBA" in line
 
     def test_stats_json_round_trips(self, capsys, monkeypatch, tmp_path):
         import json

@@ -795,21 +795,25 @@ def _spawn_daemon(socket_path, *extra, journal=None):
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
         if process.poll() is not None:
-            raise RuntimeError(
-                f"daemon died at startup:\n{process.stdout.read()}"
-            )
+            with process:
+                raise RuntimeError(
+                    f"daemon died at startup:\n{process.stdout.read()}"
+                )
         if daemon_available(socket_path, timeout=0.5):
             return process
         time.sleep(0.2)
-    process.kill()
+    with process:
+        process.kill()
     raise RuntimeError("daemon did not come up within 60s")
 
 
 def _stop_daemon(process, socket_path):
-    if process.poll() is None:
-        process.send_signal(signal.SIGTERM)
-    returncode = process.wait(timeout=30)
-    assert returncode == 0, process.stdout.read()
+    """SIGTERM the daemon, check it drained cleanly, close its pipe."""
+    with process:
+        if process.poll() is None:
+            process.send_signal(signal.SIGTERM)
+        returncode = process.wait(timeout=30)
+        assert returncode == 0, process.stdout.read()
     assert not os.path.exists(socket_path)
 
 
@@ -965,10 +969,8 @@ class TestDaemonRoundTrips:
         with ServeClient(daemon["socket"]) as client:
             client.healthz()
         assert validate_journal(daemon["journal"]) == []
-        events = [
-            json.loads(line)
-            for line in open(daemon["journal"], encoding="utf-8")
-        ]
+        with open(daemon["journal"], encoding="utf-8") as journal:
+            events = [json.loads(line) for line in journal]
         assert any(e["event"] == "serve_request" for e in events)
 
     def test_served_verdicts_match_in_process_all_kernels(self, daemon):
@@ -1112,7 +1114,8 @@ class TestGracefulShutdown:
             assert frame["result"]["slept"] == 2.0
         finally:
             client.close()
-        assert process.wait(timeout=30) == 0
+        with process:
+            assert process.wait(timeout=30) == 0
         assert not os.path.exists(socket_path)
 
     def test_stale_socket_file_is_reclaimed(self, tmp_path):
