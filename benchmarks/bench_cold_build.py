@@ -21,7 +21,7 @@ rounds would defeat):
 Both legs start from an empty cache, so the ratio is the cold-path win
 the arrays-first builder exists for.  The script exits non-zero unless
 arrays-first beats the baseline by at least ``--gate`` (default 2x, the
-acceptance bar).  ``--extra-out`` writes ``name=seconds[@kernel]``
+acceptance bar).  ``--extra-out`` writes ``name=seconds``
 lines for ``regression.py --extra`` so the cold numbers ride the bench
 history and its regression gate::
 
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--extra-out", metavar="PATH",
-        help="write name=seconds[@kernel] lines for regression.py --extra",
+        help="write name=seconds lines for regression.py --extra",
     )
     args = parser.parse_args(argv)
     cell = f"omission-n{args.n}t{args.t}h{args.horizon}"
@@ -137,10 +137,8 @@ def main(argv=None) -> int:
     print(f"speedup {speedup:.2f}x (gate {args.gate:.2f}x)")
 
     extras: Dict[str, str] = {
-        # The limb-shard eval leg runs on chunked limb semantics; the
-        # per-entry kernel metadata records that via the @ suffix.
-        "cold-build": f"{fast:.6f}@chunked",
-        "cold-build-legacy": f"{legacy:.6f}@chunked",
+        "cold-build": f"{fast:.6f}",
+        "cold-build-legacy": f"{legacy:.6f}",
     }
     if args.extra_out:
         with open(args.extra_out, "w") as handle:

@@ -59,7 +59,7 @@ class OptimalityReport:
 def _violating_points(system: System, formula, label: str, limit: int = 5):
     assignment = formula.evaluate(system)
     found = []
-    for run_index, row in enumerate(assignment.values):
+    for run_index, row in enumerate(assignment.to_rows()):
         for time, value in enumerate(row):
             if not value:
                 run = system.runs[run_index]

@@ -26,7 +26,7 @@ The sharded path carries a **verdict-parity guarantee**: for a given
 parameter cell it produces an :class:`~repro.experiments.framework.
 ExperimentResult` whose verdict table, ``ok`` flag and measurement data are
 identical to the monolithic path's (asserted for E9/E14/E20 in
-``tests/test_exec.py``, for E9 under all three evaluation kernels).
+``tests/test_exec.py``).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ checkpoints; like ``health.json`` it is run metadata, not a checkpoint —
 record.
 
 The manifest records the batch's identity (experiment, parameter digest,
-evaluation kernel) plus the checkpoint spec version and library version;
+partition scheme) plus the checkpoint spec version and library version;
 ``--resume`` only reuses a directory whose manifest matches the batch being
 launched.  Each shard file is a versioned record carrying the shard's
 parameter digest and a canonical SHA-256 of its payload; a load validates
@@ -260,7 +260,6 @@ def list_batches(root: Optional[str] = None) -> List[Dict[str, Any]]:
             {
                 "batch": name,
                 "experiment": manifest.get("experiment", "?"),
-                "kernel": manifest.get("kernel", "?"),
                 "partition": manifest.get("partition", "?"),
                 "shards": len(shard_ids),
                 "bytes": size,

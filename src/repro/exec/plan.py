@@ -97,32 +97,25 @@ class BatchPlan:
         return params_digest(self.params)
 
     def batch_key(self) -> str:
-        """Checkpoint-directory key: experiment + inputs + kernel +
-        partition scheme.
+        """Checkpoint-directory key: experiment + inputs + partition
+        scheme.
 
-        The selected evaluation kernel (three-valued:
-        ``bitset`` / ``chunked`` / ``reference``) is part of the key
-        because shard payloads of different kernels, while
-        verdict-identical, are not interchangeable as *resume* state for
-        a batch claiming a specific kernel; the partition scheme is part
-        of it for the same reason — run-range and limb-block shards
-        decompose the same truth table along different axes.
+        The partition scheme is part of the key because run-range and
+        limb-block shards decompose the same truth table along different
+        axes, so one scheme's shard payloads are never *resume* state for
+        the other.
         """
-        from ..model.kernels import active_kernel
-
         return (
             f"{self.experiment_id}_{self.params_digest()[:12]}"
-            f"_{active_kernel()}_{self.partition}"
+            f"_{self.partition}"
         )
 
     def manifest_meta(self) -> Dict[str, Any]:
         from .. import __version__
-        from ..model.kernels import active_kernel
 
         return {
             "experiment": self.experiment_id,
             "params_digest": self.params_digest(),
-            "kernel": active_kernel(),
             "partition": self.partition,
             "library_version": __version__,
         }

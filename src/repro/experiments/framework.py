@@ -78,13 +78,9 @@ def attach_instrumentation(
     *before* is an :func:`repro.obs.snapshot` taken just before the
     experiment ran; the delta (stage wall times, runs built, cache
     hits/misses, fixpoint iterations) lands in
-    ``result.data["instrumentation"]``, alongside the evaluation kernel
-    the experiment ran under (``result.data["kernel"]``).
+    ``result.data["instrumentation"]``.
     """
-    from ..model.kernels import active_kernel
-
     result.data["instrumentation"] = obs.delta_since(before)
-    result.data["kernel"] = active_kernel()
     return result
 
 

@@ -36,7 +36,7 @@ def _check_valid(system: System, formula: Formula, label: str) -> CheckResult:
     if formula.is_valid(system):
         return []
     assignment = formula.evaluate(system)
-    for run_index, row in enumerate(assignment.values):
+    for run_index, row in enumerate(assignment.to_rows()):
         for time, value in enumerate(row):
             if not value:
                 run = system.runs[run_index]

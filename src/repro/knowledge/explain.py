@@ -35,7 +35,6 @@ from weakref import WeakKeyDictionary
 
 from .. import trace
 from ..errors import EvaluationError
-from ..model import kernels
 from ..model.system import Point, System, TruthAssignment
 from . import semantics
 from .formulas import (
@@ -228,15 +227,7 @@ def fixpoint_eliminations(
     if variant not in _VARIANTS:
         raise EvaluationError(f"unknown fixpoint variant {variant!r}")
     cache = _ELIMINATION_CACHE.setdefault(system, {})
-    key = (
-        # The kernel the system *resolves* to (three-valued), so the
-        # automatic bitset→chunked upgrade on huge systems gets its own
-        # cache rows.
-        system.effective_kernel(),
-        variant,
-        nonrigid.cache_key(),
-        operand.cache_key(),
-    )
+    key = (variant, nonrigid.cache_key(), operand.cache_key())
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -254,7 +245,6 @@ def fixpoint_eliminations(
         while True:
             iterations += 1
             candidate = step(current)
-            # Row views work for both kernels (bitset materializes masks).
             current_rows = current.to_rows()
             candidate_rows = candidate.to_rows()
             for run_index in range(len(system.runs)):

@@ -10,10 +10,9 @@ processors.  The two instances the paper uses everywhere are:
 
 Every nonrigid set computes a ``(runs, width, n)`` membership array from
 the system's :class:`~repro.model.partition.SystemArrays` in one
-vectorized pass, memoized on the system by cache key; the member masks
-of the packed kernels, the Corollary 3.3 components and the per-point
-member matrix (read by the reference kernel and explanations) all derive
-from it.
+vectorized pass, memoized on the system by cache key; the evaluators'
+member limbs, the Corollary 3.3 components and the per-point member
+matrix (read by explanations) all derive from it.
 """
 
 from __future__ import annotations

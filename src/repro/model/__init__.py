@@ -43,36 +43,14 @@ from .failures import (
     ReceiveOmissionBehavior,
     make_pattern,
 )
-from .chunked import ChunkedAssignment, ChunkedIndex
-from .kernels import (
-    BITSET,
-    CHUNKED,
-    KERNEL_ENV,
-    KERNELS,
-    REFERENCE,
-    active_kernel,
-    kernel_selections,
-    use_kernel,
-)
+from .chunked import ChunkedIndex
 from .provider import PROVIDER, SystemProvider, get_provider
 from .runs import Run, build_run
-from .system import (
-    BitsetAssignment,
-    BitsetIndex,
-    Point,
-    System,
-    TruthAssignment,
-    build_system,
-)
+from .system import Point, System, TruthAssignment, build_system
 from .views import ViewId, ViewInfo, ViewTable
 
 __all__ = [
     "Adversary",
-    "BITSET",
-    "BitsetAssignment",
-    "BitsetIndex",
-    "CHUNKED",
-    "ChunkedAssignment",
     "ChunkedIndex",
     "CrashBehavior",
     "ExhaustiveCrashAdversary",
@@ -99,12 +77,6 @@ __all__ = [
     "ViewId",
     "ViewInfo",
     "ViewTable",
-    "KERNEL_ENV",
-    "KERNELS",
-    "REFERENCE",
-    "active_kernel",
-    "kernel_selections",
-    "use_kernel",
     "all_configurations",
     "build_run",
     "build_system",

@@ -9,7 +9,7 @@ Every hot path of the stack reports into one lightweight, always-on
   hits/misses and times cache-miss evaluations;
 * the fixpoint evaluators in :mod:`repro.knowledge.semantics` and
   :mod:`repro.model.chunked` count iterations and record
-  **iterations-to-convergence** and **dirty-limb frontier width**
+  **iterations-to-convergence** and **eliminated limbs per round**
   histograms — the distribution-shaped quantities (elimination depth for
   ``C□``/``C◇``, frontier decay) that cumulative counters hide;
 * the :class:`~repro.model.provider.SystemProvider` counts system-cache and

@@ -2,7 +2,7 @@
 
 The counter/timer layer in :mod:`repro.obs` answers "how much, in total";
 histograms answer "how is it *distributed*" — per-shard wall times,
-fixpoint iterations-to-convergence, dirty-limb frontier widths, state-group
+fixpoint iterations-to-convergence, eliminated limbs per round, state-group
 sweep sizes.  Those are exactly the quantities whose tails matter (a p99
 shard latency drives the batch's critical path; the fixpoint elimination
 depth for ``C□``/``C◇`` is the paper's own complexity measure), and a

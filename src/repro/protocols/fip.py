@@ -29,9 +29,8 @@ from ..core.decision_sets import DecisionPair
 from ..core.outcomes import DecisionRecord, ProtocolOutcome, RunOutcome
 from ..errors import EvaluationError, ProtocolViolationError
 from ..knowledge.formulas import Formula
-from ..model.chunked import ChunkedAssignment
 from ..model.partition import fired_views, first_fire_times
-from ..model.system import BitsetAssignment, System
+from ..model.system import System
 from ..model.views import ViewId
 
 
@@ -174,8 +173,6 @@ def pair_from_formulas(
     zero_formula: Callable[[int], Formula],
     one_formula: Callable[[int], Formula],
     name: str = "FIP",
-    *,
-    require_state_determined: bool = True,
 ) -> DecisionPair:
     """Build a decision pair from per-processor knowledge formulas.
 
@@ -185,15 +182,18 @@ def pair_from_formulas(
             where ``φ_i`` holds.
         one_formula: Likewise for ``O``.
         name: Display name of the resulting pair.
-        require_state_determined: Verify that each formula's truth is a
-            function of the processor's local state (true for any formula of
-            the form ``K_i ψ`` / ``B_i^S ψ``, which is what the paper's
-            decision rules always use).  A violation raises
-            :class:`~repro.errors.EvaluationError`.
 
-    The trigger sets are closed under perfect recall, so the result is a
-    legitimate "decides or has decided" pair even for non-monotone formulas.
+    Each formula's truth must be a function of the processor's local
+    state (true for any formula of the form ``K_i ψ`` / ``B_i^S ψ``,
+    which is what the paper's decision rules always use): one subset
+    test per state group (:meth:`~repro.model.chunked.ChunkedIndex.state_verdicts`)
+    finds the states where it holds, and a state where it holds only
+    somewhere raises :class:`~repro.errors.EvaluationError`.  The
+    trigger sets are closed under perfect recall, so the result is a
+    legitimate "decides or has decided" pair even for non-monotone
+    formulas.
     """
+    index = system.chunked_index()
     zero_states: List[ViewId] = []
     one_states: List[ViewId] = []
     for which, factory, sink in (
@@ -202,58 +202,16 @@ def pair_from_formulas(
     ):
         for processor in range(system.n):
             truth = factory(processor).evaluate(system)
-            if isinstance(truth, ChunkedAssignment) and require_state_determined:
-                # Same subset test as the bitset branch, one sparse
-                # popcount-free pass per state group over the limb-sliced
-                # entry table, vectorized.
-                index = system.chunked_index()
-                views, full_ids, mixed_ids = index.state_verdicts(
-                    processor, truth.limbs
+            views, full_ids, mixed_ids = index.state_verdicts(
+                processor, truth.limbs
+            )
+            if mixed_ids:
+                raise EvaluationError(
+                    f"{name}: {which}-formula for processor "
+                    f"{processor} is not state-determined "
+                    f"(state {views[mixed_ids[0]]} evaluates both ways)"
                 )
-                if mixed_ids:
-                    raise EvaluationError(
-                        f"{name}: {which}-formula for processor "
-                        f"{processor} is not state-determined "
-                        f"(state {views[mixed_ids[0]]} evaluates both ways)"
-                    )
-                sink.extend(views[g] for g in full_ids)
-                continue
-            if isinstance(truth, BitsetAssignment) and require_state_determined:
-                # One subset test per distinct local state: the state's
-                # occurrence mask is entirely inside the truth mask (holds
-                # everywhere), disjoint from it (holds nowhere), or split —
-                # which is exactly a state-determinism violation.
-                index = system.bitset_index()
-                mask = truth.mask
-                owners = index.view_owner
-                for view, gmask in index.view_masks.items():
-                    if owners[view] != processor:
-                        continue
-                    overlap = mask & gmask
-                    if overlap == gmask:
-                        sink.append(view)
-                    elif overlap:
-                        raise EvaluationError(
-                            f"{name}: {which}-formula for processor "
-                            f"{processor} is not state-determined "
-                            f"(state {view} evaluates both ways)"
-                        )
-                continue
-            by_state: Dict[ViewId, bool] = {}
-            for run_index, run in enumerate(system.runs):
-                for time in range(system.horizon + 1):
-                    view = run.view(processor, time)
-                    value = truth.at(run_index, time)
-                    if require_state_determined:
-                        previous = by_state.get(view)
-                        if previous is not None and previous != value:
-                            raise EvaluationError(
-                                f"{name}: {which}-formula for processor "
-                                f"{processor} is not state-determined "
-                                f"(state {view} evaluates both ways)"
-                            )
-                    by_state[view] = value
-            sink.extend(view for view, value in by_state.items() if value)
+            sink.extend(views[g] for g in full_ids)
     arrays = system.arrays()
     return DecisionPair(
         frozenset(arrays.recall_closure(zero_states)),

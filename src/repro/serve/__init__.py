@@ -3,7 +3,7 @@
 The paper's characterization turns "can the processes decide yet?" into a
 knowledge test, which is exactly the shape of an online query service —
 yet a cold ``repro-eba`` invocation pays interpreter start-up, imports,
-system build or cache load, kernel selection and index warm-up before
+system build or cache load and index warm-up before
 answering a single formula.  This package keeps all of that **resident**:
 
 * :mod:`repro.serve.server` — the asyncio daemon speaking

@@ -79,7 +79,6 @@ REQUEST_OPS: Dict[str, tuple] = {
             "formula": _DICT,
             "catalog": _DICT,
             "point": _LIST,
-            "kernel": _STR,
         },
     ),
     "explain": (

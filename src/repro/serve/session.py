@@ -25,9 +25,7 @@ Execution placement:
 
 The point-count budget is checked as soon as the system is resolved —
 before any formula work — against ``System.num_points()``; formula
-evaluation then routes through ``System.effective_kernel()`` exactly as
-in-process evaluation does, so kernel selection (and its observability)
-is identical on both paths.
+evaluation then runs exactly as it does in-process.
 """
 
 from __future__ import annotations
@@ -178,21 +176,11 @@ def _execute_eval(
     params: Dict[str, Any],
 ) -> Dict[str, Any]:
     """The eval body shared verbatim by the inline and forked paths."""
-    from ..model.kernels import KERNELS, use_kernel
-
     mode, n, t, horizon, build, description = _resolve_eval_request(params)
-    kernel = params.get("kernel")
-    if kernel and kernel.strip().lower() not in KERNELS:
-        raise ProtocolError(
-            f"unknown kernel {kernel!r}; known kernels: {', '.join(KERNELS)}"
-        )
     started = time.perf_counter()
     system = provider.get(mode, n, t, horizon)
     budget.check_points(system.num_points(), system.describe())
-    with use_kernel(kernel) if kernel else _null_context():
-        formula = build(system)
-        truth = formula.evaluate(system)
-        selected = system.effective_kernel()
+    truth = build(system).evaluate(system)
     point = _point(params)
     result: Dict[str, Any] = {
         "system": {
@@ -204,7 +192,6 @@ def _execute_eval(
             "points": system.num_points(),
         },
         "formula": description,
-        "kernel": selected,
         "count_true": truth.count_true(),
         "valid": bool(truth.is_valid()),
         "digest": verdict_digest(truth),
@@ -276,12 +263,6 @@ def _execute_extend(
         },
         "seconds": round(time.perf_counter() - started, 6),
     }
-
-
-def _null_context():
-    from contextlib import nullcontext
-
-    return nullcontext()
 
 
 # -- the forked heavy path -----------------------------------------------------
@@ -538,15 +519,10 @@ class QueryEngine:
 
 def _parse_pattern_specs(params: Dict[str, Any]):
     """Build a failure pattern from the CLI mini-language spec lists."""
-    from ..cli import _build_pattern, _parse_recv_omit_specs
-    from ..model.failures import FailurePattern
+    from ..cli import _build_pattern
 
-    crash = [str(s) for s in params.get("crash", [])]
-    omit = [str(s) for s in params.get("omit", [])]
-    pattern = _build_pattern(crash, omit)
-    recv = [str(s) for s in params.get("recv_omit", [])]
-    if recv:
-        behaviors = dict(pattern.behaviors)
-        behaviors.update(_parse_recv_omit_specs(recv))
-        pattern = FailurePattern(behaviors)
-    return pattern
+    return _build_pattern(
+        [str(spec) for spec in params.get("crash", [])],
+        [str(spec) for spec in params.get("omit", [])],
+        [str(spec) for spec in params.get("recv_omit", [])],
+    )

@@ -1,12 +1,13 @@
-"""The bitset kernel's whole-mask conversions against per-run loops.
+"""The limb kernel's whole-array conversions against per-run loops.
 
 ``to_rows``, ``run_levels``, ``from_run_levels``, row packing and the
-``col0`` column convert a point mask in one ``to_bytes``/``unpackbits``
-(or ``packbits``/``from_bytes``) pass; the per-run first-set-bit scan is
-the first-fire scan over a view matrix.
-The loops below are the per-run shift-and-mask versions they replaced,
-kept as the oracle: randomized masks, run counts whose ``runs * width``
-is and is not a multiple of 8, and the all-zero and all-one masks.
+``col0`` column convert between point rows and a limb buffer in one
+``packbits``/``unpackbits`` pass; the per-run first-set-bit scan is the
+first-fire scan over a view matrix.  The loops below are per-run
+shift-and-mask versions over the point mask as one integer (bit ``run *
+width + time``, the limbs' little-endian reading), kept as the oracle:
+randomized masks, run counts whose ``runs * width`` is and is not a
+multiple of 8 (or of 64), and the all-zero and all-one masks.
 """
 
 from __future__ import annotations
@@ -17,18 +18,21 @@ import pytest
 
 import numpy as np
 
-from repro.model import kernels
 from repro.model.adversary import ExhaustiveCrashAdversary
+from repro.model.chunked import _bits_to_limbs, _nlimbs
 from repro.model.partition import first_fire_times
-from repro.model.system import (
-    BitsetAssignment,
-    TruthAssignment,
-    _mask_bits,
-    _pack_rows,
-    build_system,
-)
+from repro.model.system import TruthAssignment, build_system
 
 # -- the per-run loops (oracle) ---------------------------------------------
+
+
+def loop_bits(mask, nbits):
+    return [bool((mask >> bit) & 1) for bit in range(nbits)]
+
+
+def limbs_mask(limbs):
+    """A limb buffer read as one integer (limb ``k`` at bit ``64 k``)."""
+    return int.from_bytes(limbs.astype("<u8").tobytes(), "little")
 
 
 def loop_pack_rows(rows, width):
@@ -109,18 +113,30 @@ def masks(num_runs, width, seed):
 @pytest.mark.parametrize("num_runs,width", SHAPES)
 def test_to_rows_and_run_levels(num_runs, width):
     for mask in masks(num_runs, width, seed=num_runs * width):
-        assignment = BitsetAssignment(mask, num_runs, width)
+        nbits = num_runs * width
+        limbs = _bits_to_limbs(loop_bits(mask, nbits), _nlimbs(nbits))
+        assert limbs_mask(limbs) == mask
+        assignment = TruthAssignment(limbs, num_runs, width)
         assert assignment.to_rows() == loop_to_rows(mask, num_runs, width)
         assert assignment.run_levels() == loop_run_levels(
             mask, num_runs, width
         )
 
 
+class Shape:
+    """The two fields ``TruthAssignment.from_rows`` reads of a system."""
+
+    def __init__(self, num_runs, width):
+        self.runs = range(num_runs)
+        self.horizon = width - 1
+
+
 @pytest.mark.parametrize("num_runs,width", SHAPES)
 def test_pack_rows(num_runs, width):
     for mask in masks(num_runs, width, seed=7 + num_runs):
         rows = loop_to_rows(mask, num_runs, width)
-        assert _pack_rows(rows, width) == loop_pack_rows(rows, width) == mask
+        packed = TruthAssignment.from_rows(Shape(num_runs, width), rows)
+        assert limbs_mask(packed.limbs) == loop_pack_rows(rows, width) == mask
 
 
 @pytest.mark.parametrize("num_runs,width", SHAPES)
@@ -131,7 +147,7 @@ def test_first_times(num_runs, width):
     views = np.arange(num_runs * width).reshape(num_runs, width, 1)
     never = np.zeros(num_runs * width, dtype=bool)
     for mask in masks(num_runs, width, seed=11 + num_runs):
-        bits = _mask_bits(mask, num_runs * width)
+        bits = np.array(loop_bits(mask, num_runs * width))
         value, time, tie = first_fire_times(views, bits, never)
         assert not tie.any()
         assert [
@@ -149,13 +165,16 @@ def test_from_run_levels_and_col0(n, t, horizon):
     system = build_system(ExhaustiveCrashAdversary(n, t, horizon))
     num_runs, width = len(system.runs), horizon + 1
     rng = random.Random(n)
-    with kernels.use_kernel(kernels.BITSET):
-        for levels in (
-            [False] * num_runs,
-            [True] * num_runs,
-            [rng.random() < 0.5 for _ in range(num_runs)],
-        ):
-            assignment = TruthAssignment.from_run_levels(system, levels)
-            assert assignment.mask == loop_from_run_levels(levels, width)
-            assert assignment.run_levels() == levels
-        assert system.bitset_index().col0 == loop_col0(num_runs, width)
+    for levels in (
+        [False] * num_runs,
+        [True] * num_runs,
+        [rng.random() < 0.5 for _ in range(num_runs)],
+    ):
+        assignment = TruthAssignment.from_run_levels(system, levels)
+        assert limbs_mask(assignment.limbs) == loop_from_run_levels(
+            levels, width
+        )
+        assert assignment.run_levels() == levels
+    assert limbs_mask(system.chunked_index().col0) == loop_col0(
+        num_runs, width
+    )

@@ -29,7 +29,7 @@ class TestExistsZeroStar:
 
     def test_monotone_in_time(self, omission3):
         truth = exists_zero_star().evaluate(omission3)
-        for row in truth.values:
+        for row in truth.to_rows():
             for earlier, later in zip(row, row[1:]):
                 assert later or not earlier
 
@@ -90,7 +90,7 @@ class TestExistsZeroStar:
 class TestEventuallyExistsZeroStar:
     def test_run_level(self, omission3):
         truth = eventually_exists_zero_star().evaluate(omission3)
-        for row in truth.values:
+        for row in truth.to_rows():
             assert len(set(row)) == 1
 
     def test_matches_horizon_value(self, omission3):

@@ -142,14 +142,14 @@ class TestStrictlyStrongerThanCommon:
     def test_continual_constant_over_time(self, crash3):
         """C□ truth never varies within a run (Lemma 3.4(g))."""
         truth = ContinualCommon(NONFAULTY, Exists(0)).evaluate(crash3)
-        for row in truth.values:
+        for row in truth.to_rows():
             assert len(set(row)) == 1
 
 
 class TestEveryoneBox:
     def test_everyone_box_is_run_level(self, crash3):
         truth = EveryoneBox(NONFAULTY, Exists(0)).evaluate(crash3)
-        for row in truth.values:
+        for row in truth.to_rows():
             assert len(set(row)) == 1
 
     def test_continual_implies_everyone_box(self, crash3):

@@ -30,17 +30,15 @@ from repro.knowledge.nonrigid import (
 )
 from repro.knowledge.semantics import (
     _member_limbs,
-    _member_masks,
     run_reachability_components,
 )
-from repro.model import kernels
 from repro.model.adversary import exhaustive_adversary
 from repro.model.builder import restricted_system
 from repro.model.config import all_configurations
 from repro.model.failures import FailureMode
 from repro.model.partition import reachability_labels
 from repro.model.provider import PROVIDER
-from repro.model.system import _mask_bits, build_system, extend_system
+from repro.model.system import build_system, extend_system
 from repro.model.views import ViewTable
 from repro.protocols.fip import FullInformationProtocol
 
@@ -144,7 +142,7 @@ def pairs(draw, system, pool):
     )
 
 
-def check_membership(system, nonrigid, kernel):
+def check_membership(system, nonrigid):
     expected = oracles.members_matrix(system, nonrigid)
     assert nonrigid.members_matrix(system) == expected
     member = nonrigid.membership(system)
@@ -162,17 +160,11 @@ def check_membership(system, nonrigid, kernel):
         wanted = [
             processor in cell for row in expected for cell in row
         ]
-        if kernel == kernels.BITSET:
-            mask = _member_masks(system, system.bitset_index(), nonrigid)
-            got = _mask_bits(mask[processor], points).tolist()
-        elif kernel == kernels.CHUNKED:
-            limbs = _member_limbs(system, system.chunked_index(), nonrigid)
-            got = np.unpackbits(
-                limbs[processor].view(np.uint8), bitorder="little"
-            )[:points].astype(bool).tolist()
-        else:
-            continue
-        assert got == wanted, (kernel, processor)
+        limbs = _member_limbs(system, system.chunked_index(), nonrigid)
+        got = np.unpackbits(
+            limbs[processor].view(np.uint8), bitorder="little"
+        )[:points].astype(bool).tolist()
+        assert got == wanted, processor
 
 
 def check_components(system, nonrigid):
@@ -231,12 +223,10 @@ def test_arrays_paths_match_oracles(data):
         NonfaultyAndDeciding(pair, "zeros"),
         NonfaultyAndDeciding(pair, "ones"),
     ]
-    for kernel in kernels.KERNELS:
-        with kernels.use_kernel(kernel):
-            for nonrigid in sets:
-                check_membership(system, nonrigid, kernel)
-                check_components(system, nonrigid)
-            check_fip(system, pair)
+    for nonrigid in sets:
+        check_membership(system, nonrigid)
+        check_components(system, nonrigid)
+    check_fip(system, pair)
 
 
 @given(

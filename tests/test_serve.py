@@ -3,7 +3,7 @@
 The live-daemon tests spawn ``repro-eba serve`` as a subprocess on a unix
 socket under ``tmp_path`` and speak the real wire protocol through
 :class:`repro.serve.client.ServeClient` — including the served-vs-in-process
-verdict-parity suite (E4/E5/E21 across all three kernels), queue-full
+verdict-parity suite (E4/E5/E21), queue-full
 backpressure, budget rejection, a client killed mid-query, and the
 SIGTERM graceful drain.
 """
@@ -43,15 +43,14 @@ from repro.serve.queue import (
     QueryBudget,
     RequestQueue,
 )
-from repro.serve.session import QueryEngine, verdict_digest
+from repro.serve.session import QueryEngine
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
 
 #: The parity suite: every explain-catalog formula for these experiments,
-#: served and in-process, across every kernel.
+#: served and in-process.
 PARITY_EXPERIMENTS = ("E4", "E5", "E21")
-KERNELS = ("bitset", "chunked", "reference")
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +383,12 @@ def _direct_formula(spec):
 @given(spec=_WELL_TYPED)
 def test_fuzzed_formulas_match_in_process_or_are_rejected(spec):
     """On a resident n=3 cell a served eval either answers with the
-    in-process digest (evaluated on another kernel) or is rejected as
+    digest of the reference evaluator's rows or is rejected as
     ``bad_request`` / ``not_found`` — exactly when a field is out of
     range, and never with another exception type."""
     from repro.model.builder import crash_system
-    from repro.model.kernels import use_kernel
+
+    from . import oracles
 
     system = crash_system(3, 1, 3)
     engine = QueryEngine(fork_policy="never")
@@ -399,10 +399,8 @@ def test_fuzzed_formulas_match_in_process_or_are_rejected(spec):
         assert not _in_range(spec, system.n)
         return
     assert _in_range(spec, system.n)
-    assert result["kernel"] != "chunked"
-    with use_kernel("chunked"):
-        truth = _direct_formula(spec).evaluate(system)
-    assert result["digest"] == verdict_digest(truth)
+    rows = oracles.evaluate(_direct_formula(spec), system)
+    assert result["digest"] == oracles.rows_digest(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +498,7 @@ class TestQueryEngineInProcess:
             {"catalog": {"experiment": "E4", "formula": "everyone-exists1"}},
         )
         assert result["formula"] == "E4/everyone-exists1"
-        assert result["kernel"] in KERNELS
+        assert "kernel" not in result
 
     def test_unknown_catalog_entry_raises_key_error(self):
         engine = QueryEngine(fork_policy="never")
@@ -665,9 +663,17 @@ class TestOutOfRangeFields:
         with pytest.raises(ProtocolError, match="need n >= 2"):
             self._eval({"kind": "true"}, **cell)
 
-    def test_unknown_kernel_rejected(self, crash3):
-        with pytest.raises(ProtocolError, match="unknown kernel"):
-            self._eval({"kind": "true"}, kernel="abacus")
+    def test_unknown_kernel_rejected(self):
+        """``kernel`` is no eval param: a request naming one is rejected
+        like any unknown param."""
+        problems = validate_request(
+            {
+                "id": 1,
+                "op": "eval",
+                "params": {"formula": {"kind": "true"}, "kernel": "chunked"},
+            }
+        )
+        assert problems == ["eval: unknown param 'kernel'"]
 
     def test_explain_point_outside_system_is_not_found(self):
         engine = QueryEngine(fork_policy="never")
@@ -973,28 +979,36 @@ class TestDaemonRoundTrips:
             events = [json.loads(line) for line in journal]
         assert any(e["event"] == "serve_request" for e in events)
 
-    def test_served_verdicts_match_in_process_all_kernels(self, daemon):
-        """Acceptance: byte-identical digests, E4/E5/E21 x all kernels."""
+    def test_served_verdicts_match_in_process(self, daemon):
+        """Acceptance: byte-identical digests, E4/E5/E21."""
         engine = QueryEngine(fork_policy="never")
         with ServeClient(daemon["socket"]) as client:
             for experiment, formula_key in _parity_cases():
-                for kernel in KERNELS:
-                    params = {
-                        "catalog": {
-                            "experiment": experiment,
-                            "formula": formula_key,
-                        },
-                        "kernel": kernel,
+                params = {
+                    "catalog": {
+                        "experiment": experiment,
+                        "formula": formula_key,
                     }
-                    served = client.request("eval", **params)
-                    local = engine.execute("eval", dict(params))
-                    assert served["digest"] == local["digest"], (
-                        experiment,
-                        formula_key,
-                        kernel,
-                    )
-                    assert served["count_true"] == local["count_true"]
-                    assert served["valid"] == local["valid"]
+                }
+                served = client.request("eval", **params)
+                local = engine.execute("eval", dict(params))
+                assert served["digest"] == local["digest"], (
+                    experiment,
+                    formula_key,
+                )
+                assert served["count_true"] == local["count_true"]
+                assert served["valid"] == local["valid"]
+
+    def test_kernel_param_is_bad_request(self, daemon):
+        with ServeClient(daemon["socket"]) as client:
+            with pytest.raises(ServeError) as info:
+                client.request(
+                    "eval",
+                    catalog={"experiment": "E4", "formula": "common-exists1"},
+                    kernel="chunked",
+                )
+            assert info.value.code == "bad_request"
+            assert "unknown param 'kernel'" in str(info.value)
 
     def test_32_concurrent_queries(self, daemon):
         """Acceptance: the daemon sustains 32 concurrent queries."""

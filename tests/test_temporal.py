@@ -81,7 +81,7 @@ class TestAtAllTimes:
 
     def test_box_dot_is_run_level(self, crash3):
         truth = AtAllTimes(_at_time(1)).evaluate(crash3)
-        for row in truth.values:
+        for row in truth.to_rows():
             assert len(set(row)) == 1
 
     def test_box_dot_implies_always(self, crash3):
