@@ -11,8 +11,14 @@ provider integration: a cold ``get_arrays`` takes the fast path (no
 
 from __future__ import annotations
 
+import hashlib
 import os
+import subprocess
+import sys
+import tracemalloc
+import zipfile
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -50,7 +56,48 @@ _CELLS = [
         1,
         2,
     ),
+    (FailureMode.CRASH, ExhaustiveCrashAdversary, 4, 1, 3),
+    (FailureMode.OMISSION, ExhaustiveOmissionAdversary, 3, 1, 3),
+    (
+        FailureMode.RECEIVE_OMISSION,
+        ExhaustiveReceiveOmissionAdversary,
+        3,
+        1,
+        3,
+    ),
+    (FailureMode.OMISSION, ExhaustiveOmissionAdversary, 3, 2, 2),
+    (FailureMode.CRASH, ExhaustiveCrashAdversary, 5, 1, 2),
 ]
+
+#: Cells too large for the object-graph oracle, pinned by the SHA-256 of
+#: :func:`arrays_digest` as the earlier builder (one interned key row per
+#: run and processor, checked against the oracle on ``_CELLS``) emitted
+#: them: the benchmark's E9 cell, crash n=4 t=3 h=2 and the paper's E9
+#: cell (Proposition 6.3, 385,072 runs).
+_PINNED = [
+    (
+        (FailureMode.OMISSION, 5, 2, 1),
+        "c1ddd67bb6eaa66fc4f69b846cd94f976c92675d93cde7b0f847f460706435a9",
+    ),
+    (
+        (FailureMode.CRASH, 4, 3, 2),
+        "443d124feb58812b4fee2226761534b7220dd87cc877b131a0b95f8af855b231",
+    ),
+    (
+        (FailureMode.OMISSION, 4, 2, 2),
+        "e9d20d9311e80295491724581e5109629ac4dd8ee61e2917cf62a088369005e4",
+    ),
+]
+
+
+def arrays_digest(arrays) -> str:
+    """SHA-256 over each array's name, dtype, shape and bytes."""
+    digest = hashlib.sha256()
+    for name in _ARRAY_FIELDS:
+        array = getattr(arrays, name)
+        digest.update(f"{name}:{array.dtype.str}:{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
 def assert_arrays_byte_identical(fast, reference):
@@ -84,11 +131,69 @@ class TestByteParity:
         )
         assert_arrays_byte_identical(fast, reference)
 
+    @pytest.mark.parametrize(
+        "cell,digest",
+        _PINNED,
+        ids=[f"{m.value}-n{n}t{t}h{h}" for (m, n, t, h), _ in _PINNED],
+    )
+    def test_pinned_digest(self, cell, digest):
+        assert arrays_digest(build_arrays(*cell)) == digest
+
+    def test_peak_allocation_bounded(self):
+        # The benchmark's E9 cell (74,432 runs, 5.3 MB of arrays); numpy
+        # reports its buffers to tracemalloc.
+        tracemalloc.start()
+        try:
+            build_arrays(FailureMode.OMISSION, 5, 2, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
     def test_save_load_round_trip(self, tmp_path):
         fast = build_arrays(FailureMode.CRASH, 3, 1, 2)
         path = str(tmp_path / "cell.npz")
         fast.save(path)
+        with zipfile.ZipFile(path) as archive:
+            kinds = {info.compress_type for info in archive.infolist()}
+        assert kinds == {zipfile.ZIP_STORED}
         assert_arrays_byte_identical(SystemArrays.load(path), fast)
+        # A deflated file, as np.savez_compressed writes, still loads.
+        deflated = str(tmp_path / "deflated.npz")
+        with np.load(path) as bundle:
+            np.savez_compressed(deflated, **bundle)
+        loaded = SystemArrays.load(deflated)
+        loaded.validate("crash", 3, 1, 2)
+        assert_arrays_byte_identical(loaded, fast)
+
+    def test_load_and_merge_leave_numpy_ma_unimported(self, tmp_path):
+        import repro
+
+        path = str(tmp_path / "cell.npz")
+        build_arrays(FailureMode.OMISSION, 3, 1, 2).save(path)
+        script = (
+            "import sys\n"
+            "from repro.model.partition import SystemArrays, "
+            "merge_component_labels\n"
+            "SystemArrays.load(sys.argv[1]).validate('omission', 3, 1, 2)\n"
+            "blocks = [([0, 1], [0, 0]), ([1, 2], [2, 2]), ([3, 2], [3, 3])]\n"
+            "print(merge_component_labels(5, blocks).tolist())\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, path],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={
+                **os.environ,
+                "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+            },
+        )
+        assert result.returncode == 0, result.stderr
+        labels, imported = result.stdout.split("\n")[:2]
+        assert labels == "[0, 0, 0, 0, -1]"
+        assert imported == "False"
 
 
 class TestProviderIntegration:
