@@ -756,9 +756,14 @@ def _cmd_monitor(
         pattern = _build_pattern(
             crash_specs, omit_specs, recv_omit_specs
         ).validate(n, t)
+        monitor = StreamingMonitor(
+            FailureMode(mode), n, t, config, pattern, value=value
+        )
     except ReproError as error:
         print(f"repro-eba: {error}", file=sys.stderr)
         return 2
+    # Opened only once the command line is accepted; the monitor first
+    # reads it in advance().
     journal = None
     if journal_path is not None:
         from .obs.journal import TelemetryJournal
@@ -766,10 +771,7 @@ def _cmd_monitor(
         journal = TelemetryJournal(
             journal_path, batch="monitor", experiment="monitor"
         )
-    monitor = StreamingMonitor(
-        FailureMode(mode), n, t, config, pattern,
-        value=value, journal=journal,
-    )
+        monitor.journal = journal
     print(
         f"monitoring {mode} n={n} t={t} config={config_bits} "
         f"value={value} — {pattern}"

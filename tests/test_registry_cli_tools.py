@@ -139,6 +139,7 @@ class TestCliTools:
         [
             "monitor --config 01 -n 3 -t 1 --rounds 2",
             "monitor --config 011 -n 3 -t 1 --rounds 2 --crash 9:1",
+            "monitor --config 011 -n 3 -t 1 --rounds 1 --omit 0:1:2",
             "explain E4 common-exists1 --point 1:2:3",
             "explain E4 common-exists1 --point a:0",
             "explain E4 common-exists1 --point 99999:0",
@@ -149,6 +150,7 @@ class TestCliTools:
         ids=[
             "monitor-config-length",
             "monitor-processor-range",
+            "monitor-behaviour-mode",
             "explain-point-fields",
             "explain-point-integer",
             "explain-point-range",
@@ -163,6 +165,16 @@ class TestCliTools:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("repro-eba: ")
+
+    def test_rejected_monitor_opens_no_journal(self, capsys, tmp_path):
+        journal = tmp_path / "monitor.jsonl"
+        argv = "monitor --config 011 -n 3 -t 1 --rounds 1 --omit 0:1:2"
+        assert main(argv.split() + ["--journal", str(journal)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-eba: ")
+        assert not journal.exists()
 
     def test_diagram_config_bits_checked(self, capsys):
         assert main(["diagram", "P0opt", "--config", "012", "-n", "3"]) == 2
