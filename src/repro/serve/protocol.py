@@ -20,7 +20,9 @@ Validation mirrors :mod:`repro.obs.journal`: each op has a fixed table of
 required and optional parameter types (:data:`REQUEST_OPS`), extra fields
 are rejected loudly rather than silently dropped, and
 :func:`validate_request` returns the full problem list so a client sees
-every mistake at once.  Error codes are enumerated in :data:`ERROR_CODES`
+every mistake at once.  Its per-op half, :func:`validate_params`, also
+guards the in-process engine, so ``query --local`` rejects what the
+daemon rejects.  Error codes are enumerated in :data:`ERROR_CODES`
 — ``queue_full`` is the 429 analog (the response carries the queue bound
 that was hit), ``budget_exceeded`` names the exhausted limit.
 
@@ -49,6 +51,7 @@ __all__ = [
     "ProtocolError",
     "decode_frame",
     "encode_frame",
+    "validate_params",
     "validate_request",
     "build_formula",
     "ok_response",
@@ -136,28 +139,15 @@ def decode_frame(line: bytes) -> Dict[str, Any]:
     return obj
 
 
-def validate_request(obj: Dict[str, Any]) -> List[str]:
-    """Problems with one request frame (empty list = valid)."""
-    problems: List[str] = []
-    if "id" not in obj:
-        problems.append("missing required field 'id'")
-    elif isinstance(obj.get("id"), (dict, list)):
-        problems.append("'id' must be a JSON scalar")
-    op = obj.get("op")
-    if not isinstance(op, str):
-        problems.append("missing or non-string 'op'")
-        return problems
-    spec = REQUEST_OPS.get(op)
-    if spec is None:
-        problems.append(
-            f"unknown op {op!r}; known ops: {', '.join(sorted(REQUEST_OPS))}"
-        )
-        return problems
-    required, optional = spec
-    params = obj.get("params", {})
+def validate_params(op: str, params: Any) -> List[str]:
+    """Problems with one known *op*'s params (empty list = valid).
+
+    The per-op half of :func:`validate_request`, which the in-process
+    :class:`~repro.serve.session.QueryEngine` runs too."""
     if not isinstance(params, dict):
-        problems.append("'params' must be an object")
-        return problems
+        return ["'params' must be an object"]
+    problems: List[str] = []
+    required, optional = REQUEST_OPS[op]
     for field, types in required.items():
         if field not in params:
             problems.append(f"{op}: missing required param {field!r}")
@@ -177,6 +167,29 @@ def validate_request(obj: Dict[str, Any]) -> List[str]:
                 problems.append(
                     f"{op}: param {field!r} has type {type(value).__name__}"
                 )
+    return problems
+
+
+def validate_request(obj: Dict[str, Any]) -> List[str]:
+    """Problems with one request frame (empty list = valid)."""
+    problems: List[str] = []
+    if "id" not in obj:
+        problems.append("missing required field 'id'")
+    elif isinstance(obj.get("id"), (dict, list)):
+        problems.append("'id' must be a JSON scalar")
+    op = obj.get("op")
+    if not isinstance(op, str):
+        problems.append("missing or non-string 'op'")
+        return problems
+    if op not in REQUEST_OPS:
+        problems.append(
+            f"unknown op {op!r}; known ops: {', '.join(sorted(REQUEST_OPS))}"
+        )
+        return problems
+    params = obj.get("params", {})
+    problems.extend(validate_params(op, params))
+    if not isinstance(params, dict):
+        return problems
     extra = set(obj) - {"id", "op", "params", "v"}
     for field in sorted(extra):
         problems.append(f"unknown frame field {field!r}")

@@ -40,8 +40,9 @@ import numpy as np
 from .. import obs
 from ..errors import ReproError, ShardExecutionError
 from ..model.failures import FailureMode
+from ..model.partition import row_keys
 from ..model.provider import SystemProvider, get_provider
-from .protocol import ProtocolError, build_formula
+from .protocol import ProtocolError, build_formula, validate_params
 from .queue import BudgetExceeded, QueryBudget
 
 __all__ = ["QueryEngine", "verdict_digest"]
@@ -62,10 +63,9 @@ def verdict_digest(truth) -> str:
     occurs (at most one per run) is rendered once, and each run's row is
     its pattern's rendering, so no per-point list is built.
     """
-    bits = np.ascontiguousarray(truth.bits())
-    keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+    bits = truth.bits()
     _, first, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
+        row_keys(bits), return_index=True, return_inverse=True
     )
     patterns = bits[first].tolist()
     table = np.array(
@@ -425,17 +425,23 @@ class QueryEngine:
         *,
         emit: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> Dict[str, Any]:
-        """Run one validated request; returns the JSON-ready result.
+        """Run one request; returns the JSON-ready result.
 
         Raises :class:`BudgetExceeded`, :class:`KeyError` (unknown
         catalog entries / scenarios / points → ``not_found``),
-        :class:`~repro.serve.protocol.ProtocolError` (→ ``bad_request``)
+        :class:`~repro.serve.protocol.ProtocolError` (→ ``bad_request``;
+        params the daemon rejects are rejected here too)
         or :class:`~repro.errors.ReproError` (→ ``internal``) — the
         server maps each onto its wire error code.  *emit* receives one
         event dict per streamed ``monitor`` round.
         """
         if op not in ENGINE_OPS:
             raise ProtocolError(f"engine cannot execute op {op!r}")
+        # The daemon's own check, so an in-process caller gets the
+        # answer a wire client gets.
+        problems = validate_params(op, params)
+        if problems:
+            raise ProtocolError("; ".join(problems))
         placement = self._placement(op, params)
         obs.count(f"serve_requests_{op}")
         obs.count(f"serve_placement_{placement}")

@@ -500,6 +500,16 @@ class TestQueryEngineInProcess:
         assert result["formula"] == "E4/everyone-exists1"
         assert "kernel" not in result
 
+    @pytest.mark.parametrize("param", ["bogus", "kernel"])
+    def test_params_the_wire_rejects_raise(self, param):
+        engine = QueryEngine(fork_policy="never")
+        params = {
+            "catalog": {"experiment": "E4", "formula": "common-exists1"},
+            param: 1,
+        }
+        with pytest.raises(ProtocolError, match=f"unknown param '{param}'"):
+            engine.execute("eval", params)
+
     def test_unknown_catalog_entry_raises_key_error(self):
         engine = QueryEngine(fork_policy="never")
         with pytest.raises(KeyError):
