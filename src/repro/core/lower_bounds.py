@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .outcomes import ProtocolOutcome, ScenarioKey
+import numpy as np
+
+from .outcomes import NEVER, ProtocolOutcome, ScenarioKey
 
 
 @dataclass
@@ -50,25 +52,30 @@ class WorstCaseReport:
         return self.worst_time >= t + 1
 
 
+def _first_max(
+    outcome: ProtocolOutcome, mask: np.ndarray, score: np.ndarray
+) -> Tuple[Optional[int], Optional[Tuple[ScenarioKey, int]]]:
+    """The largest *score* over the cells of *mask* and the first cell,
+    in run order and processors ascending, that attains it; ``(None,
+    None)`` when *mask* is empty."""
+    if not mask.any():
+        return None, None
+    flat = np.where(mask, score, np.iinfo(np.int64).min).ravel()
+    cell = int(np.argmax(flat))
+    row, processor = divmod(cell, mask.shape[1])
+    return int(flat[cell]), (outcome.scenarios.keys[row], processor)
+
+
 def worst_case_decision_time(outcome: ProtocolOutcome) -> WorstCaseReport:
     """Scan an outcome for its latest nonfaulty decision."""
-    worst = -1
-    witness: Optional[Tuple[ScenarioKey, int]] = None
-    undecided = 0
-    for run in outcome:
-        for processor in run.nonfaulty:
-            record = run.decisions[processor]
-            if record is None:
-                undecided += 1
-                continue
-            if record[1] > worst:
-                worst = record[1]
-                witness = (run.scenario_key(), processor)
+    time = outcome.time
+    nonfaulty = outcome.nonfaulty
+    worst, witness = _first_max(outcome, nonfaulty & (time >= 0), time)
     return WorstCaseReport(
         protocol_name=outcome.name,
-        worst_time=worst,
+        worst_time=-1 if worst is None else worst,
         witness=witness,
-        undecided=undecided,
+        undecided=int(np.count_nonzero(nonfaulty & (time < 0))),
     )
 
 
@@ -97,32 +104,25 @@ def max_gap_behind_races(
     *outcome* never decides are treated as lagging by the full horizon
     (they already violate EBA, so the bound holds trivially there).
     """
-    max_gap = -(10**9)
-    witness: Optional[Tuple[ScenarioKey, int]] = None
-    for key in outcome.scenario_keys():
-        run = outcome.get(key)
-        run_zero = race_zero.get(key)
-        run_one = race_one.get(key)
-        for processor in run.nonfaulty:
-            reference_times = [
-                record[1]
-                for record in (
-                    run_zero.decisions[processor],
-                    run_one.decisions[processor],
-                )
-                if record is not None
-            ]
-            if not reference_times:
-                continue
-            reference = min(reference_times)
-            record = run.decisions[processor]
-            time = run.horizon + 1 if record is None else record[1]
-            gap = time - reference
-            if gap > max_gap:
-                max_gap = gap
-                witness = (key, processor)
+    time = outcome.time
+    reference = np.full(time.shape, NEVER)
+    for race in (race_zero, race_one):
+        rows = outcome.scenarios.rows_in(race.scenarios)
+        if (rows < 0).any():
+            missing = outcome.scenarios.keys[int(np.argmax(rows < 0))]
+            race.get(missing)  # raises: no outcome for the scenario
+        race_time = race.time[rows, : time.shape[1]]
+        reference = np.minimum(
+            reference, np.where(race_time < 0, NEVER, race_time)
+        )
+    lag = np.where(time < 0, outcome.horizon + 1, time) - reference
+    max_gap, witness = _first_max(
+        outcome, outcome.nonfaulty & (reference != NEVER), lag
+    )
     return RaceGapReport(
-        protocol_name=outcome.name, max_gap=max_gap, witness=witness
+        protocol_name=outcome.name,
+        max_gap=-(10**9) if max_gap is None else max_gap,
+        witness=witness,
     )
 
 

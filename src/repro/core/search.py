@@ -57,12 +57,15 @@ def _candidate_states(
     the only places where a speedup could possibly help, tagged with the
     earliest time they occur (earlier states first — bigger wins)."""
     tagged = {}
-    for run_index, run in enumerate(system.runs):
-        run_outcome = outcome.get(run.scenario_key())
+    times = outcome.time[
+        system.scenario_index().rows_in(outcome.scenarios)
+    ].tolist()
+    for run, decided in zip(system.runs, times):
         for processor in run.nonfaulty:
-            record = run_outcome.decisions[processor]
             decided_from = (
-                system.horizon + 1 if record is None else record[1]
+                system.horizon + 1
+                if decided[processor] < 0
+                else decided[processor]
             )
             for time in range(system.horizon + 1):
                 if time < decided_from:

@@ -15,51 +15,59 @@ Checks a :class:`~repro.core.outcomes.ProtocolOutcome` against:
 
 Each checker returns a list of violation strings; the aggregate helpers
 (:func:`check_eba`, :func:`check_sba`, :func:`check_nontrivial_agreement`)
-bundle them into a :class:`SpecReport`.
+bundle them into a :class:`SpecReport`.  Every checker is a masked pass
+over the outcome's decision table; violations are listed in run order,
+processors ascending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Iterator, List, Tuple
 
-from ..core.values import all_same
+import numpy as np
+
 from ..errors import SpecificationError
-from .outcomes import ProtocolOutcome, RunOutcome
+from .outcomes import NEVER, ProtocolOutcome
 
 
-def _describe(run: RunOutcome) -> str:
-    return f"config={run.config} pattern={run.pattern}"
+def _points(mask: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """The ``(row, processor)`` cells set in *mask*, in run order and
+    processors ascending."""
+    rows, processors = np.nonzero(mask)
+    return zip(rows.tolist(), processors.tolist())
+
+
+def _spread(
+    mask: np.ndarray, column: np.ndarray
+) -> Iterator[Tuple[int, List[int]]]:
+    """The rows where *column* takes more than one value over the cells of
+    *mask*, each with those values sorted."""
+    low = np.where(mask, column, NEVER).min(axis=1, initial=NEVER)
+    high = np.where(mask, column, -1).max(axis=1, initial=-1)
+    for row in np.flatnonzero(high > low).tolist():
+        yield row, sorted(set(column[row][mask[row]].tolist()))
 
 
 def check_decision(outcome: ProtocolOutcome) -> List[str]:
     """Decision: every nonfaulty processor decides within the horizon."""
-    violations: List[str] = []
-    for run in outcome:
-        for processor in sorted(run.nonfaulty):
-            if run.decisions[processor] is None:
-                violations.append(
-                    f"[decision] processor {processor} undecided by time "
-                    f"{run.horizon} in {_describe(run)}"
-                )
-    return violations
+    describe = outcome.scenarios.describe
+    return [
+        f"[decision] processor {processor} undecided by time "
+        f"{outcome.horizon} in {describe(row)}"
+        for row, processor in _points(outcome.nonfaulty & (outcome.time < 0))
+    ]
 
 
 def check_weak_agreement(outcome: ProtocolOutcome) -> List[str]:
     """Weak agreement: nonfaulty processors never decide differently."""
-    violations: List[str] = []
-    for run in outcome:
-        values = {
-            run.decision_value(processor)
-            for processor in run.nonfaulty
-            if run.decisions[processor] is not None
-        }
-        if len(values) > 1:
-            violations.append(
-                f"[weak-agreement] nonfaulty decisions {sorted(values)} "
-                f"in {_describe(run)}"
-            )
-    return violations
+    describe = outcome.scenarios.describe
+    return [
+        f"[weak-agreement] nonfaulty decisions {values} in {describe(row)}"
+        for row, values in _spread(
+            outcome.nonfaulty & (outcome.value >= 0), outcome.value
+        )
+    ]
 
 
 def check_agreement(outcome: ProtocolOutcome) -> List[str]:
@@ -69,35 +77,33 @@ def check_agreement(outcome: ProtocolOutcome) -> List[str]:
 
 def check_weak_validity(outcome: ProtocolOutcome) -> List[str]:
     """Weak validity: under unanimous input, deciders decide that input."""
-    violations: List[str] = []
-    for run in outcome:
-        unanimous = all_same(run.config.values)
-        if unanimous is None:
-            continue
-        for processor in sorted(run.nonfaulty):
-            record = run.decisions[processor]
-            if record is not None and record[0] != unanimous:
-                violations.append(
-                    f"[weak-validity] processor {processor} decided "
-                    f"{record[0]} despite unanimous {unanimous} in "
-                    f"{_describe(run)}"
-                )
-    return violations
+    describe = outcome.scenarios.describe
+    unanimous = outcome.scenarios.unanimous
+    value = outcome.value
+    wrong = (
+        outcome.nonfaulty
+        & (value >= 0)
+        & (unanimous >= 0)[:, None]
+        & (value != unanimous[:, None])
+    )
+    return [
+        f"[weak-validity] processor {processor} decided "
+        f"{int(value[row, processor])} despite unanimous "
+        f"{int(unanimous[row])} in {describe(row)}"
+        for row, processor in _points(wrong)
+    ]
 
 
 def check_validity(outcome: ProtocolOutcome) -> List[str]:
     """Validity: under unanimous input, all nonfaulty decide that input."""
-    violations = check_weak_validity(outcome)
-    for run in outcome:
-        if all_same(run.config.values) is None:
-            continue
-        for processor in sorted(run.nonfaulty):
-            if run.decisions[processor] is None:
-                violations.append(
-                    f"[validity] processor {processor} undecided under "
-                    f"unanimous input in {_describe(run)}"
-                )
-    return violations
+    describe = outcome.scenarios.describe
+    unanimous = outcome.scenarios.unanimous >= 0
+    undecided = outcome.nonfaulty & (outcome.time < 0) & unanimous[:, None]
+    return check_weak_validity(outcome) + [
+        f"[validity] processor {processor} undecided under "
+        f"unanimous input in {describe(row)}"
+        for row, processor in _points(undecided)
+    ]
 
 
 def check_uniform_agreement(outcome: ProtocolOutcome) -> List[str]:
@@ -109,38 +115,31 @@ def check_uniform_agreement(outcome: ProtocolOutcome) -> List[str]:
     consistently" [Nei90, NB92].  None of the paper's EBA protocols aim
     for this (a processor may decide and then crash while the survivors,
     never having seen its evidence, decide the other way), and experiment
-    E18 measures exactly where each protocol violates it.
+    E18 measures exactly where each protocol violates it.  Only decisions
+    a processor *acted* on count: a crashed processor's decision first
+    reached at or after its crash round is dropped (see
+    :meth:`~repro.core.outcomes.RunOutcome.acted_decisions`).
     """
-    violations: List[str] = []
-    for run in outcome:
-        values = {
-            record[0]
-            for record in run.acted_decisions().values()
-            if record is not None
-        }
-        if len(values) > 1:
-            violations.append(
-                f"[uniform-agreement] decisions {sorted(values)} "
-                f"(faulty included) in {_describe(run)}"
-            )
-    return violations
+    describe = outcome.scenarios.describe
+    acted = (outcome.value >= 0) & (
+        outcome.time < outcome.scenarios.crash_round
+    )
+    return [
+        f"[uniform-agreement] decisions {values} "
+        f"(faulty included) in {describe(row)}"
+        for row, values in _spread(acted, outcome.value)
+    ]
 
 
 def check_simultaneity(outcome: ProtocolOutcome) -> List[str]:
     """Simultaneity: all nonfaulty decisions in a run share one round."""
-    violations: List[str] = []
-    for run in outcome:
-        times = {
-            run.decision_time(processor)
-            for processor in run.nonfaulty
-            if run.decisions[processor] is not None
-        }
-        if len(times) > 1:
-            violations.append(
-                f"[simultaneity] nonfaulty decision times {sorted(times)} "
-                f"in {_describe(run)}"
-            )
-    return violations
+    describe = outcome.scenarios.describe
+    return [
+        f"[simultaneity] nonfaulty decision times {times} in {describe(row)}"
+        for row, times in _spread(
+            outcome.nonfaulty & (outcome.time >= 0), outcome.time
+        )
+    ]
 
 
 @dataclass

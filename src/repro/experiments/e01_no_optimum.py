@@ -14,6 +14,8 @@ Measured reproduction:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.domination import compare
 from ..core.specs import check_eba
 from ..metrics.stats import decision_time_stats
@@ -24,6 +26,16 @@ from ..sim.engine import ScenarioViews, run_over_scenarios
 from ..workloads.scenarios import exhaustive_scenarios, worst_case_crash_chain
 from ..model.failures import FailureMode
 from .framework import ExperimentResult
+
+
+def _favored_at_time0(outcome, favored: int) -> bool:
+    """Whether every nonfaulty processor holding the favoured value
+    decides it at time 0."""
+    holders = outcome.nonfaulty & (outcome.scenarios.init == favored)
+    return bool(
+        np.all(outcome.value[holders] == favored)
+        and np.all(outcome.time[holders] == 0)
+    )
 
 
 def run(n: int = 4, t: int = 1, horizon: int = None) -> ExperimentResult:
@@ -39,18 +51,8 @@ def run(n: int = 4, t: int = 1, horizon: int = None) -> ExperimentResult:
     forward = compare(p0_out, p1_out)
     backward = compare(p1_out, p0_out)
 
-    # Time-0 deciders: every nonfaulty processor holding the favoured value.
-    def time0_favored_ok(outcome, favored):
-        for run_outcome in outcome:
-            for processor in run_outcome.nonfaulty:
-                if run_outcome.config.value_of(processor) == favored:
-                    record = run_outcome.decisions[processor]
-                    if record != (favored, 0):
-                        return False
-        return True
-
-    p0_time0 = time0_favored_ok(p0_out, 0)
-    p1_time0 = time0_favored_ok(p1_out, 1)
+    p0_time0 = _favored_at_time0(p0_out, 0)
+    p1_time0 = _favored_at_time0(p1_out, 1)
 
     # [DS82] probe: the crash-chain run forces a late decision for the
     # survivors under P0 (the lone 0 is whispered down the faulty chain).

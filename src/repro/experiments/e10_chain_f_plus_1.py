@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Dict
 
+import numpy as np
+
 from ..core.outcomes import ProtocolOutcome
 from ..core.specs import check_eba
 from ..metrics.tables import render_table
@@ -26,15 +28,20 @@ from .framework import ExperimentResult
 
 
 def _worst_by_f(outcome: ProtocolOutcome) -> Dict[int, int]:
-    worst: Dict[int, int] = {}
-    for run in outcome:
-        f = run.pattern.num_faulty()
-        latest = run.max_nonfaulty_decision_time()
-        if latest is None:
-            worst[f] = 10**9  # undecided sentinel
-        else:
-            worst[f] = max(worst.get(f, 0), latest)
-    return worst
+    """Per number ``f`` of faulty processors, the latest nonfaulty decision
+    time over the runs with ``f`` failures (``10**9`` when some nonfaulty
+    processor of such a run never decides)."""
+    nonfaulty = outcome.nonfaulty
+    time = outcome.time
+    latest = np.where(
+        (nonfaulty & (time < 0)).any(axis=1),
+        10**9,  # undecided sentinel
+        np.where(nonfaulty, time, 0).max(axis=1, initial=0),
+    )
+    faulty = outcome.scenarios.num_faulty
+    return {
+        f: int(latest[faulty == f].max()) for f in np.unique(faulty).tolist()
+    }
 
 
 def run(n: int = 3, t: int = 1, horizon: int = None) -> ExperimentResult:

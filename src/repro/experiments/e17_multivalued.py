@@ -18,6 +18,8 @@ remark and measures it:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..core.domination import compare, equivalent_decisions
 from ..core.specs import check_eba
 from ..metrics.stats import decision_time_stats
@@ -117,15 +119,15 @@ def _as_binary(scenarios):
 
 
 def _same_decisions(multi_outcome, binary_outcome) -> bool:
-    """Decision-for-decision comparison across the two config types."""
-    binary_by_values = {
-        (run.config.values, run.pattern): run for run in binary_outcome
-    }
-    for run in multi_outcome:
-        twin = binary_by_values.get((run.config.values, run.pattern))
-        if twin is None:
-            return False
-        for processor in run.nonfaulty:
-            if run.decisions[processor] != twin.decisions[processor]:
-                return False
-    return True
+    """Decision-for-decision comparison across the two config types.
+
+    The binary outcome runs over :func:`_as_binary` of the multivalued
+    scenario list, so row ``r`` of one is row ``r`` of the other."""
+    nonfaulty = multi_outcome.nonfaulty
+    return len(multi_outcome) == len(binary_outcome) and all(
+        np.array_equal(
+            np.where(nonfaulty, getattr(multi_outcome, column), -1),
+            np.where(nonfaulty, getattr(binary_outcome, column), -1),
+        )
+        for column in ("value", "time")
+    )

@@ -9,7 +9,9 @@ protocol beats another, how many messages each costs).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.outcomes import ProtocolOutcome
 from ..sim.trace import Trace
@@ -42,18 +44,18 @@ class DecisionTimeStats:
 
 def decision_time_stats(outcome: ProtocolOutcome) -> DecisionTimeStats:
     """Summarize nonfaulty decision times of *outcome*."""
-    times = outcome.decision_times()
-    histogram: Dict[int, int] = {}
-    for time in times:
-        histogram[time] = histogram.get(time, 0) + 1
+    times = np.array(outcome.decision_times(), dtype=np.int64)
+    undecided = outcome.undecided_count()
+    moments, counts = np.unique(times, return_counts=True)
+    decided = int(times.size)
     return DecisionTimeStats(
         protocol_name=outcome.name,
-        count=len(times) + outcome.undecided_count(),
-        undecided=outcome.undecided_count(),
-        mean=(sum(times) / len(times)) if times else None,
-        maximum=max(times) if times else None,
-        minimum=min(times) if times else None,
-        histogram=tuple(sorted(histogram.items())),
+        count=decided + undecided,
+        undecided=undecided,
+        mean=(int(times.sum()) / decided) if decided else None,
+        maximum=int(moments[-1]) if decided else None,
+        minimum=int(moments[0]) if decided else None,
+        histogram=tuple(zip(moments.tolist(), counts.tolist())),
     )
 
 
@@ -95,16 +97,15 @@ def mean_decision_gap(
     contribute; a positive value means *faster* really is faster on
     average.
     """
-    gaps: List[int] = []
-    for key in faster.common_scenarios(slower):
-        run_fast = faster.get(key)
-        run_slow = slower.get(key)
-        for processor in run_fast.nonfaulty:
-            fast_time = run_fast.decision_time(processor)
-            slow_time = run_slow.decision_time(processor)
-            if fast_time is not None and slow_time is not None:
-                gaps.append(slow_time - fast_time)
-    return sum(gaps) / len(gaps) if gaps else None
+    rows = faster.scenarios.rows_in(slower.scenarios)
+    present = rows >= 0
+    width = min(faster.scenarios.width, slower.scenarios.width)
+    fast = faster.time[present, :width]
+    slow = slower.time[rows[present], :width]
+    gaps = (slow - fast)[
+        faster.nonfaulty[present, :width] & (fast >= 0) & (slow >= 0)
+    ]
+    return int(gaps.sum()) / int(gaps.size) if gaps.size else None
 
 
 def per_time_cumulative_share(
@@ -115,11 +116,11 @@ def per_time_cumulative_share(
     The decision-time CDF used by the EBA-vs-SBA comparison figure
     (experiment E12).
     """
-    times = outcome.decision_times()
-    total = len(times) + outcome.undecided_count()
+    times = np.array(outcome.decision_times(), dtype=np.int64)
+    total = int(times.size) + outcome.undecided_count()
     if total == 0:
         return [0.0] * (max_time + 1)
-    shares: List[float] = []
-    for cutoff in range(max_time + 1):
-        shares.append(sum(1 for time in times if time <= cutoff) / total)
-    return shares
+    reached = np.searchsorted(
+        np.sort(times), np.arange(max_time + 1), side="right"
+    )
+    return [count / total for count in reached.tolist()]

@@ -106,6 +106,7 @@ class System:
         self._state_order: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._arrays = arrays
         self._ranks: Optional[Tuple[Dict, Dict]] = None
+        self._scenario_index = None
         self._formula_cache: Dict[object, TruthAssignment] = {}
         self._nonrigid_cache: Dict[object, object] = {}
         self._components_cache: Dict[object, List[int]] = {}
@@ -200,11 +201,21 @@ class System:
 
     def scenarios(self) -> List[ScenarioKey]:
         """The (config, pattern) pairs of all runs, in run order."""
-        return [
-            (config, pattern)
-            for config in self._configs
-            for pattern in self._patterns
-        ]
+        return list(self.scenario_index().keys)
+
+    def scenario_index(self):
+        """The :class:`~repro.core.outcomes.ScenarioIndex` of the
+        scenario grid (built on first use, then shared by every outcome
+        over the system)."""
+        index = self._scenario_index
+        if index is None:
+            from ..core.outcomes import ScenarioIndex
+
+            index = self._scenario_index = ScenarioIndex.grid(
+                self._configs, self._patterns, self.n
+            )
+            index.check_distinct()
+        return index
 
     def occurring_views(self) -> Iterator[ViewId]:
         """All view ids that occur at some point of the system, in id

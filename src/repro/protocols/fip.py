@@ -26,7 +26,7 @@ from weakref import WeakValueDictionary
 import numpy as np
 
 from ..core.decision_sets import DecisionPair
-from ..core.outcomes import DecisionRecord, ProtocolOutcome, RunOutcome
+from ..core.outcomes import DecisionRecord, ProtocolOutcome
 from ..errors import EvaluationError, ProtocolViolationError
 from ..knowledge.formulas import Formula
 from ..model.partition import fired_views, first_fire_times
@@ -96,24 +96,16 @@ class FullInformationProtocol:
         return (decided, int(time[run_index, processor]))
 
     def outcome(self, system: System) -> ProtocolOutcome:
-        """Decisions of every processor in every run of *system*."""
+        """Decisions of every processor in every run of *system*: the
+        firing table's arrays over the system's scenario index."""
         value, time, _ = self._first_fires(system)
-        result = ProtocolOutcome(self.name)
-        for (config, pattern), values, times in zip(
-            system.scenarios(), value.tolist(), time.tolist()
-        ):
-            result.add(
-                RunOutcome(
-                    config=config,
-                    pattern=pattern,
-                    decisions=tuple(
-                        None if decided < 0 else (decided, at)
-                        for decided, at in zip(values, times)
-                    ),
-                    horizon=system.horizon,
-                )
-            )
-        return result
+        return ProtocolOutcome.from_table(
+            self.name,
+            system.scenario_index(),
+            value,
+            np.where(value < 0, -1, time),
+            system.horizon,
+        )
 
     def conflicts(self, system: System) -> List[Tuple[int, int, int]]:
         """Points ``(run_index, processor, time)`` where both decision rules

@@ -34,8 +34,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from .. import trace as spantrace
-from ..core.outcomes import DecisionRecord, ProtocolOutcome, RunOutcome
+from ..core.outcomes import DecisionRecord, ProtocolOutcome, ScenarioIndex
 from ..errors import ConfigurationError
 from ..model.config import InitialConfiguration
 from ..model.failures import FailurePattern, ProcessorId
@@ -58,9 +60,10 @@ class ScenarioViews(Sequence):
     The sequence of its own ``(config, pattern)`` keys, so it is accepted
     wherever scenarios are.  Wrapping a list once lets every protocol run
     over it share one plan — per scenario, the delivery row of each round —
-    which the first engine call builds once per distinct ``(pattern, n)``.
-    The plan is bound to *horizon* and *t*: an engine call with other values
-    is rejected.
+    which the first engine call builds once per distinct ``(pattern, n)``,
+    and one :class:`~repro.core.outcomes.ScenarioIndex`, the rows of every
+    outcome over the list.  The plan is bound to *horizon* and *t*: an
+    engine call with other values is rejected.
 
     Raises:
         ConfigurationError: for a horizon below 1 here; for a pattern with
@@ -77,6 +80,7 @@ class ScenarioViews(Sequence):
         self.horizon = horizon
         self.t = t
         self._plan: Optional[Plan] = None
+        self._index: Optional[ScenarioIndex] = None
 
     def __len__(self) -> int:
         return len(self._scenarios)
@@ -93,24 +97,30 @@ class ScenarioViews(Sequence):
             self._plan = self._build()
         return self._plan
 
+    def index(self) -> ScenarioIndex:
+        """The scenarios' index, built with the plan: configurations and
+        ``(pattern, n)`` entries numbered in first-seen order."""
+        self.plan()
+        return self._index
+
     def _build(self) -> Plan:
+        index = ScenarioIndex.of(self._scenarios)
         rounds = range(1, self.horizon + 1)
-        plans: List[Tuple[int, ...]] = []
-        plan_of: Dict[Tuple[FailurePattern, int], Tuple[int, ...]] = {}
         delivery_ids: Dict[DeliveryRow, int] = {}
-        for config, pattern in self._scenarios:
-            n = config.n
-            plan = plan_of.get((pattern, n))
-            if plan is None:
-                pattern.validate(n, self.t)
-                plan = plan_of[pattern, n] = tuple(
+        entry_plans = []
+        for pattern, n in index.patterns:
+            pattern.validate(n, self.t)
+            entry_plans.append(
+                tuple(
                     delivery_ids.setdefault(
                         _delivery_row(pattern, n, round_number),
                         len(delivery_ids),
                     )
                     for round_number in rounds
                 )
-            plans.append(plan)
+            )
+        self._index = index
+        plans = [entry_plans[entry] for entry in index.pattern_of.tolist()]
         return plans, list(delivery_ids)
 
 
@@ -196,16 +206,18 @@ class _Nodes:
 class _Fold:
     """One protocol's results over a :class:`ScenarioViews`.
 
-    ``decisions[s]`` holds the first decisions of scenario ``s``; ``nodes``
+    ``value`` and ``time`` are the ``(scenarios, width)`` decision table
+    (``-1`` for no decision), filled when traces are not kept; ``nodes``
     counts the distinct nodes over all times, ``sent`` and ``delivered``
     the messages over all scenarios; ``traces`` is kept only when asked
     for.
     """
 
-    __slots__ = ("decisions", "nodes", "sent", "delivered", "traces")
+    __slots__ = ("value", "time", "nodes", "sent", "delivered", "traces")
 
     def __init__(self) -> None:
-        self.decisions: List[Tuple[DecisionRecord, ...]] = []
+        self.value: Optional[np.ndarray] = None
+        self.time: Optional[np.ndarray] = None
         self.nodes = 0
         self.sent = 0
         self.delivered = 0
@@ -218,29 +230,43 @@ def _first_level(
     """The time-0 nodes, and the row of each scenario through them."""
     level = _Nodes(protocol.name)
     starts: Dict[Tuple[int, ProcessorId, int], int] = {}
-    config_rows: Dict[InitialConfiguration, int] = {}
-    row_of: List[int] = []
-    for config, _pattern in scenarios:
-        row = config_rows.get(config)
-        if row is None:
-            n = config.n
-            nodes = []
-            for processor in range(n):
-                start = (n, processor, config.value_of(processor))
-                node = starts.get(start)
-                if node is None:
-                    state = protocol.initial_state(
-                        processor, n, scenarios.t, start[2]
-                    )
-                    value = protocol.output(state)
-                    node = starts[start] = level.node(
-                        processor, n, state,
-                        None if value is None else (value, 0),
-                    )
-                nodes.append(node)
-            row = config_rows[config] = level.row(tuple(nodes))
-        row_of.append(row)
-    return level, row_of
+    config_rows: List[int] = []
+    index = scenarios.index()
+    for config in index.configs:
+        n = config.n
+        nodes = []
+        for processor in range(n):
+            start = (n, processor, config.value_of(processor))
+            node = starts.get(start)
+            if node is None:
+                state = protocol.initial_state(
+                    processor, n, scenarios.t, start[2]
+                )
+                value = protocol.output(state)
+                node = starts[start] = level.node(
+                    processor, n, state,
+                    None if value is None else (value, 0),
+                )
+            nodes.append(node)
+        config_rows.append(level.row(tuple(nodes)))
+    return level, [config_rows[c] for c in index.config_of.tolist()]
+
+
+def _decision_table(
+    level: _Nodes, row_of: List[int], width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(value, time)`` of every scenario's first decisions, ``-1`` for
+    none: the last level's records laid out along its rows, gathered by
+    each scenario's row."""
+    records = [
+        (-1, -1) if record is None else record for record in level.record
+    ]
+    per_node = np.array(records + [(-1, -1)], dtype=np.int64)
+    pad = (len(records),)
+    rows = np.array(
+        [row + pad * (width - len(row)) for row in level.rows], dtype=np.intp
+    ).reshape(len(level.rows), width)[np.asarray(row_of, dtype=np.intp)]
+    return per_node[rows, 0], per_node[rows, 1]
 
 
 def _outboxes(
@@ -360,13 +386,16 @@ def _fold(
         row_of = [step_rows[step] for step in step_of]
 
     result.nodes += len(level.state)
-    decisions = level.along_rows(level.record)
-    result.decisions = [decisions[row] for row in row_of]
     if keep:
+        decisions = level.along_rows(level.record)
         row_states = level.along_rows(level.state)
         for trace, row in zip(result.traces, row_of):
             trace.states.append(row_states[row])
             trace.decisions = list(decisions[row])
+    else:
+        result.value, result.time = _decision_table(
+            level, row_of, scenarios.index().width
+        )
     return result
 
 
@@ -415,24 +444,30 @@ def run_over_scenarios(
     horizon: int,
     t: int,
 ) -> ProtocolOutcome:
-    """Execute *protocol* over a scenario space, collecting outcomes.
+    """Execute *protocol* over a scenario space, collecting its decision
+    table.
 
     The scenario iterable is typically ``system.scenarios()`` for an
     enumerated system (so knowledge-level and concrete protocols are
     compared over identical corresponding runs) or a workload generator's
     output.  Pass a :class:`ScenarioViews` to share its delivery plan with
     other protocols run over the same list.
+
+    Raises:
+        ConfigurationError: for a scenario listed twice (besides the
+            plan's checks, see :class:`ScenarioViews`).
     """
     scenarios = _bind(scenarios, horizon, t)
-    outcome = ProtocolOutcome(protocol.name)
     with spantrace.span(
         "sim.run_over_scenarios", protocol=protocol.name, rounds=horizon
     ) as batch_span:
+        index = scenarios.index()
+        index.check_distinct()
         folded = _fold(protocol, scenarios, keep=False)
-        for (config, pattern), decisions in zip(scenarios, folded.decisions):
-            outcome.add(RunOutcome(config, pattern, decisions, horizon))
         _annotate(batch_span, scenarios, folded)
-    return outcome
+    return ProtocolOutcome.from_table(
+        protocol.name, index, folded.value, folded.time, horizon
+    )
 
 
 def traces_over_scenarios(

@@ -17,6 +17,12 @@ view table) that those passes replaced, kept as the differential oracle:
   :func:`sticky_pair` — the reference firing-table scan of
   ``FIP(Z, O)`` and what it derives.
 
+The outcome readers — the specification checkers, ``compare``,
+``equivalent_decisions``, the [DS82] reports, the decision statistics
+and the outcome checks of experiments E1, E10 and E17 — are kept as the
+per-run walks over :class:`~repro.core.outcomes.RunOutcome` objects
+that the decision-table passes replaced.
+
 :func:`rows_digest` is the served verdict digest as first written, one
 JSON token per point, which ``repro.serve.session.verdict_digest``
 renders from the packed bits instead.
@@ -425,3 +431,352 @@ def pair_from_formulas(system, zero_formula, one_formula):
             )
         )
     return tuple(sets)
+
+
+# -- protocol outcome readers -------------------------------------------------
+#
+# The per-run walks over ``RunOutcome`` objects that the decision-table
+# readers of ``repro.core.specs``, ``repro.core.domination``,
+# ``repro.core.lower_bounds``, ``repro.metrics.stats`` and experiments E1,
+# E10 and E17 replaced.  They iterate an outcome (``for run in outcome``)
+# and look runs up by scenario (``outcome.get``), so they read the
+# per-run view, never the table.
+
+
+def _describe(run) -> str:
+    return f"config={run.config} pattern={run.pattern}"
+
+
+def check_decision(outcome) -> List[str]:
+    violations = []
+    for run in outcome:
+        for processor in sorted(run.nonfaulty):
+            if run.decisions[processor] is None:
+                violations.append(
+                    f"[decision] processor {processor} undecided by time "
+                    f"{run.horizon} in {_describe(run)}"
+                )
+    return violations
+
+
+def check_weak_agreement(outcome) -> List[str]:
+    violations = []
+    for run in outcome:
+        values = {
+            run.decision_value(processor)
+            for processor in run.nonfaulty
+            if run.decisions[processor] is not None
+        }
+        if len(values) > 1:
+            violations.append(
+                f"[weak-agreement] nonfaulty decisions {sorted(values)} "
+                f"in {_describe(run)}"
+            )
+    return violations
+
+
+def check_weak_validity(outcome) -> List[str]:
+    from repro.core.values import all_same
+
+    violations = []
+    for run in outcome:
+        unanimous = all_same(run.config.values)
+        if unanimous is None:
+            continue
+        for processor in sorted(run.nonfaulty):
+            record = run.decisions[processor]
+            if record is not None and record[0] != unanimous:
+                violations.append(
+                    f"[weak-validity] processor {processor} decided "
+                    f"{record[0]} despite unanimous {unanimous} in "
+                    f"{_describe(run)}"
+                )
+    return violations
+
+
+def check_validity(outcome) -> List[str]:
+    from repro.core.values import all_same
+
+    violations = check_weak_validity(outcome)
+    for run in outcome:
+        if all_same(run.config.values) is None:
+            continue
+        for processor in sorted(run.nonfaulty):
+            if run.decisions[processor] is None:
+                violations.append(
+                    f"[validity] processor {processor} undecided under "
+                    f"unanimous input in {_describe(run)}"
+                )
+    return violations
+
+
+def check_uniform_agreement(outcome) -> List[str]:
+    violations = []
+    for run in outcome:
+        values = {
+            record[0]
+            for record in run.acted_decisions().values()
+            if record is not None
+        }
+        if len(values) > 1:
+            violations.append(
+                f"[uniform-agreement] decisions {sorted(values)} "
+                f"(faulty included) in {_describe(run)}"
+            )
+    return violations
+
+
+def check_simultaneity(outcome) -> List[str]:
+    violations = []
+    for run in outcome:
+        times = {
+            run.decision_time(processor)
+            for processor in run.nonfaulty
+            if run.decisions[processor] is not None
+        }
+        if len(times) > 1:
+            violations.append(
+                f"[simultaneity] nonfaulty decision times {sorted(times)} "
+                f"in {_describe(run)}"
+            )
+    return violations
+
+
+SPEC_CHECKS = (
+    "check_decision",
+    "check_weak_agreement",
+    "check_weak_validity",
+    "check_validity",
+    "check_uniform_agreement",
+    "check_simultaneity",
+)
+
+
+def _same_space(outcome_a, outcome_b) -> List[tuple]:
+    """The scenarios of *outcome_a*, all of which *outcome_b* holds too
+    (``ValueError`` when the two spaces differ)."""
+    keys_b = set(outcome_b.scenario_keys())
+    common = [key for key in outcome_a.scenario_keys() if key in keys_b]
+    if len(common) != len(outcome_a) or len(common) != len(outcome_b):
+        raise ValueError("scenario spaces differ")
+    return common
+
+
+def compare(outcome_a, outcome_b, max_witnesses: int = 25):
+    """The :class:`~repro.core.domination.DominationReport` of *a* against
+    *b*, its verdict over every sample and its witness lists capped."""
+    from repro.core.domination import DominationReport, DominationWitness
+
+    common = _same_space(outcome_a, outcome_b)
+    later, earlier = [], []
+    for key in common:
+        run_a = outcome_a.get(key)
+        run_b = outcome_b.get(key)
+        for processor in sorted(run_a.nonfaulty):
+            time_a = run_a.decision_time(processor)
+            time_b = run_b.decision_time(processor)
+            effective_a = float("inf") if time_a is None else time_a
+            effective_b = float("inf") if time_b is None else time_b
+            witness = DominationWitness(key, processor, time_a, time_b)
+            if effective_a > effective_b:
+                later.append(witness)
+            elif effective_a < effective_b:
+                earlier.append(witness)
+    return DominationReport(
+        name_a=outcome_a.name,
+        name_b=outcome_b.name,
+        dominates=not later,
+        strict=not later and bool(earlier),
+        counterexamples=later[:max_witnesses],
+        improvements=earlier[:max_witnesses],
+        scenarios_compared=len(common),
+    )
+
+
+def equivalent_decisions(outcome_a, outcome_b, nonfaulty_only=True):
+    differences = []
+    for key in _same_space(outcome_a, outcome_b):
+        run_a = outcome_a.get(key)
+        run_b = outcome_b.get(key)
+        processors = (
+            sorted(run_a.nonfaulty) if nonfaulty_only else range(run_a.n)
+        )
+        for processor in processors:
+            if run_a.decisions[processor] != run_b.decisions[processor]:
+                if len(differences) < 25:
+                    config, pattern = key
+                    differences.append(
+                        f"processor {processor}: "
+                        f"{run_a.decisions[processor]} vs "
+                        f"{run_b.decisions[processor]} "
+                        f"(config={config}, pattern={pattern})"
+                    )
+    return (not differences, differences)
+
+
+def worst_case_decision_time(outcome):
+    from repro.core.lower_bounds import WorstCaseReport
+
+    worst = -1
+    witness = None
+    undecided = 0
+    for run in outcome:
+        for processor in sorted(run.nonfaulty):
+            record = run.decisions[processor]
+            if record is None:
+                undecided += 1
+                continue
+            if record[1] > worst:
+                worst = record[1]
+                witness = (run.scenario_key(), processor)
+    return WorstCaseReport(
+        protocol_name=outcome.name,
+        worst_time=worst,
+        witness=witness,
+        undecided=undecided,
+    )
+
+
+def max_gap_behind_races(outcome, race_zero, race_one):
+    from repro.core.lower_bounds import RaceGapReport
+
+    max_gap = -(10**9)
+    witness = None
+    for key in outcome.scenario_keys():
+        run = outcome.get(key)
+        run_zero = race_zero.get(key)
+        run_one = race_one.get(key)
+        for processor in sorted(run.nonfaulty):
+            reference_times = [
+                record[1]
+                for record in (
+                    run_zero.decisions[processor],
+                    run_one.decisions[processor],
+                )
+                if record is not None
+            ]
+            if not reference_times:
+                continue
+            record = run.decisions[processor]
+            time = run.horizon + 1 if record is None else record[1]
+            gap = time - min(reference_times)
+            if gap > max_gap:
+                max_gap = gap
+                witness = (key, processor)
+    return RaceGapReport(
+        protocol_name=outcome.name, max_gap=max_gap, witness=witness
+    )
+
+
+def check_ds82_bounds(outcome, race_zero, race_one, t) -> List[str]:
+    problems = []
+    worst = worst_case_decision_time(outcome)
+    if not worst.meets_t_plus_1(t):
+        problems.append(
+            f"{outcome.name}: worst-case decision time {worst.worst_time} "
+            f"< t + 1 = {t + 1} over an exhaustive space"
+        )
+    gap = max_gap_behind_races(outcome, race_zero, race_one)
+    if gap.max_gap < t + 1:
+        problems.append(
+            f"{outcome.name}: max lag behind min(P0, P1) is {gap.max_gap} "
+            f"< t + 1 = {t + 1}"
+        )
+    return problems
+
+
+def _nonfaulty_times(outcome) -> Tuple[List[int], int]:
+    times, undecided = [], 0
+    for run in outcome:
+        for processor in sorted(run.nonfaulty):
+            record = run.decisions[processor]
+            if record is None:
+                undecided += 1
+            else:
+                times.append(record[1])
+    return times, undecided
+
+
+def decision_time_stats(outcome):
+    from repro.metrics.stats import DecisionTimeStats
+
+    times, undecided = _nonfaulty_times(outcome)
+    histogram: Dict[int, int] = {}
+    for time in times:
+        histogram[time] = histogram.get(time, 0) + 1
+    return DecisionTimeStats(
+        protocol_name=outcome.name,
+        count=len(times) + undecided,
+        undecided=undecided,
+        mean=(sum(times) / len(times)) if times else None,
+        maximum=max(times) if times else None,
+        minimum=min(times) if times else None,
+        histogram=tuple(sorted(histogram.items())),
+    )
+
+
+def mean_decision_gap(slower, faster) -> Optional[float]:
+    keys_slow = set(slower.scenario_keys())
+    gaps = []
+    for key in faster.scenario_keys():
+        if key not in keys_slow:
+            continue
+        run_fast = faster.get(key)
+        run_slow = slower.get(key)
+        for processor in sorted(run_fast.nonfaulty):
+            fast_time = run_fast.decision_time(processor)
+            slow_time = run_slow.decision_time(processor)
+            if fast_time is not None and slow_time is not None:
+                gaps.append(slow_time - fast_time)
+    return sum(gaps) / len(gaps) if gaps else None
+
+
+def per_time_cumulative_share(outcome, max_time: int) -> List[float]:
+    times, undecided = _nonfaulty_times(outcome)
+    total = len(times) + undecided
+    if total == 0:
+        return [0.0] * (max_time + 1)
+    return [
+        sum(1 for time in times if time <= cutoff) / total
+        for cutoff in range(max_time + 1)
+    ]
+
+
+def worst_by_f(outcome) -> Dict[int, int]:
+    """E10's table: per fault count, the latest nonfaulty decision time
+    (``10**9`` when a run with that many faults leaves one undecided)."""
+    worst: Dict[int, int] = {}
+    for run in outcome:
+        f = run.pattern.num_faulty()
+        latest = run.max_nonfaulty_decision_time()
+        if latest is None:
+            worst[f] = 10**9
+        else:
+            worst[f] = max(worst.get(f, 0), latest)
+    return worst
+
+
+def time0_favored_ok(outcome, favored) -> bool:
+    """E1's check: every nonfaulty holder of *favored* decides it at 0."""
+    for run in outcome:
+        for processor in run.nonfaulty:
+            if run.config.value_of(processor) == favored:
+                if run.decisions[processor] != (favored, 0):
+                    return False
+    return True
+
+
+def same_decisions(multi_outcome, binary_outcome) -> bool:
+    """E17's check: nonfaulty decisions equal across the two config
+    types, matched by initial values and pattern."""
+    binary_by_values = {
+        (run.config.values, run.pattern): run for run in binary_outcome
+    }
+    for run in multi_outcome:
+        twin = binary_by_values.get((run.config.values, run.pattern))
+        if twin is None:
+            return False
+        for processor in run.nonfaulty:
+            if run.decisions[processor] != twin.decisions[processor]:
+                return False
+    return True

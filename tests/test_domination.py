@@ -125,3 +125,33 @@ class TestEquivalentDecisions:
         b = _outcome("B", [((0, 1), pattern, [(1, 2), (0, 1)])])
         assert equivalent_decisions(a, b)[0]
         assert not equivalent_decisions(a, b, nonfaulty_only=False)[0]
+
+
+class TestWitnessCap:
+    """The verdict reads every sample; ``max_witnesses`` caps the lists."""
+
+    @pytest.fixture(scope="class")
+    def races(self, crash3):
+        from repro.protocols.registry import outcome_for
+
+        return outcome_for("P0", crash3), outcome_for("P0opt", crash3)
+
+    @pytest.mark.parametrize("cap", [0, 1])
+    def test_verdict_independent_of_cap(self, races, cap):
+        p0_out, p0opt_out = races
+        for a, b in ((p0_out, p0opt_out), (p0opt_out, p0_out)):
+            full = compare(a, b)
+            capped = compare(a, b, max_witnesses=cap)
+            assert (capped.dominates, capped.strict) == (
+                full.dominates,
+                full.strict,
+            )
+            assert capped.counterexamples == full.counterexamples[:cap]
+            assert capped.improvements == full.improvements[:cap]
+            assert capped.scenarios_compared == full.scenarios_compared
+        assert not compare(p0_out, p0opt_out, max_witnesses=0).dominates
+        assert compare(p0opt_out, p0_out, max_witnesses=0).strict
+
+    def test_negative_cap_rejected(self, races):
+        with pytest.raises(ConfigurationError):
+            compare(*races, max_witnesses=-1)
