@@ -12,11 +12,11 @@ rounds would defeat):
    component-label sweep over every block, exactly what the batch plans
    seed from);
 2. **object graph** (the limb-shard baseline): the same cell and the
-   same evaluation, but built through ``build_system`` — per-point
-   scenario enumeration, view interning, run construction — with the
-   arrays projected from the finished system by
-   ``SystemArrays.from_system``.  (``SystemProvider.get`` itself builds
-   arrays-first, so it cannot serve as the baseline.)
+   same evaluation, but built through the object-graph oracle of
+   ``tests/oracles.py`` — per-point scenario enumeration, view
+   interning, run construction (``build_graph``) — with the arrays
+   projected from the finished graph (``project``).  (Every builder in
+   ``src/`` is arrays-first, so none can serve as the baseline.)
 
 Both legs start from an empty cache, so the ratio is the cold-path win
 the arrays-first builder exists for.  The script exits non-zero unless
@@ -42,8 +42,9 @@ from typing import Dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
-if SRC_DIR not in sys.path:
-    sys.path.insert(0, SRC_DIR)
+for path in (REPO_ROOT, SRC_DIR):
+    if path not in sys.path:
+        sys.path.insert(0, path)
 
 
 def _evaluate(arrays) -> int:
@@ -78,19 +79,19 @@ def _cold_leg(n: int, t: int, horizon: int, *, legacy: bool) -> float:
     """One cold build+eval from an empty cache; returns the wall time."""
     from repro.model.adversary import exhaustive_adversary
     from repro.model.failures import FailureMode
-    from repro.model.partition import SystemArrays
     from repro.model.provider import SystemProvider
-    from repro.model.system import build_system
+    from tests.oracles import build_graph, project
 
     directory = tempfile.mkdtemp(prefix="repro-cold-bench-")
     try:
         provider = SystemProvider(cache_dir=directory)
         start = time.perf_counter()
         if legacy:
-            system = build_system(
-                exhaustive_adversary(FailureMode.OMISSION, n, t, horizon)
+            arrays = project(
+                build_graph(
+                    exhaustive_adversary(FailureMode.OMISSION, n, t, horizon)
+                )
             )
-            arrays = SystemArrays.from_system(system)
         else:
             arrays = provider.get_arrays(FailureMode.OMISSION, n, t, horizon)
         _evaluate(arrays)

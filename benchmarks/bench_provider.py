@@ -21,7 +21,7 @@ from repro.model.failures import FailureMode
 from repro.model.provider import SystemProvider
 from repro.model.system import build_system
 
-from conftest import best_enabled_disabled
+from conftest import OVERHEAD_BUILDS, best_enabled_disabled
 
 
 def test_provider_warm_path_speedup(tmp_path):
@@ -66,7 +66,8 @@ def test_instrumentation_overhead_within_5_percent():
     """Acceptance: enabling repro.obs costs <=5% on enumeration."""
 
     def workload():
-        return build_system(ExhaustiveOmissionAdversary(3, 1, 3))
+        for _ in range(OVERHEAD_BUILDS):
+            build_system(ExhaustiveOmissionAdversary(3, 1, 3))
 
     def switch(on):
         obs.OBS.enabled = on

@@ -38,6 +38,11 @@ def run_experiment_benchmark(benchmark, runner, **params):
 #: Timed runs per side of an instrumentation-overhead gate.
 OVERHEAD_ROUNDS = 9
 
+#: Builds per timed run of the overhead gates' workloads: one arrays-first
+#: build of their cells takes 15-20 ms, too short to time against a 5 %
+#: bound, so each run repeats it.
+OVERHEAD_BUILDS = 10
+
 
 def best_enabled_disabled(workload, switch):
     """Best wall time of *workload* over :data:`OVERHEAD_ROUNDS` runs

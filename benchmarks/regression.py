@@ -164,26 +164,6 @@ def _bench_kernel_chunked_algebra_10m() -> None:
     acc.count_true()
 
 
-_EXTEND_BASE = []
-
-
-def _bench_extend_omission_h2_to_h3() -> None:
-    """Incremental extension of the E9-class omission cell.
-
-    The horizon-2 base is built once and cached across rounds, so the
-    timing is the extension itself — the A side of the extend-vs-rebuild
-    comparison whose B side is ``enumerate_omission_system_h3``.
-    """
-    from repro.model.adversary import ExhaustiveOmissionAdversary
-    from repro.model.system import build_system, extend_system
-
-    if not _EXTEND_BASE:
-        _EXTEND_BASE.append(
-            build_system(ExhaustiveOmissionAdversary(3, 1, 2))
-        )
-    extend_system(_EXTEND_BASE[0], ExhaustiveOmissionAdversary(3, 1, 3))
-
-
 def _bench_enumerate_omission_h3() -> None:
     from repro.model.adversary import ExhaustiveOmissionAdversary
     from repro.model.system import build_system
@@ -200,7 +180,6 @@ MICRO_BENCHES: Dict[str, Callable[[], None]] = {
     "two_step_construction_crash_n3": _bench_two_step_construction,
     "simulator_throughput_p0opt": _bench_simulator_throughput,
     "kernel_chunked_common_fixpoint": _bench_kernel_chunked_fixpoint,
-    "extend_omission_h2_to_h3": _bench_extend_omission_h2_to_h3,
     "enumerate_omission_system_h3": _bench_enumerate_omission_h3,
     "kernel_chunked_algebra_1m": _bench_kernel_chunked_algebra_1m,
     "kernel_chunked_algebra_10m": _bench_kernel_chunked_algebra_10m,

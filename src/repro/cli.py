@@ -283,9 +283,7 @@ def _print_stats() -> None:
     counters = obs.snapshot()["counters"]
     print(
         f"  degraded: {counters.get('arrays_cache_repairs', 0)} "
-        f"arrays_cache_repairs, "
-        f"{counters.get('provider_extend_fallbacks', 0)} "
-        f"provider_extend_fallbacks"
+        f"arrays_cache_repairs"
     )
 
 
@@ -1267,7 +1265,7 @@ def _dispatch(argv: List[str] = None) -> int:
     monitor_parser = subparsers.add_parser(
         "monitor",
         help="stream one scenario round by round with online K/E/C□ "
-        "verdicts (incremental horizon extension)",
+        "verdicts (one cached cell per round)",
     )
     monitor_parser.add_argument(
         "--mode", default="crash",

@@ -4,8 +4,8 @@ Not a paper claim but the reproduction's own cost model (DESIGN.md sizing
 guidance): measures, across ``(mode, n, t, horizon)`` cells,
 
 * run-space size and distinct-view count of the exhaustive system;
-* wall time to enumerate and to evaluate one continual-common-knowledge
-  formula (component fast path);
+* wall time to build the system's arrays and to evaluate one
+  continual-common-knowledge formula (component fast path);
 * message complexity of the concrete protocols per run (``P0`` is frugal,
   ``P0opt`` linear-size tables every round, ``ChainEBA`` never halts).
 """
@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import time
 
+from ..io.system_codec import system_from_arrays
 from ..knowledge.formulas import ContinualCommon, Exists
 from ..knowledge.nonrigid import NONFAULTY
 from ..metrics.stats import message_stats
 from ..metrics.tables import format_float, render_table
 from ..model.adversary import exhaustive_adversary
+from ..model.config import all_configurations
 from ..model.failures import FailureMode
-from ..model.system import build_system
+from ..model.fastbuild import build_arrays
 from ..protocols.chain_eba import chain_eba
 from ..protocols.p0 import p0
 from ..protocols.p0opt import p0opt
@@ -40,12 +42,13 @@ def cell_row(mode: FailureMode, n: int, t: int, horizon: int) -> list:
     """One measured row of the scaling table (shared with the sharded
     execution path, which runs each cell as its own shard)."""
     start = time.perf_counter()
-    system = build_system(exhaustive_adversary(mode, n, t, horizon))
+    arrays = build_arrays(mode, n, t, horizon)
     enumerate_seconds = time.perf_counter() - start
+    system = system_from_arrays(arrays)
     start = time.perf_counter()
     ContinualCommon(NONFAULTY, Exists(1)).evaluate(system)
     cbox_seconds = time.perf_counter() - start
-    return [str(mode), n, t, horizon, len(system.runs), len(system.table),
+    return [str(mode), n, t, horizon, arrays.num_runs, arrays.num_views,
             format_float(enumerate_seconds, 3),
             format_float(cbox_seconds, 3)]
 
@@ -53,8 +56,16 @@ def cell_row(mode: FailureMode, n: int, t: int, horizon: int) -> list:
 def message_rows() -> list:
     """Message complexity of the concrete protocols on one shared cell."""
     mode, n, t, horizon = FailureMode.CRASH, 4, 1, 3
-    system = build_system(exhaustive_adversary(mode, n, t, horizon))
-    scenarios = ScenarioViews(system.scenarios(), horizon, t)
+    patterns = list(exhaustive_adversary(mode, n, t, horizon).patterns())
+    scenarios = ScenarioViews(
+        [
+            (config, pattern)
+            for config in all_configurations(n)
+            for pattern in patterns
+        ],
+        horizon,
+        t,
+    )
     result = []
     for protocol in (p0(), p0opt(), chain_eba()):
         stats = message_stats(

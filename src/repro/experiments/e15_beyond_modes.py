@@ -33,12 +33,10 @@ from ..core.specs import (
     check_weak_validity,
 )
 from ..metrics.tables import render_table
-from ..model.adversary import (
-    ExhaustiveReceiveOmissionAdversary,
-    SampledGeneralOmissionAdversary,
-)
+from ..model.adversary import SampledGeneralOmissionAdversary
+from ..model.builder import system_for
 from ..model.config import all_configurations
-from ..model.system import build_system
+from ..model.failures import FailureMode
 from ..protocols.chain_eba import chain_eba
 from ..protocols.f_lambda import f_lambda_2_pair
 from ..protocols.fip import fip
@@ -62,9 +60,7 @@ def run(
     rows = []
 
     # -- receive omissions: exhaustive, everything must survive ------------
-    receive_system = build_system(
-        ExhaustiveReceiveOmissionAdversary(n, t, horizon)
-    )
+    receive_system = system_for(FailureMode.RECEIVE_OMISSION, n, t, horizon)
     receive_scenarios = ScenarioViews(receive_system.scenarios(), horizon, t)
     receive_ok = True
     for protocol in (p0(), p0opt(), chain_eba()):

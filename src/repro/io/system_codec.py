@@ -1,19 +1,21 @@
-"""Wrap a stored cell as a system and build its object graph on demand.
+"""Wrap a stored cell as a system and build any system's object graph.
 
-A cached exhaustive cell is stored as one versioned ``.npz`` — its
-:class:`~repro.model.partition.SystemArrays`, built arrays-first by
-:mod:`repro.model.fastbuild` and validated on every load
+Every system is built arrays-first (:mod:`repro.model.fastbuild`); a
+cached exhaustive cell is stored as one versioned ``.npz`` of its
+:class:`~repro.model.partition.SystemArrays` and validated on every load
 (:meth:`~repro.model.partition.SystemArrays.validate`).
 :func:`system_from_arrays` wraps those arrays as a
 :class:`~repro.model.system.System` without building anything: the
 evaluators read the arrays, and the object graph that simulation and
 explanation read — the :class:`~repro.model.runs.Run` list and the
 :class:`~repro.model.views.ViewTable` — is built by the functions below
-the first time something reads it (``System.runs``, ``System.table``).
-What they build equals a fresh :func:`~repro.model.system.build_system`
-of the cell: same run order, same scenarios, same view ids and
-``ViewTable`` entries (``tests/test_system_codec.py`` checks this across
-all three exhaustive modes and in every access order).
+the first time something reads it (``System.runs``, ``System.table``),
+for a cached cell and for a restricted system alike.  What they build
+equals the object-graph build that ``tests/oracles.py`` keeps as the
+reference: same run order, same scenarios, same view ids and
+``ViewTable`` entries (``tests/test_system_codec.py`` and
+``tests/test_fastbuild.py`` check this across all three exhaustive
+modes, in every access order, and on random restricted systems).
 
 Nothing is re-simulated:
 
@@ -33,7 +35,6 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..model.adversary import exhaustive_adversary
 from ..model.config import InitialConfiguration, all_configurations
 from ..model.failures import FailureMode, FailurePattern
@@ -49,28 +50,15 @@ def system_from_arrays(arrays: SystemArrays) -> System:
     *arrays* must be an exhaustive cell that passed
     :meth:`SystemArrays.validate`; the object-graph builders rely on the
     invariants it checks.  Arrays whose run count is not the cell's
-    configurations times patterns (a restricted system's projection)
-    raise :class:`ConfigurationError`.
+    configurations times patterns (a restricted system's) raise
+    :class:`~repro.errors.ConfigurationError`.
     """
     mode = FailureMode(arrays.mode)
     n, t, horizon = arrays.n, arrays.t, arrays.horizon
-    configs = list(all_configurations(n))
-    patterns = list(exhaustive_adversary(mode, n, t, horizon).patterns())
-    if arrays.num_runs != len(configs) * len(patterns):
-        raise ConfigurationError(
-            f"{arrays.num_runs} runs stored, the cell has "
-            f"{len(configs)} x {len(patterns)}"
-        )
     return System(
-        n,
-        t,
-        horizon,
-        None,
-        None,
-        mode,
-        configs=configs,
-        patterns=patterns,
-        arrays=arrays,
+        arrays,
+        configs=list(all_configurations(n)),
+        patterns=list(exhaustive_adversary(mode, n, t, horizon).patterns()),
     )
 
 

@@ -38,15 +38,13 @@ Finite-horizon caveat: temporal operators treat the horizon as the end of
 time.  For the run-level and monotone facts used throughout the paper this
 is exact provided the horizon exceeds all decision times (see DESIGN.md).
 
-Incremental extension and cache invalidation: every memo these evaluators
-feed — the formula cache (``System.cached_evaluation``), nonrigid
-membership arrays, component labellings and the group index — lives **on
-the System instance**, and
-:func:`~repro.model.system.extend_system` returns a *new* System per
-horizon step.  A verdict computed at horizon ``h`` can therefore never be
-served for the extended horizon-``h+1`` system: the caches are
-horizon-qualified structurally, by instance identity, with nothing to
-invalidate.  The base system keeps its caches and stays fully usable.
+Cache invalidation: every memo these evaluators feed — the formula cache
+(``System.cached_evaluation``), nonrigid membership arrays, component
+labellings and the group index — lives **on the System instance**, and
+each ``(mode, n, t, horizon)`` cell is its own System.  A verdict
+computed at horizon ``h`` can therefore never be served for the
+horizon-``h+1`` system: the caches are horizon-qualified structurally,
+by instance identity, with nothing to invalidate.
 """
 
 from __future__ import annotations

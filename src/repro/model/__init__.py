@@ -45,7 +45,7 @@ from .failures import (
 )
 from .chunked import ChunkedIndex
 from .provider import PROVIDER, SystemProvider, get_provider
-from .runs import Run, build_run
+from .runs import Run
 from .system import Point, System, TruthAssignment, build_system
 from .views import ViewId, ViewInfo, ViewTable
 
@@ -78,7 +78,6 @@ __all__ = [
     "ViewInfo",
     "ViewTable",
     "all_configurations",
-    "build_run",
     "build_system",
     "clear_system_cache",
     "crash_system",

@@ -453,6 +453,36 @@ class FailurePattern:
 #: The failure-free pattern, shared for convenience.
 NO_FAILURES = FailurePattern(())
 
+#: One round's deliveries: per receiver, the senders whose message reaches
+#: it, ascending.
+DeliveryRow = Tuple[Tuple[ProcessorId, ...], ...]
+
+
+def delivery_row(
+    pattern: FailurePattern, n: int, round_number: int
+) -> DeliveryRow:
+    """Every message of the round arrives but those a faulty processor of
+    *pattern* fails to send or to receive."""
+    dropped = [set() for _ in range(n)]
+    for faulty, behavior in pattern.behaviors:
+        for other in range(n):
+            if other == faulty:
+                continue
+            if not behavior.sends_to(other, round_number):
+                dropped[other].add(faulty)
+            if not behavior.receives_from(other, round_number):
+                dropped[faulty].add(other)
+    return tuple(
+        tuple(
+            [
+                sender
+                for sender in range(n)
+                if sender != receiver and sender not in missed
+            ]
+        )
+        for receiver, missed in enumerate(dropped)
+    )
+
 
 def make_pattern(
     behaviors: Mapping[ProcessorId, FaultyBehavior],
@@ -514,9 +544,8 @@ def truncate_pattern(
     omission within the horizon (``is_visible_within``) are dropped
     entirely — so truncating a canonical horizon-``h+1`` adversary pattern
     always lands on a canonical horizon-``h`` pattern (or ``NO_FAILURES``).
-    This is the bridge incremental system extension walks: the horizon-``h``
-    run a new scenario shares its first ``h`` rounds with is the run of the
-    truncated pattern.
+    The streaming monitor looks a live scenario up this way: its run in
+    the horizon-``h`` cell is the run of the truncated pattern.
     """
     surviving = []
     for processor, behavior in pattern.behaviors:

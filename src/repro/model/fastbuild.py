@@ -1,18 +1,24 @@
-"""Arrays-first system construction: enumerate straight into numpy tables.
+"""System construction: enumerate straight into numpy tables.
 
-:func:`~repro.model.system.build_system` materializes every run as a
-``Run`` object and interns views point by point through a Python dict —
-fine for restricted and explicit adversaries, but pure overhead for a
-cached exhaustive cell, which is stored as its
-:class:`~repro.model.partition.SystemArrays`.  This module builds the
-*projection directly*:
+Every system is built here, as its
+:class:`~repro.model.partition.SystemArrays`; a
+:class:`~repro.model.system.System` is a view over them that builds its
+``Run`` objects and view table only when something reads them.  The
+builder never materializes either:
 
-* failure patterns become index tables — per-processor behaviour
-  delivery matrices (tiny: one row per canonical behaviour) combined by
-  digit arithmetic over the adversary's ``itertools.product`` order, so
-  the full ``(patterns, horizon, n, n)`` delivery tensor is assembled by
-  a handful of advanced-indexing ``&=`` passes instead of
-  ``patterns × horizon × n²`` Python calls;
+* failure patterns become a ``(patterns, horizon, n, n)`` delivery
+  tensor.  For an exhaustive cell it is assembled from index tables —
+  per-processor behaviour delivery matrices (tiny: one row per canonical
+  behaviour) combined by digit arithmetic over the adversary's
+  ``itertools.product`` order, a handful of advanced-indexing ``&=``
+  passes instead of ``patterns × horizon × n²`` Python calls
+  (:func:`pattern_tensors`, which ``SystemArrays.validate`` also reads).
+  An explicit pattern list is read off
+  :func:`~repro.model.failures.delivery_row`, one row per pattern and
+  round (:func:`_explicit_tensors`);
+* time-0 views are interned over the (processor, value) pairs that occur
+  in the configurations, so a configuration subset in which a processor
+  never starts with some value interns no leaf for it;
 * view interning runs round by round on integer keys, in two levels.
   Level 1 interns each run's previous row of ids (``R`` distinct rows,
   ``R`` far below the run count) and keys each (run, receiver ``p``)
@@ -25,15 +31,11 @@ cached exhaustive cell, which is stored as its
 * the table's dense first-appearance id order is recovered afterwards
   from each level's first occurrences (a view's first point is the
   least first point of its keys) by one argsort over the cell's views —
-  exactly the order ``build_system`` assigns ids in — which makes every
-  emitted array **byte-identical** to ``SystemArrays.from_system`` on
-  the object-graph build (asserted by ``tests/test_fastbuild.py``).
-
-The builder covers what the provider caches: exhaustive crash /
-sending-omission / receive-omission adversaries over the full initial
-configuration list — every cached cell is built here, and its ``System``
-is a view over the arrays (:mod:`repro.io.system_codec`).
-Restricted and explicit adversaries go through ``build_system``.
+  the order in which interning run by run, time by time and processor
+  by processor assigns ids — which makes every emitted array
+  **byte-identical** to the projection of the object-graph build that
+  ``tests/oracles.py`` keeps as the reference (asserted by
+  ``tests/test_fastbuild.py``).
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from typing import List
 import numpy as np
 
 from .. import obs, trace
+from ..errors import ConfigurationError
 from .adversary import exhaustive_adversary
-from .failures import FailureMode
+from .failures import FailureMode, delivery_row
 
 def _subset_masks(n: int, processor: int, *, strict: bool):
     """Boolean membership rows for the adversary's subset enumeration.
@@ -156,32 +159,98 @@ def pattern_tensors(mode: FailureMode, n: int, t: int, horizon: int):
     return deliveries, nonfaulty
 
 
-def build_arrays(mode: FailureMode, n: int, t: int, horizon: int):
-    """The cell's :class:`~repro.model.partition.SystemArrays`, built
+def _explicit_tensors(patterns, n: int, t: int, horizon: int):
+    """Delivery tensor and nonfaulty matrix over an explicit pattern list.
+
+    The same layout as :func:`pattern_tensors`, in the list's order; each
+    pattern's rounds are read off
+    :func:`~repro.model.failures.delivery_row`.  Raises
+    :class:`~repro.errors.ConfigurationError` for a pattern with more
+    than ``t`` faulty processors or a faulty id outside ``range(n)``.
+    """
+    deliveries = np.zeros((len(patterns), horizon, n, n), dtype=bool)
+    nonfaulty = np.ones((len(patterns), n), dtype=bool)
+    for index, pattern in enumerate(patterns):
+        pattern.validate(n, t)
+        nonfaulty[index, sorted(pattern.faulty)] = False
+        for m in range(horizon):
+            rows = delivery_row(pattern, n, m + 1)
+            for receiver, senders in enumerate(rows):
+                deliveries[index, m, receiver, list(senders)] = True
+    return deliveries, nonfaulty
+
+
+def _check_scenarios(items) -> None:
+    """Raise unless *items* (patterns or configurations) is a non-empty
+    list without repeats."""
+    if not items:
+        raise ConfigurationError("a system needs at least one run")
+    if len(set(items)) != len(items):
+        raise ConfigurationError("duplicate scenario in system")
+
+
+def _config_values(configs, n: int):
+    """The ``(configs, n)`` int8 value matrix: every configuration in
+    ``itertools.product`` order when *configs* is ``None``."""
+    if configs is None:
+        return np.asarray(
+            list(itertools.product((0, 1), repeat=n)), dtype=np.int8
+        )
+    configs = list(configs)
+    _check_scenarios(configs)
+    for config in configs:
+        if config.n != n:
+            raise ConfigurationError(
+                f"configuration {config} has n={config.n}, expected {n}"
+            )
+    return np.asarray([config.values for config in configs], dtype=np.int8)
+
+
+def build_arrays(
+    mode: FailureMode,
+    n: int,
+    t: int,
+    horizon: int,
+    *,
+    patterns=None,
+    configs=None,
+):
+    """The system's :class:`~repro.model.partition.SystemArrays`, built
     without ever materializing runs or a view table.
 
-    Byte-identical to ``SystemArrays.from_system`` on the object-graph
-    build of the same cell (same dtypes, same dense view-id order, same
-    meta).  Raises :class:`~repro.errors.ConfigurationError` for a cell
-    no exhaustive adversary covers.
+    *patterns* — the failure patterns, in run order; ``None`` for the
+    exhaustive adversary's list (read off :func:`pattern_tensors`).
+    *configs* — the initial configurations, outer in run order; ``None``
+    for all ``2**n``.  Byte-identical to the object-graph build of the
+    same adversary and configurations projected onto arrays (same
+    dtypes, same dense view-id order, same meta).  Raises
+    :class:`~repro.errors.ConfigurationError` for an exhaustive cell no
+    adversary covers, a pattern outside ``(n, t)``, a configuration of
+    another size, or an empty or repeated pattern or configuration list.
     """
     from .partition import SystemArrays, row_keys
 
-    exhaustive_adversary(mode, n, t, horizon)  # validates the cell
+    if patterns is None:
+        exhaustive_adversary(mode, n, t, horizon)  # validates the cell
+    else:
+        _check_scenarios(patterns)
+    configs = _config_values(configs, n)
 
     with obs.stage("system_fastbuild"), trace.span(
         "system_fastbuild", mode=mode.value, n=n, t=t, horizon=horizon
     ):
-        pattern_deliv, pattern_nf = pattern_tensors(mode, n, t, horizon)
+        if patterns is None:
+            pattern_deliv, pattern_nf = pattern_tensors(mode, n, t, horizon)
+        else:
+            pattern_deliv, pattern_nf = _explicit_tensors(
+                patterns, n, t, horizon
+            )
         num_patterns = pattern_deliv.shape[0]
-        configs = np.asarray(
-            list(itertools.product((0, 1), repeat=n)), dtype=np.int8
-        )
         num_configs = configs.shape[0]
         num_runs = num_configs * num_patterns
 
-        # Runs are config-outer × pattern-inner, matching build_system's
-        # scenario order.
+        # Runs are config-outer × pattern-inner, matching the scenario
+        # grid of a System.
         deliveries = np.tile(pattern_deliv, (num_configs, 1, 1, 1))
         nonfaulty = np.tile(pattern_nf, (num_configs, 1))
         init = np.repeat(configs, num_patterns, axis=0)
@@ -191,21 +260,21 @@ def build_arrays(mode: FailureMode, n: int, t: int, horizon: int):
         width = horizon + 1
         temp_views = np.empty((num_runs, width, n), dtype=np.int32)
         by_config = temp_views.reshape(num_configs, num_patterns, width, n)
-        # Leaf temp ids: (processor, value) -> 2p + v.  With the full
-        # configuration list every pair occurs, first in the first
-        # configuration with that digit.
-        by_config[:, :, 0, :] = (2 * procs + configs)[:, None, :]
-        first_config = np.stack(
-            [np.argmax(configs == value, axis=0) for value in (0, 1)], axis=1
+        # Leaf temp ids: one per (processor, value) pair that occurs,
+        # numbered in (processor, value) order; each first appears in
+        # the first configuration holding it.
+        present = np.stack(
+            [(configs == value).any(axis=0) for value in (0, 1)], axis=1
         )
-        owner_parts = [np.repeat(procs, 2)]
-        vtime_parts = [np.zeros(2 * n, dtype=np.int64)]
-        prev_parts = [np.full(2 * n, -1, dtype=np.int64)]
-        pos_parts = [
-            first_config.ravel() * num_patterns * width * n
-            + np.repeat(procs, 2)
-        ]
-        offset = 2 * n
+        leaf_proc, leaf_value = np.nonzero(present)
+        leaf_id = np.cumsum(present.ravel()) - 1
+        by_config[:, :, 0, :] = leaf_id[2 * procs + configs][:, None, :]
+        first_config = np.argmax(configs[:, leaf_proc] == leaf_value, axis=0)
+        owner_parts = [leaf_proc]
+        vtime_parts = [np.zeros(leaf_proc.size, dtype=np.int64)]
+        prev_parts = [np.full(leaf_proc.size, -1, dtype=np.int64)]
+        pos_parts = [first_config * num_patterns * width * n + leaf_proc]
+        offset = leaf_proc.size
         # Per pattern, round and receiver p: the senders whose message
         # reached p, as a bit mask with p's own bit cleared.
         proc_bits = np.left_shift(1, procs, dtype=np.int64)
@@ -259,7 +328,7 @@ def build_arrays(mode: FailureMode, n: int, t: int, horizon: int):
             offset += view_key.size
 
         # -- dense renumbering by first appearance ---------------------
-        # build_system assigns table ids in creation order: run-major,
+        # A view table assigns ids in creation order: run-major,
         # time-major within a run, processor-minor within a time — i.e.
         # first appearance in the raveled (runs, horizon+1, n) scan.
         # Every temp id occurs, so one argsort of first positions ranks

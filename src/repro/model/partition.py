@@ -7,7 +7,7 @@ slice of views point by point.  The chunked kernel, meanwhile, already
 organizes the same information as flat limb arrays and sparse per-state
 group tables.  This module closes that gap with two pieces:
 
-* :class:`SystemArrays` — a compact, numpy-native projection of a system
+* :class:`SystemArrays` — a system's compact, numpy-native form
   (view-id matrix, per-view owner/time/parent, initial values, nonfaulty
   sets, delivery tensors).  It carries everything the sharded knowledge
   sweeps need, and it is the one stored form of a cached cell: one
@@ -219,7 +219,7 @@ def fired_views(views, value, time) -> Tuple[List[int], List[int]]:
 
 
 class SystemArrays:
-    """Array projection of an enumerated system (numpy-native).
+    """An enumerated system as numpy arrays (what the builder emits).
 
     Attributes:
 
@@ -288,66 +288,6 @@ class SystemArrays:
         self.deliveries = deliveries
         self.occurs = occurs
         self._time_levels: Optional[List[object]] = None
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def from_system(cls, system) -> "SystemArrays":
-        """Project *system* onto arrays (one pass over runs and table)."""
-        with obs.stage("system_arrays_build"), trace.span(
-            "system_arrays_build", runs=len(system.runs)
-        ):
-            n = system.n
-            horizon = system.horizon
-            runs = system.runs
-            num_views = len(system.table)
-            table = system.table
-            owner_list = [0] * num_views
-            vtime_list = [0] * num_views
-            prev_list = [-1] * num_views
-            for view_id in range(num_views):
-                info = table.info(view_id)
-                owner_list[view_id] = info.processor
-                vtime_list[view_id] = info.time
-                prev_list[view_id] = (
-                    -1 if info.previous is None else info.previous
-                )
-            views_list = [run.views for run in runs]
-            init_list = [run.config.values for run in runs]
-            nf_list = [
-                [p in run.nonfaulty for p in range(n)] for run in runs
-            ]
-            mode = system.mode.value if system.mode is not None else "?"
-            views_arr = np.array(views_list, dtype=np.int32)
-            deliv = np.zeros((len(runs), horizon, n, n), dtype=bool)
-            for run_index, run in enumerate(runs):
-                for m in range(horizon):
-                    per_receiver = run.deliveries[m]
-                    for receiver in range(n):
-                        senders = per_receiver[receiver]
-                        if senders:
-                            deliv[run_index, m, receiver, list(senders)] = (
-                                True
-                            )
-            diag = np.arange(n)
-            deliv[:, :, diag, diag] = True
-            occurs = np.zeros(num_views, dtype=bool)
-            occurs[views_arr.ravel()] = True
-            return cls(
-                mode=mode,
-                n=n,
-                t=system.t,
-                horizon=horizon,
-                num_views=num_views,
-                views=views_arr,
-                owner=np.array(owner_list, dtype=np.int32),
-                vtime=np.array(vtime_list, dtype=np.int16),
-                prev=np.array(prev_list, dtype=np.int32),
-                init=np.array(init_list, dtype=np.int8),
-                nonfaulty=np.array(nf_list, dtype=bool),
-                deliveries=deliv,
-                occurs=occurs,
-            )
 
     # -- npz round-trip ----------------------------------------------------
 

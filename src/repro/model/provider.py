@@ -29,12 +29,12 @@ the cell's prefix and renamed into place, so readers only ever see whole
 files, and a writer killed mid-save leaves a temp file that the next
 store into the cell prunes.
 
-Only exhaustive default-config systems are cached; restricted systems and
-explicit config subsets always build fresh through
-:func:`~repro.model.system.build_system`.
+Only exhaustive cells over every configuration are cached; restricted
+systems and configuration subsets build fresh through
+:func:`~repro.model.system.build_system`, the same arrays-first builder.
 
 Thread-safety: the in-memory layers (system LRU, arrays LRU, hit/miss
-counters) are guarded by one reentrant lock, so the serve daemon's worker
+counters) are guarded by one lock, so the serve daemon's worker
 threads may share the process-wide provider.  Builds and disk I/O happen
 *outside* the lock — an enumeration must not serialize unrelated cached
 lookups — which means two threads missing on the same cell may both
@@ -49,14 +49,12 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import obs, trace
 from ..errors import ConfigurationError
-from .adversary import exhaustive_adversary
-from .config import InitialConfiguration
 from .failures import FailureMode
-from .system import System, build_system, extend_system
+from .system import System
 
 #: Default bound on the in-memory layer.  Systems are large; a handful of
 #: parameter cells covers every experiment in the suite.
@@ -115,9 +113,7 @@ class SystemProvider:
         # OrderedDict (the old design) conflated the hit/size/eviction
         # counters and let arrays pressure evict hot systems.
         self._arrays_memory: "OrderedDict[CacheKey, object]" = OrderedDict()
-        # Reentrant: _remember (locked) is reached from get (locked
-        # sections) and from extend's per-round loop.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -224,27 +220,13 @@ class SystemProvider:
         self._remember_arrays(key, arrays)
         return arrays
 
-    def get(
-        self,
-        mode: FailureMode,
-        n: int,
-        t: int,
-        horizon: int,
-        *,
-        configs: Optional[Iterable[InitialConfiguration]] = None,
-        use_cache: bool = True,
-    ) -> System:
+    def get(self, mode: FailureMode, n: int, t: int, horizon: int) -> System:
         """The exhaustive system for the cell, through the cache layers.
 
         A miss loads or builds the cell's arrays and wraps them as the
         system, whose runs and view table are built only when something
-        reads them.  ``configs`` subsets and ``use_cache=False``
-        bypass every layer and enumerate the object graph fresh through
-        ``build_system``.
+        reads them.
         """
-        if configs is not None or not use_cache:
-            adversary = exhaustive_adversary(mode, n, t, horizon)
-            return build_system(adversary, configs=configs)
         key: CacheKey = (mode.value, n, t, horizon)
         with self._lock:
             cached = self._memory.get(key)
@@ -268,69 +250,6 @@ class SystemProvider:
 
             system = system_from_arrays(arrays)
         self._remember(key, system)
-        return system
-
-    def extend(
-        self, mode: FailureMode, n: int, t: int, horizon: int
-    ) -> System:
-        """The cell's system, grown incrementally from a shallower cell.
-
-        Scans horizons ``horizon-1 .. 1`` for the deepest available base —
-        the in-memory LRU first, then a current-version disk file — and
-        extends it round by round through
-        :func:`~repro.model.system.extend_system`, which is identical to a
-        fresh build but pays only one new round (plus an amortized prefix
-        remap) per step.  Every intermediate horizon is remembered in the
-        LRU, so a streaming monitor advancing one round at a time always
-        extends from the previous round.  Only the target cell is written
-        to disk, as its arrays.  With no shallower cell cached this
-        degrades to :meth:`get`, counted as ``provider_extend_fallbacks``.
-        """
-        key: CacheKey = (mode.value, n, t, horizon)
-        with self._lock:
-            cached = self._memory.get(key)
-            if cached is not None:
-                self._memory.move_to_end(key)
-                self._hits += 1
-                obs.count("system_cache_hits")
-                return cached
-        base: Optional[System] = None
-        base_horizon = 0
-        for h0 in range(horizon - 1, 0, -1):
-            base_key: CacheKey = (mode.value, n, t, h0)
-            with self._lock:
-                base = self._memory.get(base_key)
-                if base is not None:
-                    self._memory.move_to_end(base_key)
-            if base is not None:
-                base_horizon = h0
-                break
-            if self.has_current_cell(mode, n, t, h0):
-                base = self.get(mode, n, t, h0)
-                base_horizon = h0
-                break
-        if base is None:
-            obs.count("provider_extend_fallbacks")
-            return self.get(mode, n, t, horizon)
-        with self._lock:
-            self._misses += 1
-            obs.count("system_cache_misses")
-        with trace.span(
-            "provider.extend",
-            mode=mode.value,
-            n=n,
-            t=t,
-            horizon=horizon,
-            base_horizon=base_horizon,
-        ):
-            system = base
-            for next_horizon in range(base_horizon + 1, horizon + 1):
-                adversary = exhaustive_adversary(mode, n, t, next_horizon)
-                system = extend_system(system, adversary)
-                obs.count("system_extends")
-                self._remember((mode.value, n, t, next_horizon), system)
-            if self.disk_enabled:
-                self._store(key, system.arrays())
         return system
 
     def _remember(self, key: CacheKey, system: System) -> None:

@@ -6,19 +6,20 @@ message/state evolution.  Because full-information states are independent of
 the decision function, one run object serves every ``FIP(Z, O)``; decisions
 are layered on top by :mod:`repro.protocols.fip`.
 
-Runs are built against a shared :class:`~repro.model.views.ViewTable` so that
-identical local states across runs receive identical interned ids.
+A system builds its runs from its arrays on first read
+(:mod:`repro.io.system_codec`); their view ids index the system's shared
+:class:`~repro.model.views.ViewTable`, so identical local states across
+runs carry identical ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import FrozenSet, List, Tuple
 
-from ..errors import ConfigurationError
 from .config import InitialConfiguration
 from .failures import FailurePattern, ProcessorId
-from .views import ViewId, ViewTable
+from .views import ViewId
 
 
 @dataclass
@@ -81,46 +82,3 @@ class Run:
         """The paper's run-level fact ∃value."""
         return self.config.exists(value)
 
-
-def build_run(
-    config: InitialConfiguration,
-    pattern: FailurePattern,
-    horizon: int,
-    table: ViewTable,
-) -> Run:
-    """Execute the full-information protocol and record the resulting run.
-
-    Every processor — faulty ones included — sends its current state to all
-    others each round; the failure pattern filters which messages arrive.
-    Crashed processors keep "receiving" in the model (their post-crash state
-    is never observed by anyone, so this choice is inconsequential), which
-    keeps the state evolution uniform.
-    """
-    n = config.n
-    if horizon < 1:
-        raise ConfigurationError(f"need horizon >= 1, got {horizon}")
-    run = Run(config=config, pattern=pattern, horizon=horizon)
-    run.nonfaulty = pattern.nonfaulty(n)
-
-    current: List[ViewId] = [
-        table.leaf(processor, config.value_of(processor))
-        for processor in range(n)
-    ]
-    run.views.append(tuple(current))
-
-    for round_number in range(1, horizon + 1):
-        delivered_per_receiver: List[FrozenSet[ProcessorId]] = []
-        next_views: List[ViewId] = []
-        for receiver in range(n):
-            heard: Dict[ProcessorId, ViewId] = {}
-            for sender in range(n):
-                if sender == receiver:
-                    continue
-                if pattern.delivered(sender, receiver, round_number):
-                    heard[sender] = current[sender]
-            delivered_per_receiver.append(frozenset(heard))
-            next_views.append(table.extend(current[receiver], heard))
-        run.deliveries.append(tuple(delivered_per_receiver))
-        current = next_views
-        run.views.append(tuple(current))
-    return run

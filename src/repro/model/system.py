@@ -5,10 +5,13 @@ A *system* ``R`` (paper, Section 2.3) is a set of runs; knowledge at a point
 has the same local state.  This module provides:
 
 * :class:`System` — the enumerated run set for one ``(n, t, mode, horizon)``
-  together with its :class:`~repro.model.partition.SystemArrays`, from
-  which the knowledge evaluators' indexes are built (a system loaded
-  from its arrays builds its ``Run`` objects and view table only when
-  something reads them), and
+  as a view over its :class:`~repro.model.partition.SystemArrays`, from
+  which the knowledge evaluators' indexes are built (the ``Run`` objects
+  and view table are built from the arrays only when something reads
+  them);
+* :func:`build_system` — the system of an adversary, built arrays-first
+  by :mod:`repro.model.fastbuild`, optionally over a configuration
+  subset; and
 * :class:`TruthAssignment` (defined with the limb kernel in
   :mod:`repro.model.chunked`) — a boolean valuation of all points of a
   system, the working currency of the formula evaluator.
@@ -20,7 +23,7 @@ the system keyed by formula cache keys (see :mod:`repro.knowledge.formulas`).
 from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +32,9 @@ from ..errors import ConfigurationError, EvaluationError
 from .adversary import Adversary
 from .chunked import ChunkedIndex, TruthAssignment
 from .config import InitialConfiguration, all_configurations
-from .failures import FailureMode, FailurePattern, ProcessorId, truncate_pattern
-from .runs import Run, build_run
+from .failures import FailureMode, FailurePattern
+from .fastbuild import build_arrays
+from .runs import Run
 from .views import ViewId, ViewTable
 
 Point = Tuple[int, int]  # (run index, time)
@@ -38,71 +42,61 @@ ScenarioKey = Tuple[InitialConfiguration, FailurePattern]
 
 
 def _codec():
-    """The arrays codec, which builds a loaded system's object graph
-    (imported lazily: it imports this module)."""
+    """The arrays codec, which builds a system's object graph (imported
+    lazily: it imports this module)."""
     from ..io import system_codec
 
     return system_codec
 
 
 class System:
-    """An enumerated system of full-information runs.
+    """An enumerated system of full-information runs, as a view over its
+    arrays.
 
     Attributes:
         n: Number of processors.
         t: Fault bound used during enumeration.
-        mode: Failure mode of the adversary (``None`` for a purely
-            failure-free system).
+        mode: Failure mode of the adversary.
         horizon: Times ``0..horizon`` exist in every run.
         runs: The runs, one per scenario of the grid ``configs ×
             patterns`` (configurations outer); a read-only sequence.
         table: The shared view-interning table.
 
-    The system also carries its
-    :class:`~repro.model.partition.SystemArrays` (:meth:`arrays`), which
-    the evaluators' per-point structures — group tables, nonrigid
+    The evaluators' per-point structures — group tables, nonrigid
     membership, reachability components, FIP decisions — are computed
-    from.  A system loaded from its arrays
-    (:func:`repro.io.system_codec.system_from_arrays`) is a view over
-    them: its run list, view table and state index are each built whole
-    on first read (one ``materialize_system`` stage per structure) and
-    then kept, so formula evaluation never builds them.
+    from the system's :class:`~repro.model.partition.SystemArrays`
+    (:meth:`arrays`).  Its run list, view table and state index are
+    each built whole from the arrays on first read (one
+    ``materialize_system`` stage per structure) and then kept, so
+    formula evaluation never builds them.
     """
 
     def __init__(
         self,
-        n: int,
-        t: int,
-        horizon: int,
-        runs: Optional[Sequence[Run]],
-        table: Optional[ViewTable],
-        mode: Optional[FailureMode],
+        arrays,
         *,
-        configs: Sequence[InitialConfiguration] = (),
-        patterns: Sequence[FailurePattern] = (),
-        arrays=None,
+        configs: Sequence[InitialConfiguration],
+        patterns: Sequence[FailurePattern],
     ) -> None:
-        """*runs* — one per scenario of *configs* × *patterns*, in grid
-        order; ``None`` (with *table* ``None``) for a system whose
-        object graph is built from *arrays* on first read.
-        *arrays* — the system's
-        :class:`~repro.model.partition.SystemArrays`, when the caller
-        has them (the provider hands over the arrays it loaded or
-        built); otherwise :meth:`arrays` projects the runs once."""
-        self.n = n
-        self.t = t
-        self.horizon = horizon
-        self.mode = mode
+        """*arrays* — the system's
+        :class:`~repro.model.partition.SystemArrays`, one run per
+        scenario of *configs* × *patterns* in grid order (configurations
+        outer)."""
+        self.n = arrays.n
+        self.t = arrays.t
+        self.horizon = arrays.horizon
+        self.mode = FailureMode(arrays.mode)
         self._configs = tuple(configs)
         self._patterns = tuple(patterns)
         self._num_runs = len(self._configs) * len(self._patterns)
-        if not self._num_runs:
-            raise ConfigurationError("a system needs at least one run")
-        if runs is not None and len(runs) != self._num_runs:
-            raise ConfigurationError("runs do not match the scenario grid")
-        # The object graph: given, or built on first read (see _built).
-        self._runs: Optional[List[Run]] = None if runs is None else list(runs)
-        self._table = table
+        if arrays.num_runs != self._num_runs:
+            raise ConfigurationError(
+                f"{arrays.num_runs} runs stored, the scenario grid has "
+                f"{len(self._configs)} x {len(self._patterns)}"
+            )
+        # The object graph, built on first read (see _built).
+        self._runs: Optional[List[Run]] = None
+        self._table: Optional[ViewTable] = None
         self._state_order: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._arrays = arrays
         self._ranks: Optional[Tuple[Dict, Dict]] = None
@@ -224,27 +218,14 @@ class System:
 
     def describe(self) -> str:
         """Compact one-line descriptor of the cell."""
-        mode = self.mode.value if self.mode is not None else "none"
         return (
-            f"{mode} n={self.n} t={self.t} h={self.horizon} "
+            f"{self.mode.value} n={self.n} t={self.t} h={self.horizon} "
             f"runs={self._num_runs}"
         )
 
     def arrays(self):
-        """The system's :class:`~repro.model.partition.SystemArrays`.
-
-        Handed over by the provider for cached cells; any other system
-        is projected once, with
-        :meth:`~repro.model.partition.SystemArrays.from_system`, on
-        first use.
-        """
-        arrays = self._arrays
-        if arrays is None:
-            from .partition import SystemArrays
-
-            arrays = SystemArrays.from_system(self)
-            self._arrays = arrays
-        return arrays
+        """The system's :class:`~repro.model.partition.SystemArrays`."""
+        return self._arrays
 
     def chunked_index(self) -> ChunkedIndex:
         """The limb-sliced group index (built lazily, then shared).
@@ -347,237 +328,33 @@ def build_system(
     adversary: Adversary,
     *,
     configs: Optional[Iterable[InitialConfiguration]] = None,
-    table: Optional[ViewTable] = None,
 ) -> System:
-    """Enumerate the system of full-information runs for *adversary*.
+    """The system of full-information runs for *adversary*, built
+    arrays-first (:func:`repro.model.fastbuild.build_arrays`).
 
     Args:
-        adversary: Supplies ``(n, t, horizon)`` and the failure patterns.
-        configs: Initial configurations to include; defaults to all ``2**n``.
-        table: View table to intern into; defaults to a fresh one.  Supplying
-            a shared table lets several systems (e.g. crash and omission
-            variants of the same parameters) share state ids.
+        adversary: Supplies ``(n, t, horizon)``, the mode and the failure
+            patterns, in run order.
+        configs: Initial configurations to include; defaults to all
+            ``2**n``.
 
-    Returns:
-        The enumerated :class:`System`.
+    Raises:
+        ConfigurationError: for a pattern outside ``(n, t)``, a
+            configuration of another size, or an empty or repeated
+            pattern or configuration list.
     """
     n, t, horizon = adversary.n, adversary.t, adversary.horizon
-    if table is None:
-        table = ViewTable()
-    if configs is None:
-        config_list = list(all_configurations(n))
-    else:
-        config_list = list(configs)
-        for config in config_list:
-            if config.n != n:
-                raise ConfigurationError(
-                    f"configuration {config} has n={config.n}, expected {n}"
-                )
     patterns = list(adversary.patterns())
-    for pattern in patterns:
-        pattern.validate(n, t)
-    for items in (config_list, patterns):
-        if len(set(items)) != len(items):
-            raise ConfigurationError("duplicate scenario in system")
-    scenarios = [
-        (config, pattern)
-        for config in config_list
-        for pattern in patterns
-    ]
-    views_before = len(table)
-    with obs.stage("build_system"), trace.span(
-        "build_system",
-        mode=None if adversary.mode is None else adversary.mode.value,
-        n=n,
-        t=t,
-        horizon=horizon,
-        scenarios=len(scenarios),
-    ) as build_span:
-        with trace.span("enumerate_runs", scenarios=len(scenarios)):
-            runs = [
-                build_run(config, pattern, horizon, table)
-                for config, pattern in scenarios
-            ]
-        obs.count("runs_built", len(runs))
-        with trace.span("index_system", runs=len(runs)):
-            system = System(
-                n,
-                t,
-                horizon,
-                runs,
-                table,
-                adversary.mode,
-                configs=config_list,
-                patterns=patterns,
-            )
-        build_span.set("views_interned", len(table) - views_before)
-    obs.count("views_interned", len(table) - views_before)
-    return system
-
-
-def _remap_run_prefix(
-    old_run: Run,
-    old_table: ViewTable,
-    new_table: ViewTable,
-    memo: Dict[ViewId, ViewId],
-) -> List[Tuple[ViewId, ...]]:
-    """Re-intern *old_run*'s view rows into *new_table*, time-major.
-
-    *memo* maps old view ids to new ones and is shared across all runs of
-    an extension, so views common to several prefixes are translated once.
-    Walking rows oldest-first guarantees every referenced id (the owner's
-    previous view, the senders' carried views — all one time step earlier)
-    is already in the memo when an unseen view arrives, and reproduces the
-    exact first-appearance interning order of a fresh build.
-
-    Extended runs sharing a prefix share its row tuples.
-    """
-    rows: List[Tuple[ViewId, ...]] = []
-    for row in old_run.views:
-        new_row = []
-        for old_id in row:
-            new_id = memo.get(old_id)
-            if new_id is None:
-                info = old_table.info(old_id)
-                if info.previous is None:
-                    new_id = new_table.leaf(info.processor, info.initial_value)
-                else:
-                    new_id = new_table.intern_node(
-                        memo[info.previous],
-                        tuple((s, memo[sv]) for s, sv in info.heard_from),
-                    )
-                memo[old_id] = new_id
-            new_row.append(new_id)
-        rows.append(tuple(new_row))
-    return rows
-
-
-def extend_system(system: System, adversary: Adversary) -> System:
-    """Grow *system* by one round: the horizon-``h+1`` system of *adversary*.
-
-    Instead of re-simulating every scenario from time 0, each new scenario
-    is resolved to the horizon-``h`` run it shares its first ``h`` rounds
-    with — the run of the *truncated* pattern (see
-    :func:`repro.model.failures.truncate_pattern`) — whose view rows are
-    re-interned into the new table and extended by a single round.  The
-    per-scenario cost is one round of message filtering plus an amortized
-    prefix remap (each distinct horizon-``h`` run is remapped once, however
-    many extended scenarios share it), instead of ``h+1`` rounds of
-    simulation.
-
-    The result is **identical** to ``build_system(adversary)`` — same run
-    order, same view-id assignment, same deliveries — because scenarios are
-    walked in the fresh builder's enumeration order and views are interned
-    time-major per run, which is exactly the fresh builder's
-    first-appearance order (scenarios sharing a truncation have identical
-    prefix rows, so re-interning them is a no-op past the first).
-
-    Returns a **new** :class:`System`; *system* and its caches are left
-    untouched, and the new system builds its index on first read.
-    """
-    n, t, new_horizon = adversary.n, adversary.t, adversary.horizon
-    if (n, t) != (system.n, system.t):
-        raise ConfigurationError(
-            f"adversary is (n={n}, t={t}) but system is "
-            f"(n={system.n}, t={system.t})"
-        )
-    if new_horizon != system.horizon + 1:
-        raise ConfigurationError(
-            f"can only extend horizon {system.horizon} to "
-            f"{system.horizon + 1}, adversary has horizon {new_horizon}"
-        )
-    if adversary.mode is not system.mode:
-        raise ConfigurationError(
-            f"adversary mode {adversary.mode} != system mode {system.mode}"
-        )
-    patterns = list(adversary.patterns())
-    for pattern in patterns:
-        pattern.validate(n, t)
-    config_list = list(all_configurations(n))
-    # Everything that depends only on the pattern — its observable
-    # truncation, who hears whom in the new round, the nonfaulty set — is
-    # hoisted out of the config loop: each pattern recurs once per
-    # configuration, so computing these per scenario would redo the work
-    # ``len(config_list)`` times over.
-    per_pattern = []
-    for pattern in patterns:
-        truncated = truncate_pattern(pattern, system.horizon, n)
-        senders_by_receiver = [
-            tuple(
-                sender
-                for sender in range(n)
-                if sender != receiver
-                and pattern.delivered(sender, receiver, new_horizon)
-            )
-            for receiver in range(n)
-        ]
-        per_pattern.append(
-            (pattern, truncated, senders_by_receiver, pattern.nonfaulty(n))
-        )
-    table = ViewTable()
-    memo: Dict[ViewId, ViewId] = {}
-    prefix_cache: Dict[int, List[Tuple[ViewId, ...]]] = {}
-    old_table = system.table
-    runs: List[Run] = []
-    with obs.stage("extend_system"), trace.span(
-        "extend_system",
-        mode=None if adversary.mode is None else adversary.mode.value,
-        n=n,
-        t=t,
-        horizon=new_horizon,
-        scenarios=len(config_list) * len(patterns),
-    ) as build_span:
-        for config in config_list:
-            for pattern, truncated, senders_by_receiver, nonfaulty in (
-                per_pattern
-            ):
-                try:
-                    old_index = system.run_index_for(config, truncated)
-                except EvaluationError:
-                    raise ConfigurationError(
-                        f"cannot extend: scenario {config} / {truncated} "
-                        f"(truncation of {pattern}) not in the base system"
-                    ) from None
-                rows = prefix_cache.get(old_index)
-                if rows is None:
-                    rows = _remap_run_prefix(
-                        system.runs[old_index], old_table, table, memo
-                    )
-                    prefix_cache[old_index] = rows
-                current = rows[-1]
-                delivered_per_receiver: List[FrozenSet[ProcessorId]] = []
-                next_views: List[ViewId] = []
-                for receiver in range(n):
-                    heard: Dict[ProcessorId, ViewId] = {
-                        sender: current[sender]
-                        for sender in senders_by_receiver[receiver]
-                    }
-                    delivered_per_receiver.append(frozenset(heard))
-                    next_views.append(table.extend(current[receiver], heard))
-                runs.append(
-                    Run(
-                        config=config,
-                        pattern=pattern,
-                        horizon=new_horizon,
-                        views=rows + [tuple(next_views)],
-                        nonfaulty=nonfaulty,
-                        deliveries=system.runs[old_index].deliveries
-                        + [tuple(delivered_per_receiver)],
-                    )
-                )
-        obs.count("runs_extended", len(runs))
-        with trace.span("index_system", runs=len(runs)):
-            new_system = System(
-                n,
-                t,
-                new_horizon,
-                runs,
-                table,
-                adversary.mode,
-                configs=config_list,
-                patterns=patterns,
-            )
-        build_span.set("views_interned", len(table))
-        build_span.set("prefix_runs_reused", len(prefix_cache))
-    obs.count("views_interned", len(table))
-    return new_system
+    config_list = (
+        list(all_configurations(n)) if configs is None else list(configs)
+    )
+    arrays = build_arrays(
+        adversary.mode,
+        n,
+        t,
+        horizon,
+        patterns=patterns,
+        configs=config_list,
+    )
+    obs.count("views_interned", arrays.num_views)
+    return System(arrays, configs=config_list, patterns=patterns)

@@ -163,38 +163,6 @@ class ViewTable:
         )
         return view_id
 
-    def intern_node(
-        self,
-        previous: ViewId,
-        entries: Tuple[Tuple[ProcessorId, ViewId], ...],
-    ) -> ViewId:
-        """Intern an internal view from pre-sorted ``(sender, view)`` pairs.
-
-        Fast path for structure-preserving replays (incremental system
-        extension remaps run prefixes through here): *entries* must already
-        be sender-sorted and time/ownership-consistent, as any tuple taken
-        from a :class:`ViewInfo` of another table and id-remapped is.  Ids
-        assigned are identical to :meth:`extend` on the equivalent dict.
-        """
-        key: ViewKey = ("node", previous, entries)
-        existing = self._ids.get(key)
-        if existing is not None:
-            return existing
-        previous_info = self._info[previous]
-        view_id = len(self._info)
-        self._ids[key] = view_id
-        self._info.append(
-            ViewInfo(
-                view_id=view_id,
-                processor=previous_info.processor,
-                time=previous_info.time + 1,
-                initial_value=previous_info.initial_value,
-                previous=previous,
-                heard_from=entries,
-            )
-        )
-        return view_id
-
     def info(self, view_id: ViewId) -> ViewInfo:
         """Metadata for an interned view id."""
         return self._info[view_id]
@@ -205,7 +173,7 @@ class ViewTable:
         Because the table is append-only and every internal node references
         only smaller ids, two tables give every view the same id exactly
         when their exported entries are equal — which is how tests compare
-        a materialized or extended table against a fresh build's.
+        a materialized table against the object-graph oracle's.
         """
         entries: List[ViewKey] = []
         for info in self._info:

@@ -24,10 +24,10 @@ answering a single formula.  This package keeps all of that **resident**:
   daemon is up.
 
 Request types: ``eval`` (formula at a point/cell), ``explain``
-(:mod:`repro.knowledge.explain` traces), ``extend`` (grow a resident
-cell), ``monitor`` (stream :mod:`repro.sim.monitor` K/E/C□ verdicts per
-observed round), ``stats`` and ``healthz`` (live :mod:`repro.obs`
-snapshot + Prometheus text).
+(:mod:`repro.knowledge.explain` traces), ``extend`` (load or build the
+cell at a given horizon), ``monitor`` (stream :mod:`repro.sim.monitor`
+K/E/C□ verdicts per observed round), ``stats`` and ``healthz`` (live
+:mod:`repro.obs` snapshot + Prometheus text).
 """
 
 from .client import ServeClient, ServeError, daemon_available

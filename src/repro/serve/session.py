@@ -248,9 +248,7 @@ def _execute_extend(
     mode = _failure_mode(params["mode"])
     _check_cell(params["n"], params["t"], params["horizon"])
     started = time.perf_counter()
-    system = provider.extend(
-        mode, params["n"], params["t"], params["horizon"]
-    )
+    system = provider.get(mode, params["n"], params["t"], params["horizon"])
     budget.check_points(system.num_points(), system.describe())
     return {
         "system": {
@@ -354,12 +352,6 @@ class QueryEngine:
             elif op == "extend":
                 mode = _failure_mode(params["mode"])
                 n, t, horizon = params["n"], params["t"], params["horizon"]
-                # Extending from any shallower resident base is cheap.
-                if any(
-                    self.cell_resident(mode, n, t, h)
-                    for h in range(horizon - 1, 0, -1)
-                ):
-                    return "inline"
             else:  # explain
                 entry = _catalog_entry(params["catalog"])
                 mode = _failure_mode(entry.mode)

@@ -40,15 +40,16 @@ from .. import trace as spantrace
 from ..core.outcomes import DecisionRecord, ProtocolOutcome, ScenarioIndex
 from ..errors import ConfigurationError
 from ..model.config import InitialConfiguration
-from ..model.failures import FailurePattern, ProcessorId
+from ..model.failures import (
+    DeliveryRow,
+    FailurePattern,
+    ProcessorId,
+    delivery_row,
+)
 from ..protocols.base import ConcreteProtocol
 from .trace import Trace
 
 ScenarioKey = Tuple[InitialConfiguration, FailurePattern]
-
-#: One round's deliveries: per receiver, the senders whose message reaches
-#: it, ascending.
-DeliveryRow = Tuple[Tuple[ProcessorId, ...], ...]
 
 #: Per scenario, the ids of its rounds' delivery rows; and the rows by id.
 Plan = Tuple[List[Tuple[int, ...]], List[DeliveryRow]]
@@ -113,7 +114,7 @@ class ScenarioViews(Sequence):
             entry_plans.append(
                 tuple(
                     delivery_ids.setdefault(
-                        _delivery_row(pattern, n, round_number),
+                        delivery_row(pattern, n, round_number),
                         len(delivery_ids),
                     )
                     for round_number in rounds
@@ -122,32 +123,6 @@ class ScenarioViews(Sequence):
         self._index = index
         plans = [entry_plans[entry] for entry in index.pattern_of.tolist()]
         return plans, list(delivery_ids)
-
-
-def _delivery_row(
-    pattern: FailurePattern, n: int, round_number: int
-) -> DeliveryRow:
-    """Every message of the round arrives but those a faulty processor of
-    *pattern* fails to send or to receive."""
-    dropped = [set() for _ in range(n)]
-    for faulty, behavior in pattern.behaviors:
-        for other in range(n):
-            if other == faulty:
-                continue
-            if not behavior.sends_to(other, round_number):
-                dropped[other].add(faulty)
-            if not behavior.receives_from(other, round_number):
-                dropped[faulty].add(other)
-    return tuple(
-        tuple(
-            [
-                sender
-                for sender in range(n)
-                if sender != receiver and sender not in missed
-            ]
-        )
-        for receiver, missed in enumerate(dropped)
-    )
 
 
 class _Nodes:

@@ -7,15 +7,12 @@ each observed round reports what is known **now**: per-processor
 ``K_i ∃v``, ``E_N ∃v`` and continual common knowledge ``C□_N ∃v`` at the
 current point of the current run.
 
-Each :meth:`StreamingMonitor.advance` grows the ambient system by one
-round through :meth:`~repro.model.provider.SystemProvider.extend` — the
-incremental path that reuses the previous horizon's enumeration and pays
-only the new round — then locates the run of the scenario's *truncated*
-pattern (the observable prefix, :func:`~repro.model.failures.
-truncate_pattern`) and evaluates the formulas at the new horizon.  The
-per-round cost is therefore the extension delta plus three formula
-sweeps, not a cold rebuild; intermediate systems stay in the provider's
-LRU so round ``r+1`` always extends round ``r``.
+Each :meth:`StreamingMonitor.advance` fetches the ambient system one
+round deeper through :meth:`~repro.model.provider.SystemProvider.get` —
+an arrays-first build of the cell, or its cached ``.npz`` — then
+locates the run of the scenario's *truncated* pattern (the observable
+prefix, :func:`~repro.model.failures.truncate_pattern`) and evaluates
+the formulas at the new horizon.
 
 Observability: every round updates the ``monitor_horizon`` gauge, the
 ``monitor_round_seconds`` histogram and the ``monitor_rounds`` counter,
@@ -90,7 +87,7 @@ class StreamingMonitor:
             schedule failures arbitrarily far in the future; each round
             only their observable prefix matters.
         value: The initial value whose existence is monitored (``∃value``).
-        provider: System provider to extend through; defaults to the
+        provider: System provider the cells come from; defaults to the
             process-wide one.
         journal: Optional telemetry journal receiving one
             ``monitor_round`` event per round.
@@ -151,9 +148,7 @@ class StreamingMonitor:
         with trace.span(
             "monitor_round", round=self.round, mode=self.mode.value
         ):
-            system = self.provider.extend(
-                self.mode, self.n, self.t, self.round
-            )
+            system = self.provider.get(self.mode, self.n, self.t, self.round)
             observed = truncate_pattern(self.pattern, self.round, self.n)
             run_index = system.run_index_for(self.config, observed)
             phi = exists(self.value)

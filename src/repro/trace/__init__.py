@@ -77,7 +77,7 @@ class Span:
     Attributes:
         span_id: Monotonically increasing id within the owning tracer.
         parent_id: Id of the enclosing span, or ``None`` for a root.
-        name: Stage name (``"build_system"``, ``"fixpoint.common"``, ...).
+        name: Stage name (``"system_fastbuild"``, ``"fixpoint.common"``, ...).
         start: Seconds since the tracer's epoch at which the span opened.
         duration: Wall seconds the span covered (``None`` while open).
         attributes: Free-form key/value payload (parameters, counts).

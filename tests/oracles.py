@@ -1,4 +1,14 @@
-"""Per-point oracles for the evaluators that read the view-id matrix.
+"""Per-point oracles for the builder and the evaluators that read the
+view-id matrix.
+
+Production builds every system arrays-first
+(``repro.model.fastbuild.build_arrays``) and builds its ``Run`` objects
+and view table from the arrays on first read.  :func:`build_graph` is the
+object-graph builder that replaced: one :func:`build_run` per scenario,
+each interning its views point by point into a shared
+:class:`~repro.model.views.ViewTable`; :func:`project` projects such a
+graph onto :class:`~repro.model.partition.SystemArrays`.  Production's
+arrays, runs and table must equal theirs.
 
 Production computes nonrigid membership, Corollary 3.3 components and
 FIP first decisions in vectorized passes over a system's
@@ -42,7 +52,10 @@ import hashlib
 import json
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+import numpy as np
+
 from repro.core.decision_sets import DecisionPair, close_under_recall
+from repro.errors import ConfigurationError
 from repro.knowledge import formulas as F
 from repro.knowledge.nonrigid import (
     ConstantSet,
@@ -51,8 +64,123 @@ from repro.knowledge.nonrigid import (
     NonfaultyAndDeciding,
     NonrigidSet,
 )
+from repro.model.config import all_configurations
+from repro.model.partition import SystemArrays
+from repro.model.runs import Run
+from repro.model.views import ViewTable
 
 Matrix = List[List[FrozenSet[int]]]
+
+
+# -- the object-graph builder -------------------------------------------------
+
+
+def build_run(config, pattern, horizon: int, table: ViewTable) -> Run:
+    """Execute the full-information protocol and record the resulting run.
+
+    Every processor — faulty ones included — sends its current state to all
+    others each round; the failure pattern filters which messages arrive.
+    Crashed processors keep "receiving" in the model (their post-crash state
+    is never observed by anyone, so this choice is inconsequential), which
+    keeps the state evolution uniform.
+    """
+    n = config.n
+    if horizon < 1:
+        raise ConfigurationError(f"need horizon >= 1, got {horizon}")
+    run = Run(config=config, pattern=pattern, horizon=horizon)
+    run.nonfaulty = pattern.nonfaulty(n)
+
+    current = [
+        table.leaf(processor, config.value_of(processor))
+        for processor in range(n)
+    ]
+    run.views.append(tuple(current))
+
+    for round_number in range(1, horizon + 1):
+        delivered_per_receiver = []
+        next_views = []
+        for receiver in range(n):
+            heard = {}
+            for sender in range(n):
+                if sender == receiver:
+                    continue
+                if pattern.delivered(sender, receiver, round_number):
+                    heard[sender] = current[sender]
+            delivered_per_receiver.append(frozenset(heard))
+            next_views.append(table.extend(current[receiver], heard))
+        run.deliveries.append(tuple(delivered_per_receiver))
+        current = next_views
+        run.views.append(tuple(current))
+    return run
+
+
+class GraphSystem:
+    """A system as its object graph: the runs, in scenario-grid order
+    (configurations outer), and the table their views are interned in."""
+
+    def __init__(self, adversary, runs: List[Run], table: ViewTable) -> None:
+        self.n = adversary.n
+        self.t = adversary.t
+        self.horizon = adversary.horizon
+        self.mode = adversary.mode
+        self.runs = runs
+        self.table = table
+
+    def scenarios(self) -> List[tuple]:
+        return [run.scenario_key() for run in self.runs]
+
+
+def build_graph(adversary, *, configs=None) -> GraphSystem:
+    """The object graph of *adversary*'s system over *configs* (all
+    ``2**n`` by default): one :func:`build_run` per scenario."""
+    if configs is None:
+        configs = all_configurations(adversary.n)
+    patterns = list(adversary.patterns())
+    table = ViewTable()
+    runs = [
+        build_run(config, pattern, adversary.horizon, table)
+        for config in configs
+        for pattern in patterns
+    ]
+    return GraphSystem(adversary, runs, table)
+
+
+def project(system: GraphSystem) -> SystemArrays:
+    """Project an object graph onto arrays (one pass over runs and table)."""
+    n, horizon = system.n, system.horizon
+    runs, table = system.runs, system.table
+    infos = [table.info(view) for view in range(len(table))]
+    views = np.array([run.views for run in runs], dtype=np.int32)
+    deliveries = np.zeros((len(runs), horizon, n, n), dtype=bool)
+    for index, run in enumerate(runs):
+        for m in range(horizon):
+            for receiver, senders in enumerate(run.deliveries[m]):
+                deliveries[index, m, receiver, list(senders)] = True
+    diagonal = np.arange(n)
+    deliveries[:, :, diagonal, diagonal] = True
+    occurs = np.zeros(len(table), dtype=bool)
+    occurs[views.ravel()] = True
+    return SystemArrays(
+        mode=system.mode.value,
+        n=n,
+        t=system.t,
+        horizon=horizon,
+        num_views=len(table),
+        views=views,
+        owner=np.array([info.processor for info in infos], dtype=np.int32),
+        vtime=np.array([info.time for info in infos], dtype=np.int16),
+        prev=np.array(
+            [-1 if info.previous is None else info.previous for info in infos],
+            dtype=np.int32,
+        ),
+        init=np.array([run.config.values for run in runs], dtype=np.int8),
+        nonfaulty=np.array(
+            [[p in run.nonfaulty for p in range(n)] for run in runs],
+            dtype=bool,
+        ),
+        deliveries=deliveries,
+        occurs=occurs,
+    )
 
 
 # -- indexes ------------------------------------------------------------------

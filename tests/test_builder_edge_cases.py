@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.knowledge.formulas import Exists, Or, Predicate
+from repro.model.adversary import ExhaustiveCrashAdversary
 from repro.model.builder import (
     crash_system,
     omission_system,
@@ -12,23 +13,20 @@ from repro.model.builder import (
 )
 from repro.model.config import InitialConfiguration
 from repro.model.failures import FailureMode, FailurePattern, OmissionBehavior
-from repro.model.system import System, TruthAssignment
+from repro.model.system import TruthAssignment, build_system
 
 
 class TestBuilderOptions:
     def test_explicit_configs_subset(self):
-        system = crash_system(
-            3,
-            1,
-            2,
+        system = build_system(
+            ExhaustiveCrashAdversary(3, 1, 2),
             configs=[InitialConfiguration((1, 1, 1))],
-            use_cache=False,
         )
         assert len({run.config for run in system.runs}) == 1
 
     def test_uncached_builds_are_fresh(self):
-        a = crash_system(3, 1, 2, use_cache=False)
-        b = crash_system(3, 1, 2, use_cache=False)
+        a = build_system(ExhaustiveCrashAdversary(3, 1, 2))
+        b = build_system(ExhaustiveCrashAdversary(3, 1, 2))
         assert a is not b
         assert len(a.runs) == len(b.runs)
 
@@ -46,14 +44,15 @@ class TestBuilderOptions:
 
     def test_empty_system_rejected(self):
         with pytest.raises(ConfigurationError):
-            System(3, 1, 2, [], None, None)
+            restricted_system(
+                FailureMode.CRASH, 3, 1, 2, [], include_failure_free=False
+            )
+        with pytest.raises(ConfigurationError):
+            build_system(ExhaustiveCrashAdversary(3, 1, 2), configs=[])
 
     def test_mode_recorded(self):
-        assert crash_system(3, 1, 2, use_cache=False).mode is FailureMode.CRASH
-        assert (
-            omission_system(3, 1, 2, use_cache=False).mode
-            is FailureMode.OMISSION
-        )
+        assert crash_system(3, 1, 2).mode is FailureMode.CRASH
+        assert omission_system(3, 1, 2).mode is FailureMode.OMISSION
 
 
 class TestFormulaOddities:

@@ -23,8 +23,9 @@ from repro.model.failures import (
     OmissionBehavior,
     ReceiveOmissionBehavior,
 )
-from repro.model.runs import build_run
 from repro.model.views import ViewTable
+
+from .oracles import build_run
 
 
 class TestCrashAsOmission:

@@ -588,8 +588,8 @@ class TestVerdictParity:
         assert_results_match(mono, sharded)
 
     def test_e14_parity_modulo_timings(self, tmp_path):
-        """E14 cells enumerate with ``build_system`` inside the pool's
-        daemonic workers.  Crash n=4, t=3, h=1 has 27,120 scenarios: a
+        """E14 cells build their arrays with ``build_arrays`` inside the
+        pool's daemonic workers.  Crash n=4, t=3, h=1 has 27,120 scenarios: a
         cell that large must build there too (a daemonic worker may not
         start processes of its own)."""
         from repro.experiments.e14_scaling import run as e14_run

@@ -18,8 +18,9 @@ from repro.model.failures import (
     ReceiveOmissionBehavior,
     behavior_mode,
 )
-from repro.model.runs import build_run
 from repro.model.views import ViewTable
+
+from .oracles import build_run
 
 
 class TestReceiveOmissionBehavior:

@@ -2,11 +2,14 @@
 
 The fastbuild contract (see ``repro.model.fastbuild``) is that every
 array it emits is **byte-identical** — same dtype, same shape, same
-buffer — to ``SystemArrays.from_system`` on the ``build_system`` object
-graph of the same cell, including the dense first-appearance view-id
-order.  These tests pin that contract per failure mode, plus the
-provider integration: a cold ``get_arrays`` takes the fast path (no
-``Run`` objects anywhere) with identical output.
+buffer — to the projection of the object-graph oracle
+(``tests/oracles.py``: ``project(build_graph(...))``) of the same cell,
+including the dense first-appearance view-id order.  These tests pin
+that contract per failure mode on exhaustive cells, as a Hypothesis
+property on restricted systems (explicit pattern lists and
+configuration subsets, whose runs and view table must equal the
+oracle's too), plus the provider integration: a cold ``get_arrays``
+takes the fast path (no ``Run`` objects anywhere) with identical output.
 """
 
 from __future__ import annotations
@@ -20,18 +23,25 @@ import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.model.adversary import (
     ExhaustiveCrashAdversary,
     ExhaustiveOmissionAdversary,
     ExhaustiveReceiveOmissionAdversary,
+    ExplicitAdversary,
+    exhaustive_adversary,
 )
+from repro.model.config import all_configurations
 from repro.model.failures import FailureMode
 from repro.model.fastbuild import build_arrays
 from repro.model.partition import SystemArrays
 from repro.model.provider import SystemProvider
 from repro.model.system import build_system
+
+from .oracles import build_graph, project
 
 #: Every array field of a ``SystemArrays`` (meta fields checked apart).
 _ARRAY_FIELDS = (
@@ -70,7 +80,7 @@ _CELLS = [
 ]
 
 #: Cells too large for the object-graph oracle, pinned by the SHA-256 of
-#: :func:`arrays_digest` as the earlier builder (one interned key row per
+#: :func:`arrays_digest` as an earlier builder (one interned key row per
 #: run and processor, checked against the oracle on ``_CELLS``) emitted
 #: them: the benchmark's E9 cell, crash n=4 t=3 h=2 and the paper's E9
 #: cell (Proposition 6.3, 385,072 runs).
@@ -126,9 +136,7 @@ class TestByteParity:
         self, mode, adversary_cls, n, t, horizon
     ):
         fast = build_arrays(mode, n, t, horizon)
-        reference = SystemArrays.from_system(
-            build_system(adversary_cls(n, t, horizon))
-        )
+        reference = project(build_graph(adversary_cls(n, t, horizon)))
         assert_arrays_byte_identical(fast, reference)
 
     @pytest.mark.parametrize(
@@ -196,6 +204,84 @@ class TestByteParity:
         assert imported == "False"
 
 
+#: ``(mode, n, t, horizon)`` of the cells restricted systems are drawn
+#: from: small enough for the oracle, every exhaustive mode.
+_RESTRICTED_CELLS = [
+    (FailureMode.CRASH, 2, 1, 2),
+    (FailureMode.CRASH, 3, 1, 3),
+    (FailureMode.CRASH, 3, 2, 2),
+    (FailureMode.CRASH, 4, 2, 2),
+    (FailureMode.OMISSION, 3, 1, 2),
+    (FailureMode.OMISSION, 3, 2, 2),
+    (FailureMode.OMISSION, 4, 1, 1),
+    (FailureMode.RECEIVE_OMISSION, 3, 1, 2),
+    (FailureMode.RECEIVE_OMISSION, 4, 2, 1),
+]
+
+
+@st.composite
+def restricted_cells(draw):
+    """``(adversary, configs)``: an explicit pattern list, with or
+    without the failure-free pattern, and ``None`` or a configuration
+    subset — often one in which some processor never starts with some
+    value (every configuration starting with the drawn processor at the
+    drawn value is dropped)."""
+    mode, n, t, horizon = draw(st.sampled_from(_RESTRICTED_CELLS))
+    patterns = list(exhaustive_adversary(mode, n, t, horizon).patterns())
+    chosen = draw(
+        st.lists(
+            st.sampled_from(patterns[1:]),
+            min_size=1,
+            max_size=10,
+            unique=True,
+        )
+    )
+    adversary = ExplicitAdversary(
+        n,
+        t,
+        horizon,
+        chosen,
+        mode=mode,
+        include_failure_free=draw(st.booleans()),
+    )
+    configs = list(all_configurations(n))
+    kind = draw(st.sampled_from(("all", "subset", "value-missing")))
+    if kind == "all":
+        return adversary, None
+    if kind == "value-missing":
+        processor = draw(st.integers(0, n - 1))
+        value = draw(st.integers(0, 1))
+        configs = [c for c in configs if c.value_of(processor) != value]
+    chosen_configs = draw(
+        st.lists(st.sampled_from(configs), min_size=1, unique=True)
+    )
+    return adversary, chosen_configs
+
+
+class TestRestrictedParity:
+    @given(cell=restricted_cells())
+    @settings(max_examples=120, deadline=None)
+    def test_build_system_matches_oracle(self, cell):
+        adversary, configs = cell
+        system = build_system(adversary, configs=configs)
+        graph = build_graph(adversary, configs=configs)
+        assert_arrays_byte_identical(system.arrays(), project(graph))
+        assert system.scenarios() == graph.scenarios()
+        assert list(system.runs) == graph.runs
+        assert system.table.export_entries() == graph.table.export_entries()
+
+    def test_empty_and_repeated_lists_rejected(self):
+        adversary = exhaustive_adversary(FailureMode.CRASH, 3, 1, 1)
+        configs = list(all_configurations(3))
+        for bad in ([], configs[:1] * 2):
+            with pytest.raises(ConfigurationError):
+                build_system(adversary, configs=bad)
+        patterns = list(adversary.patterns())
+        for bad in ([], patterns[:1] * 2):
+            with pytest.raises(ConfigurationError):
+                build_arrays(FailureMode.CRASH, 3, 1, 1, patterns=bad)
+
+
 class TestProviderIntegration:
     def test_cold_get_arrays_takes_fast_path(self, tmp_path):
         from repro import obs
@@ -207,9 +293,7 @@ class TestProviderIntegration:
         assert after == before + 1
         # The object graph was never materialized on the way.
         assert not provider.has_memory_cell(FailureMode.CRASH, 3, 1, 2)
-        reference = SystemArrays.from_system(
-            build_system(ExhaustiveCrashAdversary(3, 1, 2))
-        )
+        reference = project(build_graph(ExhaustiveCrashAdversary(3, 1, 2)))
         assert_arrays_byte_identical(arrays, reference)
 
     @pytest.mark.parametrize(

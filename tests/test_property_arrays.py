@@ -4,14 +4,9 @@ against the per-point oracles of :mod:`tests.oracles`.
 Nonrigid membership, Corollary 3.3 components and ``FIP(Z, O)``
 decisions are computed from a system's
 :class:`~repro.model.partition.SystemArrays`.  The cells drawn here cover
-every way a system gets its arrays — handed over by the provider
-(exhaustive crash, omission and receive-omission cells), or projected on
-first use (a restricted pattern family, an explicit configuration
-subset, a one-round extension, and two systems interned into one shared
-:class:`~repro.model.views.ViewTable`).  In the shared-table case view
-ids are not dense, and the random decision pairs hold ids the evaluated
-system never sees: ids of the other system, some beyond the evaluated
-system's projected arrays.
+every kind of system the builder makes — exhaustive crash, omission and
+receive-omission cells from the provider, a restricted pattern family,
+and an explicit configuration subset.
 """
 
 from __future__ import annotations
@@ -38,8 +33,7 @@ from repro.model.config import all_configurations
 from repro.model.failures import FailureMode
 from repro.model.partition import reachability_labels
 from repro.model.provider import PROVIDER
-from repro.model.system import build_system, extend_system
-from repro.model.views import ViewTable
+from repro.model.system import build_system
 from repro.protocols.fip import FullInformationProtocol
 
 from . import oracles
@@ -60,19 +54,15 @@ CELLS = [
     (FailureMode.RECEIVE_OMISSION, 4, 1, 1),
 ]
 
-KINDS = ("exhaustive", "restricted", "configs", "extended", "shared")
+KINDS = ("exhaustive", "restricted", "configs")
 
 
 @st.composite
 def cells(draw):
     """``(system, pool)``: a system and the view ids its decision pairs
-    are drawn from (the ids of every system sharing its table)."""
+    are drawn from."""
     kind = draw(st.sampled_from(KINDS))
-    mode, n, t, horizon = draw(
-        st.sampled_from(
-            [cell for cell in CELLS if kind != "extended" or cell[3] == 2]
-        )
-    )
+    mode, n, t, horizon = draw(st.sampled_from(CELLS))
     if kind == "exhaustive":
         system = PROVIDER.get(mode, n, t, horizon)
         return system, sorted(system.occurring_views())
@@ -85,45 +75,11 @@ def cells(draw):
         )
         system = restricted_system(mode, n, t, horizon, chosen)
         return system, sorted(system.occurring_views())
-    if kind == "configs":
-        configs = list(all_configurations(n))
-        chosen = draw(
-            st.lists(st.sampled_from(configs), min_size=1, unique=True)
-        )
-        adversary = exhaustive_adversary(mode, n, t, horizon)
-        system = build_system(adversary, configs=chosen)
-        return system, sorted(system.occurring_views())
-    if kind == "extended":
-        base = PROVIDER.get(mode, n, t, 1)
-        system = extend_system(base, exhaustive_adversary(mode, n, t, 2))
-        return system, sorted(system.occurring_views())
-    # Two systems in one table: the evaluated one is interned second, or
-    # first and projected before the other grows the table past it.
-    table = ViewTable()
-    other_mode = draw(
-        st.sampled_from(
-            [m for m in (FailureMode.CRASH, FailureMode.OMISSION)
-             if m is not mode]
-        )
-    )
-    first = build_system(
-        exhaustive_adversary(other_mode, n, t, horizon), table=table
-    )
-    if draw(st.booleans()):
-        first.arrays()
-        second = build_system(
-            exhaustive_adversary(mode, n, t, horizon), table=table
-        )
-        system, other = first, second
-    else:
-        second = build_system(
-            exhaustive_adversary(mode, n, t, horizon), table=table
-        )
-        system, other = second, first
-    pool = sorted(
-        set(system.occurring_views()) | set(other.occurring_views())
-    )
-    return system, pool
+    configs = list(all_configurations(n))
+    chosen = draw(st.lists(st.sampled_from(configs), min_size=1, unique=True))
+    adversary = exhaustive_adversary(mode, n, t, horizon)
+    system = build_system(adversary, configs=chosen)
+    return system, sorted(system.occurring_views())
 
 
 @st.composite

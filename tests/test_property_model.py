@@ -9,8 +9,9 @@ from repro.model.failures import (
     FailurePattern,
     OmissionBehavior,
 )
-from repro.model.runs import build_run
 from repro.model.views import ViewTable
+
+from .oracles import build_run
 
 N = 3
 HORIZON = 3

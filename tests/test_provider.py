@@ -23,15 +23,16 @@ from repro.model.builder import (
 from repro.model.failures import FailureMode
 from repro.model.partition import SystemArrays
 from repro.model.provider import SystemProvider
-from repro.model.system import build_system
 
-from .oracles import scenario_index, state_index
+from .oracles import build_graph, scenario_index, state_index
 from .test_fastbuild import assert_arrays_byte_identical
 
 
 def assert_systems_identical(actual, expected):
     """Run-for-run identity: run order, each run's scenario, views,
-    nonfaulty set and deliveries, scenario index, state index."""
+    nonfaulty set and deliveries; *actual*'s scenario and state indexes
+    against walks over *expected*'s runs.  *expected* may be a system or
+    the oracle's object graph."""
     assert actual.n == expected.n
     assert actual.t == expected.t
     assert actual.horizon == expected.horizon
@@ -41,7 +42,6 @@ def assert_systems_identical(actual, expected):
     for mine, theirs in zip(actual.runs, expected.runs):
         assert mine == theirs
     assert_indexes_match(actual, expected)
-    assert_indexes_match(expected, expected)
 
 
 def assert_indexes_match(system, oracle):
@@ -82,13 +82,13 @@ class TestSystemCodec:
     def test_crash_round_trip_equals_fresh_enumeration(self, tmp_path):
         assert_systems_identical(
             self._round_trip(tmp_path, FailureMode.CRASH, 4, 1, 3),
-            build_system(ExhaustiveCrashAdversary(4, 1, 3)),
+            build_graph(ExhaustiveCrashAdversary(4, 1, 3)),
         )
 
     def test_omission_round_trip_equals_fresh_enumeration(self, tmp_path):
         assert_systems_identical(
             self._round_trip(tmp_path, FailureMode.OMISSION, 3, 1, 3),
-            build_system(ExhaustiveOmissionAdversary(3, 1, 3)),
+            build_graph(ExhaustiveOmissionAdversary(3, 1, 3)),
         )
 
     def test_payload_is_versioned(self, tmp_path):
@@ -181,16 +181,6 @@ class TestDiskCacheLayer:
 
 
 class TestMemoryCacheLayer:
-    def test_use_cache_false_builds_fresh(self, tmp_path):
-        provider = SystemProvider(cache_dir=str(tmp_path))
-        a = provider.get(FailureMode.CRASH, 3, 1, 2, use_cache=False)
-        b = provider.get(FailureMode.CRASH, 3, 1, 2, use_cache=False)
-        assert a is not b
-        info = provider.cache_info()
-        assert info["size"] == 0
-        assert info["hits"] == 0 and info["misses"] == 0
-        assert os.listdir(str(tmp_path)) == []
-
     def test_hits_and_misses_counted(self, tmp_path):
         provider = SystemProvider(cache_dir=str(tmp_path), disk_cache=False)
         provider.get(FailureMode.CRASH, 3, 1, 2)
@@ -497,7 +487,7 @@ class TestFailClosedCellFiles:
         system = fresh.get(FailureMode.CRASH, 3, 1, 2)
         assert fresh.cache_info()["disk_hits"] == 0
         assert_systems_identical(
-            system, build_system(ExhaustiveCrashAdversary(3, 1, 2))
+            system, build_graph(ExhaustiveCrashAdversary(3, 1, 2))
         )
 
     def test_other_cells_file_under_this_cells_name(self, tmp_path):
@@ -536,18 +526,14 @@ from repro.model.provider import SystemProvider
 
 action, horizon = sys.argv[1], int(sys.argv[2])
 provider = SystemProvider()
-if action == "get":
-    provider.get(FailureMode.OMISSION, 3, 1, horizon)
-elif action == "extend":
-    provider.extend(FailureMode.OMISSION, 3, 1, horizon)
-elif action == "die-in-save":
+if action == "die-in-save":
     def save(self, path):
         with open(path, "wb") as handle:
             handle.write(b"PK partial write")
         os.kill(os.getpid(), signal.SIGKILL)
 
     SystemArrays.save = save
-    provider.extend(FailureMode.OMISSION, 3, 1, horizon)
+provider.get(FailureMode.OMISSION, 3, 1, horizon)
 """
 
 
@@ -578,13 +564,13 @@ class TestCrossProcessDrill:
         cache_dir = str(tmp_path)
         together = self._together
         assert together(cache_dir, ("get", 2), ("get", 2)) == [0, 0]
-        assert together(cache_dir, ("extend", 3), ("extend", 3)) == [0, 0]
-        assert together(cache_dir, ("die-in-save", 3)) == [-signal.SIGKILL]
+        assert together(cache_dir, ("get", 3), ("get", 3)) == [0, 0]
+        assert together(cache_dir, ("die-in-save", 1)) == [-signal.SIGKILL]
 
         (orphan,) = [
             name for name in os.listdir(cache_dir) if name.endswith(".tmp.npz")
         ]
-        assert orphan.startswith("system_omission_n3_t1_h3_")
+        assert orphan.startswith("system_omission_n3_t1_h1_")
         reader = SystemProvider(cache_dir=cache_dir)
         entries = reader.disk_entries()
         assert orphan not in [entry["file"] for entry in entries]
@@ -598,11 +584,10 @@ class TestCrossProcessDrill:
             )
             assert_systems_identical(
                 reader.get(FailureMode.OMISSION, 3, 1, horizon),
-                build_system(ExhaustiveOmissionAdversary(3, 1, horizon)),
+                build_graph(ExhaustiveOmissionAdversary(3, 1, horizon)),
             )
         assert reader.cache_info()["disk_hits"] == 4
 
         # The next store into the cell prunes the dead writer's temp file.
-        reader.clear()
-        reader.extend(FailureMode.OMISSION, 3, 1, 3)
+        reader.get(FailureMode.OMISSION, 3, 1, 1)
         assert orphan not in os.listdir(cache_dir)

@@ -737,7 +737,7 @@ class TestProviderConcurrency:
                 for _ in range(5):
                     system = provider.get(FailureMode.CRASH, 3, 1, 2)
                     assert system.horizon == 2
-                    grown = provider.extend(FailureMode.CRASH, 3, 1, 3)
+                    grown = provider.get(FailureMode.CRASH, 3, 1, 3)
                     assert grown.horizon == 3
                     arrays = provider.get_arrays(FailureMode.CRASH, 3, 1, 2)
                     assert arrays is not None

@@ -80,6 +80,17 @@ class TestBuilderHelpers:
         assert crash.mode is FailureMode.CRASH
         assert omission.mode is FailureMode.OMISSION
 
+    def test_system_for_receive_omission(self):
+        # Every non-crash mode used to fall through to the omission cell.
+        system = system_for(FailureMode.RECEIVE_OMISSION, 3, 1, 3)
+        assert system.mode is FailureMode.RECEIVE_OMISSION
+        assert system.arrays().mode == "receive-omission"
+        assert len(system.runs) == 8 * (1 + 3 * (4**3 - 1))
+
+    def test_system_for_general_omission_rejected(self):
+        with pytest.raises(ConfigurationError):
+            system_for(FailureMode.GENERAL_OMISSION, 3, 1, 2)
+
     def test_restricted_system(self):
         pattern = FailurePattern({0: OmissionBehavior({1: [1]})})
         system = restricted_system(FailureMode.OMISSION, 3, 1, 2, [pattern])
@@ -137,7 +148,7 @@ class TestTruthAssignment:
 
 class TestCaches:
     def test_cached_evaluation_memoizes(self):
-        system = crash_system(3, 1, 2, use_cache=False)
+        system = build_system(ExhaustiveCrashAdversary(3, 1, 2))
         calls = []
 
         def compute():
@@ -149,7 +160,7 @@ class TestCaches:
         assert len(calls) == 1
 
     def test_clear_caches(self):
-        system = crash_system(3, 1, 2, use_cache=False)
+        system = build_system(ExhaustiveCrashAdversary(3, 1, 2))
         calls = []
 
         def compute():

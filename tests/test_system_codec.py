@@ -1,15 +1,15 @@
-"""A loaded system: ``system_from_arrays`` equals ``build_system``.
+"""A loaded system: ``system_from_arrays`` equals the object-graph build.
 
 Every cached cell's ``System`` is a view over its stored arrays whose
 object graph is built on first read, so what it builds must reproduce
-the object-graph build exactly: run order, scenarios, each run's views,
-nonfaulty set and deliveries, the view table's entries and intern map,
-and the state and scenario indexes (in the same order).  Checked on
-every exhaustive crash, omission and receive-omission cell with
-``n = 2..4``, ``t < n`` and horizon 1 or 2 that has at most
-:data:`MAX_RUNS` runs, in every order of first reads, from two threads
-at once, and as the base of an extension.  Formula evaluation, E9 and
-a served ``eval`` build none of it.
+the object-graph oracle (``tests/oracles.py``) exactly: run order,
+scenarios, each run's views, nonfaulty set and deliveries, the view
+table's entries and intern map, and the state and scenario indexes (in
+the same order).  Checked on every exhaustive crash, omission and
+receive-omission cell with ``n = 2..4``, ``t < n`` and horizon 1 or 2
+that has at most :data:`MAX_RUNS` runs, in every order of first reads
+and from four threads at once.  Formula evaluation, E9 and a served
+``eval`` build none of it.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from repro.model.failures import (
     FailurePattern,
 )
 from repro.model.fastbuild import build_arrays
-from repro.model.partition import SystemArrays
 from repro.model.provider import SystemProvider
-from repro.model.system import build_system, extend_system
+from repro.model.system import build_system
 
-from .oracles import state_index
+from .oracles import build_graph, state_index
 from .test_provider import assert_systems_identical
 
 #: Larger cells (crash n=4 t=3 h=2 has 195,344 runs, the omission-family
@@ -92,7 +91,7 @@ def test_materialized_system_equals_build_system(mode, n, t, horizon):
     arrays.validate(mode.value, n, t, horizon)
     assert_identical(
         system_from_arrays(arrays),
-        build_system(exhaustive_adversary(mode, n, t, horizon)),
+        build_graph(exhaustive_adversary(mode, n, t, horizon)),
     )
 
 
@@ -101,7 +100,7 @@ def test_restricted_system_is_not_the_cell():
         exhaustive_adversary(FailureMode.CRASH, 3, 1, 1),
         configs=[InitialConfiguration((0, 1, 1))],
     )
-    arrays = SystemArrays.from_system(system)
+    arrays = system.arrays()
     with pytest.raises(ConfigurationError):
         arrays.validate("crash", 3, 1, 1)
     with pytest.raises(ConfigurationError):
@@ -130,11 +129,8 @@ def loaded(tmp_path, cell):
 
 @functools.lru_cache(maxsize=None)
 def built(cell):
-    """The cell's fresh build, its state index built up front so that
-    :func:`materializations` deltas count only the loaded system's."""
-    system = build_system(exhaustive_adversary(*cell))
-    system.same_state_points(0)
-    return system
+    """The cell's object graph, built by the oracle."""
+    return build_graph(exhaustive_adversary(*cell))
 
 
 def read_run_index_for(system, expected):
@@ -200,18 +196,11 @@ def test_scenarios_outside_the_cell_raise(tmp_path):
         system.run_index_for(InitialConfiguration((0, 1, 1)), two_faulty)
 
 
-@pytest.mark.parametrize("mode", MODES, ids=[mode.value for mode in MODES])
-def test_extending_a_loaded_base_equals_build_system(tmp_path, mode):
-    base = loaded(tmp_path, (mode, 3, 1, 1))
-    extended = extend_system(base, exhaustive_adversary(mode, 3, 1, 2))
-    assert_identical(extended, built((mode, 3, 1, 2)))
-
-
 def test_concurrent_first_reads_see_whole_structures(tmp_path):
     """Four threads (more than the two cores the suite assumes) make the
     first reads of one fresh system at once, switching often."""
     cell = (FailureMode.OMISSION, 3, 1, 3)
-    expected = build_system(exhaustive_adversary(*cell))
+    expected = build_graph(exhaustive_adversary(*cell))
     states = state_index(expected)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

@@ -233,13 +233,19 @@ class TestExport:
 
 class TestPipelineIntegration:
     def test_build_system_emits_span_hierarchy(self):
-        from repro.model.adversary import ExhaustiveCrashAdversary
-        from repro.model.system import build_system
+        from repro.model.builder import restricted_system
+        from repro.model.failures import (
+            CrashBehavior,
+            FailureMode,
+            FailurePattern,
+        )
 
+        pattern = FailurePattern({0: CrashBehavior(1, frozenset())})
         mark = trace.TRACER.watermark()
-        build_system(ExhaustiveCrashAdversary(3, 1, 2))
-        names = {s.name for s in trace.TRACER.collect(mark)}
-        assert {"build_system", "enumerate_runs", "index_system"} <= names
+        restricted_system(FailureMode.CRASH, 3, 1, 2, [pattern])
+        spans = {s.name: s for s in trace.TRACER.collect(mark)}
+        outer, build = spans["restricted_system"], spans["system_fastbuild"]
+        assert build.parent_id == outer.span_id
 
     def test_fixpoint_span_reports_iterations(self, crash3):
         from repro.knowledge.formulas import Common, Exists
