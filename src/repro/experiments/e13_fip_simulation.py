@@ -5,10 +5,14 @@ Proposition 2.2 says that for every protocol ``P`` there is a function
 ``f_i`` from the full-information state to ``P``'s state at corresponding
 points.  We check this *extensionally*: running each concrete protocol over
 the exhaustive scenario space, no full-information view may map to two
-different protocol states at corresponding points.  Each scenario runs as
-its own execution, so nothing is shared between runs: batch runs share
-each transition among the scenarios that reach it, which would make
-``f_i`` a function by construction.
+different protocol states at corresponding points.  Each case runs as one
+*isolated* batch (``traces_over_scenarios(..., isolated=True)``): every
+scenario is its own execution, sharing with the others only the
+protocol-free delivery plan, so every protocol function runs exactly as
+often as in one ``execute`` per scenario.  A shared batch runs each
+transition once for all the scenarios that reach it, which would make
+``f_i`` a function by construction.  The views come from the system's
+arrays.
 
 Corollary 2.3 (a full-information protocol dominates ``P``) is then checked
 constructively: the FIP whose decision sets are the *images* of ``P``'s
@@ -20,53 +24,48 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..core.decision_sets import DecisionPair, close_under_recall
+from ..core.decision_sets import DecisionPair
 from ..core.domination import compare
+from ..core.outcomes import ProtocolOutcome
 from ..metrics.tables import render_table
 from ..model.builder import crash_system, omission_system
 from ..protocols.chain_eba import chain_eba
 from ..protocols.fip import fip
 from ..protocols.p0 import p0
 from ..protocols.p0opt import p0opt
-from ..sim.engine import execute
+from ..sim.engine import traces_over_scenarios
 from .framework import ExperimentResult
 
 
 def _check_simulation(system, protocol, t):
-    traces = [
-        execute(protocol, config, pattern, system.horizon, t)
-        for config, pattern in system.scenarios()
-    ]
+    traces = traces_over_scenarios(
+        protocol, system.scenarios(), system.horizon, t, isolated=True
+    )
+    arrays = system.arrays()
     mapping: Dict[int, object] = {}
     functional = True
     zero_triggers = []
     one_triggers = []
-    for trace, run in zip(traces, system.runs):
-        for time in range(system.horizon + 1):
-            for processor in range(system.n):
-                view = run.view(processor, time)
-                state = trace.state_of(processor, time)
+    for trace, run_views in zip(traces, arrays.views.tolist()):
+        for time, (views, states) in enumerate(zip(run_views, trace.states)):
+            for view, state, record in zip(views, states, trace.decisions):
                 if view in mapping and mapping[view] != state:
                     functional = False
                 mapping[view] = state
-                record = trace.decisions[processor]
                 if record is not None and record[1] <= time:
                     (zero_triggers if record[0] == 0 else one_triggers).append(
                         view
                     )
     # Corollary 2.3: the induced FIP decides exactly when P does.
-    all_states = list(system.occurring_views())
     induced = DecisionPair(
-        close_under_recall(zero_triggers, all_states, system.table),
-        close_under_recall(one_triggers, all_states, system.table),
+        frozenset(arrays.recall_closure(zero_triggers)),
+        frozenset(arrays.recall_closure(one_triggers)),
         name=f"FIP[{protocol.name}]",
     )
     induced_out = fip(induced).outcome(system)
-    from ..core.outcomes import ProtocolOutcome
-
-    original_out = ProtocolOutcome(protocol.name)
-    for trace in traces:
-        original_out.add(trace.to_outcome())
+    original_out = ProtocolOutcome(
+        protocol.name, (trace.to_outcome() for trace in traces)
+    )
     dominated = compare(induced_out, original_out).dominates
     return functional, dominated, len(mapping)
 

@@ -29,12 +29,11 @@ Nothing is re-simulated:
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
+from ..collector import gc_paused
 from ..model.adversary import exhaustive_adversary
 from ..model.config import InitialConfiguration, all_configurations
 from ..model.failures import FailureMode, FailurePattern
@@ -62,20 +61,6 @@ def system_from_arrays(arrays: SystemArrays) -> System:
     )
 
 
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic collector: the builders allocate hundreds of
-    thousands of acyclic objects, and its passes over them would double
-    the wall time."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def cell_runs(
     arrays: SystemArrays,
     configs: Sequence[InitialConfiguration],
@@ -84,7 +69,7 @@ def cell_runs(
     """Every run of the cell, in run order (configurations outer)."""
     n, width = arrays.n, arrays.width
     processors = range(n)
-    with _gc_paused():
+    with gc_paused():
         per_pattern = [
             (
                 pattern,
@@ -136,7 +121,7 @@ def view_table(arrays: SystemArrays) -> ViewTable:
     values = arrays.init[run, owner].tolist()
     heard_from: List[tuple] = [()] * arrays.num_views
     nodes = np.flatnonzero(time > 0)
-    with _gc_paused():
+    with gc_paused():
         if nodes.size:
             node_run, node_owner = run[nodes], owner[nodes]
             node_round = time[nodes] - 1

@@ -29,7 +29,12 @@ import numpy as np
 
 from .. import obs, trace
 from ..errors import ConfigurationError, EvaluationError
-from .adversary import Adversary
+from .adversary import (
+    Adversary,
+    ExhaustiveCrashAdversary,
+    ExhaustiveOmissionAdversary,
+    ExhaustiveReceiveOmissionAdversary,
+)
 from .chunked import ChunkedIndex, TruthAssignment
 from .config import InitialConfiguration, all_configurations
 from .failures import FailureMode, FailurePattern
@@ -324,6 +329,14 @@ def _short_key(key: object, limit: int = 96) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
+#: Adversaries whose patterns are exactly their cell's digit tables.
+_EXHAUSTIVE = (
+    ExhaustiveCrashAdversary,
+    ExhaustiveOmissionAdversary,
+    ExhaustiveReceiveOmissionAdversary,
+)
+
+
 def build_system(
     adversary: Adversary,
     *,
@@ -331,6 +344,10 @@ def build_system(
 ) -> System:
     """The system of full-information runs for *adversary*, built
     arrays-first (:func:`repro.model.fastbuild.build_arrays`).
+
+    An exhaustive adversary's deliveries are read off the digit tables of
+    its cell; any other adversary's, a subclass of an exhaustive one
+    included, off its pattern list.
 
     Args:
         adversary: Supplies ``(n, t, horizon)``, the mode and the failure
@@ -348,12 +365,13 @@ def build_system(
     config_list = (
         list(all_configurations(n)) if configs is None else list(configs)
     )
+    exhaustive = type(adversary) in _EXHAUSTIVE
     arrays = build_arrays(
         adversary.mode,
         n,
         t,
         horizon,
-        patterns=patterns,
+        patterns=None if exhaustive else patterns,
         configs=config_list,
     )
     obs.count("views_interned", arrays.num_views)

@@ -26,15 +26,13 @@ decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from ..model.failures import ProcessorId
 from ..protocols.base import ConcreteProtocol, Message, State, broadcast
 
 
-@dataclass(frozen=True)
-class _MultiState:
+class _MultiState(NamedTuple):
     processor: ProcessorId
     n: int
     t: int

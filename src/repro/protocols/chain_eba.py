@@ -33,8 +33,7 @@ the two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from ..model.failures import ProcessorId
 from .base import ConcreteProtocol, Message, State, broadcast
@@ -43,8 +42,7 @@ from .base import ConcreteProtocol, Message, State, broadcast
 Chain = Tuple[ProcessorId, ...]
 
 
-@dataclass(frozen=True)
-class _ChainState:
+class _ChainState(NamedTuple):
     processor: ProcessorId
     n: int
     t: int

@@ -29,8 +29,7 @@ crash-specific).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from ..model.failures import ProcessorId
 from .base import ConcreteProtocol, Message, State, broadcast
@@ -39,8 +38,7 @@ from .base import ConcreteProtocol, Message, State, broadcast
 EvidenceTable = Tuple[Tuple[Tuple[ProcessorId, int], FrozenSet[ProcessorId]], ...]
 
 
-@dataclass(frozen=True)
-class _WasteState:
+class _WasteState(NamedTuple):
     processor: ProcessorId
     n: int
     t: int

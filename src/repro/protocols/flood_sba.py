@@ -22,8 +22,7 @@ guard :func:`assert_crash_pattern`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, NamedTuple, Optional
 
 from ..errors import UnsupportedModeError
 from ..model.failures import FailureMode, FailurePattern, ProcessorId
@@ -41,8 +40,7 @@ def assert_crash_pattern(pattern: FailurePattern) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _FloodState:
+class _FloodState(NamedTuple):
     processor: ProcessorId
     n: int
     t: int

@@ -13,16 +13,14 @@ no *optimum* EBA protocol exists — regenerated as experiment E1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from ..core.values import other
 from ..model.failures import ProcessorId
 from .base import ConcreteProtocol, Message, State, broadcast
 
 
-@dataclass(frozen=True)
-class _RaceState:
+class _RaceState(NamedTuple):
     """Local state of a :class:`ValueRaceProtocol` processor."""
 
     processor: ProcessorId

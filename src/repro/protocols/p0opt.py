@@ -23,15 +23,13 @@ EBA protocols there — regenerated as experiments E2 and E8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from ..model.failures import ProcessorId
 from .base import ConcreteProtocol, Message, State, broadcast
 
 
-@dataclass(frozen=True)
-class _OptState:
+class _OptState(NamedTuple):
     """Local state of a ``P0opt`` processor.
 
     ``known`` maps processors to the initial values this processor has

@@ -26,7 +26,10 @@ senders whose message reached it, so ``transition`` and ``output`` run once
 per distinct such key, however many scenarios share it.  Scenarios move in
 rows (one node per processor), and the next row is memoized on the row and
 the round's delivery row.  States are hashed, so they must be hashable;
-equal states must behave identically.
+equal states must behave identically.  An *isolated* batch
+(:func:`traces_over_scenarios`) keys every node by its scenario too, so
+it shares only the delivery plan between scenarios.  A fold allocates
+only acyclic structures, so it runs with the cyclic collector paused.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .. import trace as spantrace
+from ..collector import gc_paused
 from ..core.outcomes import DecisionRecord, ProtocolOutcome, ScenarioIndex
 from ..errors import ConfigurationError
 from ..model.config import InitialConfiguration
@@ -129,13 +133,14 @@ class _Nodes:
     """The distinct nodes of one time, and the rows through them.
 
     Node ``v`` is processor ``processor[v]`` of an ``size[v]``-processor
-    system in state ``state[v]``, with first decision ``record[v]`` so far.
-    ``rows[r]`` holds one node per processor.  ``name`` is the protocol's,
-    for the error an unhashable state raises.
+    system in state ``state[v]``, with first decision ``record[v]`` so far,
+    in scope ``scope[v]``: the scenario's number in an isolated batch,
+    ``None`` otherwise.  ``rows[r]`` holds one node per processor.
+    ``name`` is the protocol's, for the error an unhashable state raises.
     """
 
     __slots__ = ("name", "ids", "processor", "size", "state", "record",
-                 "row_ids", "rows")
+                 "scope", "row_ids", "rows")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -144,14 +149,15 @@ class _Nodes:
         self.size: List[int] = []
         self.state: List[Any] = []
         self.record: List[DecisionRecord] = []
+        self.scope: List[Optional[int]] = []
         self.row_ids: Dict[Tuple[int, ...], int] = {}
         self.rows: List[Tuple[int, ...]] = []
 
     def node(
         self, processor: ProcessorId, n: int, state: Any,
-        record: DecisionRecord,
+        record: DecisionRecord, scope: Optional[int],
     ) -> int:
-        key = (processor, n, state, record)
+        key = (processor, n, state, record, scope)
         try:
             node = self.ids.get(key)
         except TypeError as error:
@@ -164,6 +170,7 @@ class _Nodes:
             self.size.append(n)
             self.state.append(state)
             self.record.append(record)
+            self.scope.append(scope)
         return node
 
     def row(self, nodes: Tuple[int, ...]) -> int:
@@ -200,31 +207,42 @@ class _Fold:
 
 
 def _first_level(
-    protocol: ConcreteProtocol, scenarios: ScenarioViews
+    protocol: ConcreteProtocol, scenarios: ScenarioViews, isolated: bool
 ) -> Tuple[_Nodes, List[int]]:
-    """The time-0 nodes, and the row of each scenario through them."""
+    """The time-0 nodes, and the row of each scenario through them.
+
+    A start is one (n, processor, initial value); an *isolated* batch
+    keys it, and so every later node, by the scenario's number too.
+    """
     level = _Nodes(protocol.name)
-    starts: Dict[Tuple[int, ProcessorId, int], int] = {}
-    config_rows: List[int] = []
+    starts: Dict[Tuple[Optional[int], int, ProcessorId, int], int] = {}
     index = scenarios.index()
-    for config in index.configs:
+    config_of = index.config_of.tolist()
+    if isolated:
+        scoped = [
+            (scope, index.configs[c]) for scope, c in enumerate(config_of)
+        ]
+    else:
+        scoped = [(None, config) for config in index.configs]
+    rows: List[int] = []
+    for scope, config in scoped:
         n = config.n
         nodes = []
         for processor in range(n):
-            start = (n, processor, config.value_of(processor))
+            start = (scope, n, processor, config.value_of(processor))
             node = starts.get(start)
             if node is None:
                 state = protocol.initial_state(
-                    processor, n, scenarios.t, start[2]
+                    processor, n, scenarios.t, start[3]
                 )
                 value = protocol.output(state)
                 node = starts[start] = level.node(
                     processor, n, state,
-                    None if value is None else (value, 0),
+                    None if value is None else (value, 0), scope,
                 )
             nodes.append(node)
-        config_rows.append(level.row(tuple(nodes)))
-    return level, [config_rows[c] for c in index.config_of.tolist()]
+        rows.append(level.row(tuple(nodes)))
+    return level, rows if isolated else [rows[c] for c in config_of]
 
 
 def _decision_table(
@@ -272,12 +290,17 @@ def _outboxes(
     return outboxes
 
 
+@gc_paused()
 def _fold(
-    protocol: ConcreteProtocol, scenarios: ScenarioViews, keep: bool
+    protocol: ConcreteProtocol, scenarios: ScenarioViews, keep: bool,
+    isolated: bool = False,
 ) -> _Fold:
     """Run *protocol* over *scenarios* as one fold over its states.
 
     Without *keep* only one time's nodes and outboxes are alive at once.
+    With *isolated* no node is shared between scenarios (see
+    :func:`_first_level`).  The collector is paused: a fold allocates
+    only acyclic structures.
     """
     plans, deliveries = scenarios.plan()
     name = protocol.name
@@ -288,11 +311,11 @@ def _fold(
             Trace(name, config, pattern, scenarios.horizon)
             for config, pattern in scenarios
         ]
-    level, row_of = _first_level(protocol, scenarios)
+    level, row_of = _first_level(protocol, scenarios, isolated)
     for round_number in range(1, scenarios.horizon + 1):
         below, level = level, _Nodes(name)
-        processor_of, states, records = (
-            below.processor, below.state, below.record,
+        processor_of, states, records, scopes = (
+            below.processor, below.state, below.record, below.scope,
         )
         outboxes = _outboxes(protocol, below, round_number)
         sent = [
@@ -341,7 +364,7 @@ def _fold(
                             if value is not None:
                                 record = (value, round_number)
                         next_node = transitions[inbox_key] = level.node(
-                            receiver, len(nodes), state, record
+                            receiver, len(nodes), state, record, scopes[node]
                         )
                     following.append(next_node)
                 step = steps[key] = len(step_rows)
@@ -408,7 +431,8 @@ def execute(
 
     Returns the full :class:`~repro.sim.trace.Trace`; use
     ``trace.to_outcome()`` for decision-only analysis.  A batch of one, so
-    no state is shared with any other execution.
+    no state is shared with any other execution (as in an isolated
+    :func:`traces_over_scenarios`).
     """
     return traces_over_scenarios(protocol, [(config, pattern)], horizon, t)[0]
 
@@ -450,12 +474,22 @@ def traces_over_scenarios(
     scenarios: Iterable[ScenarioKey],
     horizon: int,
     t: int,
+    *,
+    isolated: bool = False,
 ) -> List[Trace]:
-    """Like :func:`run_over_scenarios` but keeping the full traces."""
+    """Like :func:`run_over_scenarios` but keeping the full traces.
+
+    With *isolated*, every scenario runs as its own execution: no node,
+    start or transition is shared between scenarios, so every protocol
+    function runs exactly as often as in one :func:`execute` per
+    scenario; only the delivery plan and the index are shared.  A check
+    that protocol states are a function of something the fold could
+    share (E13's) needs that.
+    """
     scenarios = _bind(scenarios, horizon, t)
     with spantrace.span(
         "sim.traces_over_scenarios", protocol=protocol.name, rounds=horizon
     ) as batch_span:
-        folded = _fold(protocol, scenarios, keep=True)
+        folded = _fold(protocol, scenarios, keep=True, isolated=isolated)
         _annotate(batch_span, scenarios, folded)
     return folded.traces

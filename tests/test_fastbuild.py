@@ -23,7 +23,7 @@ import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
@@ -258,9 +258,30 @@ def restricted_cells(draw):
     return adversary, chosen_configs
 
 
+class _SilentSubclassAdversary(ExhaustiveCrashAdversary):
+    """An exhaustive subclass that allows only crashes heard by nobody:
+    its patterns are not its cell's digit tables."""
+
+    def behaviors_for(self, processor):
+        for behavior in super().behaviors_for(processor):
+            if not behavior.receivers:
+                yield behavior
+
+
 class TestRestrictedParity:
     @given(cell=restricted_cells())
     @settings(max_examples=120, deadline=None)
+    # Exhaustive adversaries, built from their cells' digit tables, and a
+    # subclass of one, which keeps the explicit path.
+    @example(cell=(ExhaustiveCrashAdversary(3, 1, 3), None))
+    @example(
+        cell=(
+            ExhaustiveOmissionAdversary(3, 1, 2),
+            list(all_configurations(3))[2:7],
+        )
+    )
+    @example(cell=(ExhaustiveReceiveOmissionAdversary(3, 1, 2), None))
+    @example(cell=(_SilentSubclassAdversary(3, 1, 2), None))
     def test_build_system_matches_oracle(self, cell):
         adversary, configs = cell
         system = build_system(adversary, configs=configs)

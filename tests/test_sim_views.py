@@ -8,9 +8,12 @@ processor transitions every round, and deliveries come from
 must reproduce it exactly — states, message counts, decisions, outcomes,
 and which inputs are rejected — while calling ``messages`` once per
 distinct node and ``transition`` at most once per distinct
-full-information view.
+full-information view; an isolated batch must call every protocol
+function exactly as often as one ``execute`` per scenario.  Every entry
+point must leave the cyclic collector as it found it.
 """
 
+import gc
 from collections import Counter
 from typing import Dict, List
 
@@ -428,6 +431,87 @@ def test_one_call_per_distinct_state(drawn):
             assert sum(nodes.values()) - nodes[0] <= calls["transition"]
             assert calls["transition"] <= sum(views.values()) - views[0]
             assert calls["output"] <= len(starts) + calls["transition"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario_lists())
+def test_isolated_batch_is_one_execution_per_scenario(drawn):
+    scenarios, horizon, t = drawn
+    for protocol in all_protocols():
+        expected = reference_traces(protocol, scenarios, horizon, t)
+        batched = CountingProtocol(protocol)
+        try:
+            traces = traces_over_scenarios(
+                batched, scenarios, horizon, t, isolated=True
+            )
+        except ConfigurationError:
+            traces = None
+        assert (traces is None) == (expected is None), protocol.name
+        if expected is None:
+            continue
+        assert [trace_fields(trace) for trace in traces] == [
+            trace_fields(trace) for trace in expected
+        ]
+        separate = CountingProtocol(protocol)
+        for config, pattern in scenarios:
+            execute(separate, config, pattern, horizon, t)
+        assert batched.calls == separate.calls, protocol.name
+
+
+def test_e13_omission_case_calls_as_separate_executions():
+    from repro.model.failures import FailureMode
+    from repro.protocols.chain_eba import chain_eba
+    from repro.workloads.scenarios import exhaustive_scenarios
+
+    scenarios = exhaustive_scenarios(FailureMode.OMISSION, 3, 1, 3)
+    batched = CountingProtocol(chain_eba())
+    traces_over_scenarios(batched, scenarios, 3, 1, isolated=True)
+    separate = CountingProtocol(chain_eba())
+    for config, pattern in scenarios:
+        execute(separate, config, pattern, 3, 1)
+    assert batched.calls == separate.calls == Counter(
+        initial_state=4560, messages=13680, transition=13680, output=7224
+    )
+
+
+class CollectorProbe(EchoProtocol):
+    """Echo that records whether the cyclic collector ran its calls."""
+
+    name = "collector-probe"
+
+    def __init__(self):
+        self.collector = set()
+
+    def messages(self, state, round_number):
+        self.collector.add(gc.isenabled())
+        return super().messages(state, round_number)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_paused_in_folds_and_restored(enabled):
+    entry_points = [
+        lambda protocol: run_over_scenarios(protocol, BOTH_SIZES, 2, 1),
+        lambda protocol: traces_over_scenarios(protocol, BOTH_SIZES, 2, 1),
+        lambda protocol: traces_over_scenarios(
+            protocol, BOTH_SIZES, 2, 1, isolated=True
+        ),
+        lambda protocol: execute(protocol, *BOTH_SIZES[1], 2, 1),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for call in entry_points:
+            probe = CollectorProbe()
+            call(probe)
+            assert probe.collector == {False}
+            assert gc.isenabled() is enabled
+            # Folds that raise: unhashable states, a misaddressed message.
+            for protocol in (DictStateProtocol(), StrayProtocol()):
+                with pytest.raises(ConfigurationError):
+                    call(protocol)
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 # -- rejected inputs ---------------------------------------------------------
