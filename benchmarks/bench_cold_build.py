@@ -7,12 +7,12 @@ rounds would defeat):
 1. **arrays-first**: a cold ``SystemProvider.get_arrays`` on the
    E9-class omission cell — the fastbuild path that enumerates straight
    into ``SystemArrays`` index tables, never materializing ``Run`` or
-   ``ViewTable`` objects — followed by the limb-shard evaluation core
-   (``LimbBlockPartition`` construction plus the NONFAULTY
-   component-label sweep over every block, exactly what the batch plans
-   seed from);
-2. **object graph** (the limb-shard baseline): the same cell and the
-   same evaluation, but built through the object-graph oracle of
+   ``ViewTable`` objects — followed by the NONFAULTY Corollary 3.3
+   reachability pass (``reachability_labels`` over the nonfaulty
+   points' ``(run, view)`` incidence, as
+   ``knowledge/semantics.py::_components`` computes it);
+2. **object graph** (the baseline): the same cell and the same
+   evaluation, but built through the object-graph oracle of
    ``tests/oracles.py`` — per-point scenario enumeration, view
    interning, run construction (``build_graph``) — with the arrays
    projected from the finished graph (``project``).  (Every builder in
@@ -48,31 +48,28 @@ for path in (REPO_ROOT, SRC_DIR):
 
 
 def _evaluate(arrays) -> int:
-    """The limb-shard evaluation core both legs run identically.
+    """The evaluation core both legs run identically.
 
-    Builds the block partition and sweeps NONFAULTY component labels
-    over every block (welded with ``merge_component_labels``) — the
-    Corollary 3.3 reachability pass the E9 plan is built on.
-    Returns the number of labelled runs so the work cannot be
+    Labels the NONFAULTY Corollary 3.3 reachability components of the
+    cell: every point of a nonfaulty processor joins its run to its
+    view.  Returns the number of labelled runs so the work cannot be
     dead-code-eliminated.
     """
-    from repro.model.partition import (
-        LimbBlockPartition,
-        merge_component_labels,
-    )
+    import numpy as np
 
-    partition = LimbBlockPartition.from_arrays(arrays)
-    nf_limbs = [
-        partition.nonfaulty_limbs(processor)
-        for processor in range(arrays.n)
-    ]
-    flags = partition.state_flags(range(partition.num_views))
-    block_results = [
-        partition.component_labels(desc["block"], flags, nf_limbs)
-        for desc in partition.block_descriptors()
-    ]
-    labels = merge_component_labels(partition.num_runs, block_results)
-    return len(labels)
+    from repro.model.partition import reachability_labels
+
+    member = np.broadcast_to(
+        arrays.nonfaulty[:, None, :], arrays.views.shape
+    )
+    points = np.flatnonzero(member)
+    labels = reachability_labels(
+        arrays.num_runs,
+        points // (arrays.width * arrays.n),
+        arrays.views.reshape(-1)[points],
+        arrays.num_views,
+    )
+    return int((labels >= 0).sum())
 
 
 def _cold_leg(n: int, t: int, horizon: int, *, legacy: bool) -> float:

@@ -20,17 +20,16 @@ Beyond the horizon the paper's induction (Lemma A.9) extends the witness
 family round by round; the finite prefix here machine-checks every step the
 horizon can express.
 
-The witness-scenario enumeration and the verdict-table assembly are
-factored into :func:`witness_target`, :func:`perturbed_cases` and
-:func:`build_result` so the sharded execution engine
-(:mod:`repro.exec.tasks`) measures exactly the same scenarios and renders
-exactly the same result as this monolithic path — that shared code is what
-the sharded-vs-monolithic parity tests lean on.
+:func:`measure` evaluates the cell and returns the measured truth values
+as JSON-native data; :func:`build_result` renders them.  ``run`` calls
+both in process, and the batch plan (:mod:`repro.exec.tasks`) calls
+``measure`` in a pool worker and ``build_result`` in the supervisor, so
+both paths share one evaluator and emit byte-identical results.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ..knowledge.formulas import Believes, ContinualCommon, Exists
 from ..knowledge.nonrigid import nonfaulty_and_zeros
@@ -93,14 +92,8 @@ def build_result(
     belief_never: bool,
     perturbed_rows: List[List[object]],
 ) -> ExperimentResult:
-    """Assemble the E9 verdict table from measured truth values.
-
-    Shared by the monolithic :func:`run` and the sharded plan's assemble
-    stage, so both paths emit byte-identical tables, notes and data.
-    Takes the run count rather than the system so the sharded path —
-    which runs on array projections and never materializes ``Run``
-    objects — can call it too.
-    """
+    """Assemble the E9 verdict table from the values :func:`measure`
+    returns (the reference recomputation in the tests calls it too)."""
     perturbed_all_false = all(not row[1] for row in perturbed_rows)
     rows = [
         ["no nonfaulty decision in witness run r", nobody_decides],
@@ -132,13 +125,16 @@ def build_result(
     )
 
 
-def run(n: int = 4, t: int = 2, horizon: int = 2) -> ExperimentResult:
+def measure(n: int, t: int, horizon: int) -> Dict[str, Any]:
+    """Evaluate E9's cell: the run count, whether no nonfaulty processor
+    decides in the witness run, whether the belief probe never holds
+    there, and the ``C□`` row of each perturbed run — JSON-native, so a
+    batch shard can return it as its payload."""
     system = omission_system(n, t, horizon)
-    base, first, second = f_lambda_sequence(system)
+    _, first, second = f_lambda_sequence(system)
     protocol = fip(second)
 
-    # Only the witness run's decisions matter (the batch plan's assemble
-    # stage reads the same ones).
+    # Only the witness run's decisions matter.
     target_index = system.run_index_for(*witness_target(n, horizon))
     target_nonfaulty = system.arrays().nonfaulty_of(target_index)
     nobody_decides = all(
@@ -162,13 +158,13 @@ def run(n: int = 4, t: int = 2, horizon: int = 2) -> ExperimentResult:
         for processor in target_nonfaulty
         for time in range(horizon + 1)
     )
+    return {
+        "num_runs": len(system.runs),
+        "nobody_decides": nobody_decides,
+        "belief_never": belief_never,
+        "perturbed_rows": perturbed_rows,
+    }
 
-    return build_result(
-        len(system.runs),
-        n,
-        t,
-        horizon,
-        nobody_decides=nobody_decides,
-        belief_never=belief_never,
-        perturbed_rows=perturbed_rows,
-    )
+
+def run(n: int = 4, t: int = 2, horizon: int = 2) -> ExperimentResult:
+    return build_result(n=n, t=t, horizon=horizon, **measure(n, t, horizon))

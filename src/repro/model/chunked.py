@@ -117,10 +117,9 @@ def group_tables(views) -> List[Dict[str, object]]:
     points occupy, holding that limb's bits of the group.  Per
     processor: ``idx`` (entry limb indices) and ``val`` (entry limb
     bits), ``starts`` (group boundaries, one past the last), ``gv`` (the
-    view of each group, ascending), ``first_limb`` (each group's first
-    entry limb) and ``entries``.  Point ``(run, time)`` is bit ``run *
-    width + time``.  This is the one builder of the tables the chunked
-    index and the limb-block partition read.
+    view of each group, ascending) and ``entries``.  Point ``(run,
+    time)`` is bit ``run * width + time``.  The chunked index reads
+    these tables.
     """
     tables: List[Dict[str, object]] = []
     for processor in range(views.shape[2]):
@@ -136,7 +135,6 @@ def group_tables(views) -> List[Dict[str, object]]:
                     "val": np.zeros(0, np.uint64),
                     "starts": np.zeros(1, np.int64),
                     "gv": np.zeros(0, np.int64),
-                    "first_limb": np.zeros(0, np.int64),
                     "entries": 0,
                 }
             )
@@ -158,7 +156,6 @@ def group_tables(views) -> List[Dict[str, object]]:
                 "val": val,
                 "starts": np.append(group_first, sv_entries.size),
                 "gv": sv_entries[group_first],
-                "first_limb": idx[group_first],
                 "entries": int(idx.size),
             }
         )

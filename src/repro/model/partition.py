@@ -1,89 +1,34 @@
-"""Limb-block partitions: in-kernel sharding for the chunked evaluator.
+"""A cell's arrays, and the vectorized passes the evaluators run on them.
 
-The execution engine used to shard E9 at *run* level: every worker held
-the full :class:`~repro.model.system.System` (385k heavy ``Run`` objects
-on the Proposition 6.3 cell — ~20s just to unpickle) and scanned its
-slice of views point by point.  The chunked kernel, meanwhile, already
-organizes the same information as flat limb arrays and sparse per-state
-group tables.  This module closes that gap with two pieces:
+:class:`SystemArrays` is a system's compact, numpy-native form (view-id
+matrix, per-view owner/time/parent, initial values, nonfaulty sets,
+delivery tensors).  It is the one stored form of a cached cell: one
+versioned ``.npz`` per cell, managed by
+:class:`~repro.model.provider.SystemProvider`, over which
+:mod:`repro.io.system_codec` wraps the ``System``.
 
-* :class:`SystemArrays` — a system's compact, numpy-native form
-  (view-id matrix, per-view owner/time/parent, initial values, nonfaulty
-  sets, delivery tensors).  It carries everything the sharded knowledge
-  sweeps need, and it is the one stored form of a cached cell: one
-  versioned ``.npz`` per cell, managed by
-  :class:`~repro.model.provider.SystemProvider`, over which
-  :mod:`repro.io.system_codec` wraps the ``System``.  Scenario
-  lookup (``run_index_of``) matches the *observable* run content —
-  initial values, nonfaulty set, delivery tensor — which identifies a
-  run uniquely under the canonical adversaries.
-
-* :class:`LimbBlockPartition` — the chunked index's per-processor group
-  tables (``idx`` / ``val`` / ``starts``; see
-  :class:`~repro.model.chunked.ChunkedIndex`) cut into **limb blocks**:
-  contiguous limb ranges, each owning every state group whose first
-  entry falls inside it (a group always stays whole — its trailing
-  entries may spill past the block edge, which only affects balance,
-  never correctness).  A :class:`LimbBlock` descriptor is tiny and
-  JSON-serializable, so shard parameters stay checkpointable while the
-  heavy tables travel to forked workers copy-on-write through the worker
-  context.  Per-block sweeps (believes verdicts, reachability-component
-  labels, decision-state masks) are vectorized gather/segmented-reduce
-  passes; per-block results are merged at the stage barrier
-  (:func:`merge_component_labels` folds block-local component labels
-  with a union-find over the conflicting representatives only).
-
-Everything here is deliberately :class:`System`-free: the E9 batch plan
-runs entirely on arrays, and the verdicts are bit-identical to the
-monolithic evaluation because both reduce to the same group tables.
+The module-level passes read those arrays: Corollary 3.3 reachability
+components (:func:`reachability_labels`, :func:`component_holds`) and
+the first-firing scan of a decision pair (:func:`first_fire_times`,
+:func:`fired_views`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .. import obs, trace
-from ..errors import ConfigurationError, EvaluationError
+from ..errors import ConfigurationError
 from .adversary import exhaustive_adversary
-from .chunked import LIMB_BITS, LIMB_MASK, _bits_to_limbs, group_tables
 from .failures import FailureMode
-
-#: Target group-table entries per limb block when no explicit shard size
-#: is requested; blocks are balanced by entry count, not limb count.
-DEFAULT_BLOCK_ENTRIES = 1 << 18
-
-#: Hard cap on blocks per partition (shard-id explosion guard).
-MAX_BLOCKS = 64
 
 #: Format stamp of the stored ``.npz`` cell.
 ARRAYS_VERSION = 1
 
 
-# -- run-level mask helpers -------------------------------------------------
-
-
-def run_mask_to_limbs(mask: int, num_runs: int, width: int):
-    """Spread a run-level bit mask to a point-level limb buffer.
-
-    Bit ``r`` of *mask* becomes the full ``width``-bit window of run
-    ``r`` — the limb form of a run-level truth assignment.
-    """
-    nlimbs = max(1, (num_runs * width + LIMB_BITS - 1) // LIMB_BITS)
-    data = mask.to_bytes((num_runs + 7) // 8 or 1, "little")
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8), bitorder="little"
-    )[:num_runs]
-    return _bits_to_limbs(np.repeat(bits, width), nlimbs)
-
-
-def bools_to_mask(values) -> int:
-    """Pack a boolean array into a run-level int mask."""
-    packed = np.packbits(np.asarray(values, dtype=bool), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+# -- run-level passes ------------------------------------------------------
 
 
 def component_holds(labels, phi):
@@ -91,9 +36,8 @@ def component_holds(labels, phi):
     the run's component.
 
     *labels* are component labels that are run indices (as
-    :func:`reachability_labels` and :func:`merge_component_labels`
-    give them); label ``-1`` (no member occurrence in the run) is
-    vacuously true — the contract of
+    :func:`reachability_labels` gives them); label ``-1`` (no member
+    occurrence in the run) is vacuously true — the contract of
     :func:`repro.knowledge.semantics.eval_continual_common_components`.
     """
     labels = np.asarray(labels, dtype=np.int64)
@@ -103,16 +47,6 @@ def component_holds(labels, phi):
     holds = ~labelled
     holds[labelled] = ~failed[labels[labelled]]
     return holds
-
-
-def cbox_mask_from_labels(labels, phi: int, num_runs: int) -> int:
-    """Run-level ``C□`` mask from component labels and run-level φ
-    (both masks: bit ``r`` is run ``r``)."""
-    data = phi.to_bytes((num_runs + 7) // 8 or 1, "little")
-    phi_bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8), bitorder="little"
-    )[:num_runs]
-    return bools_to_mask(component_holds(labels, phi_bits))
 
 
 def sorted_unique(values):
@@ -449,79 +383,12 @@ class SystemArrays:
         if len(sorted_unique(row_keys(states))) != num_views:
             raise ConfigurationError("a state holds two view ids")
 
-    # -- shape -------------------------------------------------------------
-
-    @property
-    def num_points(self) -> int:
-        return self.num_runs * self.width
-
-    @property
-    def nlimbs(self) -> int:
-        return max(1, (self.num_points + LIMB_BITS - 1) // LIMB_BITS)
-
-    @property
-    def tail(self) -> int:
-        rem = self.num_points % LIMB_BITS
-        return LIMB_MASK if rem == 0 else (1 << rem) - 1
-
     # -- run-level facts ---------------------------------------------------
-
-    def exists_mask(self, value: int) -> int:
-        """Run-level mask of the paper's ∃value."""
-        return bools_to_mask((self.init == value).any(axis=1))
-
-    def nonfaulty_mask(self, processor: int) -> int:
-        """Run-level mask of runs where *processor* is nonfaulty."""
-        return bools_to_mask(self.nonfaulty[:, processor])
 
     def nonfaulty_of(self, run_index: int) -> List[int]:
         """The nonfaulty processors of one run."""
         row = self.nonfaulty[run_index]
         return [p for p in range(self.n) if row[p]]
-
-    def view_at(self, run_index: int, time: int, processor: int) -> int:
-        return int(self.views[run_index][time][processor])
-
-    # -- scenario lookup ---------------------------------------------------
-
-    def run_index_of(self, config, pattern) -> int:
-        """The unique run matching ``(config, pattern)`` by content.
-
-        Matches the observable run description — initial values,
-        nonfaulty set and the full delivery tensor — which determines
-        the run uniquely under the canonical enumerations (a behaviour
-        is recoverable from the messages it drops).  Zero or multiple
-        matches raise, so a content collision can never silently pick a
-        wrong run.
-        """
-        n = self.n
-        values = list(config.values)
-        nonfaulty = pattern.nonfaulty(n)
-        nf_row = [p in nonfaulty for p in range(n)]
-        deliv = [
-            [
-                [
-                    s == r or pattern.delivered(s, r, m + 1)
-                    for s in range(n)
-                ]
-                for r in range(n)
-            ]
-            for m in range(self.horizon)
-        ]
-        hits = (
-            (self.init == np.array(values, dtype=np.int8)).all(axis=1)
-            & (self.nonfaulty == np.array(nf_row, dtype=bool)).all(axis=1)
-            & (self.deliveries == np.array(deliv, dtype=bool))
-            .reshape(self.num_runs, -1)
-            .all(axis=1)
-        )
-        matches = np.flatnonzero(hits).tolist()
-        if len(matches) != 1:
-            raise EvaluationError(
-                f"scenario lookup matched {len(matches)} runs "
-                f"(config={config}, pattern={pattern})"
-            )
-        return int(matches[0])
 
     # -- recall closure ----------------------------------------------------
 
@@ -559,437 +426,3 @@ class SystemArrays:
             parents = self.prev[level_views]
             closed[level_views] |= closed[parents]
         return np.flatnonzero(closed & self.occurs).tolist()
-
-    # -- trigger scans -----------------------------------------------------
-
-    def first_fire_triggers(
-        self,
-        zeros: Iterable[int],
-        ones: Iterable[int],
-        run_range: Tuple[int, int],
-    ) -> Tuple[List[int], List[int]]:
-        """First-firing trigger views of a pair over a run range.
-
-        The views at which each ``(run, processor)`` of the range first
-        enters either set, zero winning simultaneous firings — the
-        :func:`first_fire_times` scan that
-        :class:`~repro.protocols.fip.FullInformationProtocol` reads its
-        decisions from.
-        """
-        start, stop = run_range
-        block = self.views[start:stop]
-        value, time, _ = first_fire_times(
-            block, self.view_flags(zeros), self.view_flags(ones)
-        )
-        return fired_views(block, value, time)
-
-    def first_decision(
-        self, run_index: int, processor: int, zeros, ones
-    ) -> Optional[Tuple[int, int]]:
-        """First decision of *processor* in one run (0 wins ties)."""
-        column = self.views[run_index, :, processor]
-        value, time, _ = first_fire_times(
-            column[None, :, None],
-            self.view_flags(zeros),
-            self.view_flags(ones),
-        )
-        if value[0, 0] < 0:
-            return None
-        return (int(value[0, 0]), int(time[0, 0]))
-
-
-# -- limb blocks ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LimbBlock:
-    """Picklable descriptor of one limb block of a partition.
-
-    ``limb_lo``/``limb_hi`` delimit the block's limb range; a block owns
-    every state group whose *first* entry limb falls in the range (the
-    group's spans per processor are resolved against the partition's
-    tables, which travel to workers copy-on-write — the descriptor
-    itself stays a few ints so shard parameters remain JSON-sized).
-    """
-
-    block_id: int
-    limb_lo: int
-    limb_hi: int
-    groups: int
-    entries: int
-
-    def to_params(self) -> Dict[str, int]:
-        """JSON form embedded in shard parameters (checkpoint binding)."""
-        return {
-            "block": self.block_id,
-            "limb_lo": self.limb_lo,
-            "limb_hi": self.limb_hi,
-            "groups": self.groups,
-            "entries": self.entries,
-        }
-
-
-class LimbBlockPartition:
-    """Group tables of a chunked index, cut into limb blocks.
-
-    Built from :class:`SystemArrays` (vectorized, no :class:`System`
-    required — the exec path).  Per-processor tables mirror the index:
-    ``idx[p]`` limb indices, ``val[p]`` limb values, ``starts[p]`` group
-    boundaries, ``gv[p]`` the view id behind each group.  Blocks
-    partition groups by first entry limb, balanced by entry count.
-    """
-
-    def __init__(
-        self,
-        *,
-        n: int,
-        num_runs: int,
-        width: int,
-        num_views: int,
-        tables: List[Dict[str, Any]],
-        num_blocks: Optional[int] = None,
-        target_entries: Optional[int] = None,
-        arrays: Optional[SystemArrays] = None,
-    ) -> None:
-        self.n = n
-        self.num_runs = num_runs
-        self.width = width
-        self.num_views = num_views
-        self.num_points = num_runs * width
-        self.nlimbs = max(1, (self.num_points + LIMB_BITS - 1) // LIMB_BITS)
-        rem = self.num_points % LIMB_BITS
-        self.tail = LIMB_MASK if rem == 0 else (1 << rem) - 1
-        self.tables = tables
-        self.arrays = arrays
-        self.total_entries = sum(table["entries"] for table in tables)
-        self._span_cache: Dict[Tuple[int, int], Any] = {}
-        self.blocks: List[LimbBlock] = self._make_blocks(
-            num_blocks, target_entries
-        )
-
-    # -- factories ---------------------------------------------------------
-
-    @classmethod
-    def from_arrays(
-        cls,
-        arrays: SystemArrays,
-        *,
-        num_blocks: Optional[int] = None,
-        target_entries: Optional[int] = None,
-    ) -> "LimbBlockPartition":
-        """Build group tables directly from the view-id matrix."""
-        with obs.stage("limb_partition_build"), trace.span(
-            "limb_partition_build", runs=arrays.num_runs
-        ):
-            return cls(
-                n=arrays.n,
-                num_runs=arrays.num_runs,
-                width=arrays.width,
-                num_views=arrays.num_views,
-                tables=group_tables(arrays.views),
-                num_blocks=num_blocks,
-                target_entries=target_entries,
-                arrays=arrays,
-            )
-
-    # -- block layout ------------------------------------------------------
-
-    def _make_blocks(
-        self,
-        num_blocks: Optional[int],
-        target_entries: Optional[int],
-    ) -> List[LimbBlock]:
-        if num_blocks is None:
-            target = target_entries or DEFAULT_BLOCK_ENTRIES
-            num_blocks = (self.total_entries + target - 1) // target
-        num_blocks = max(1, min(MAX_BLOCKS, int(num_blocks)))
-        weights = np.zeros(self.nlimbs + 1, dtype=np.int64)
-        for table in self.tables:
-            if table["entries"]:
-                sizes = np.diff(table["starts"])
-                np.add.at(weights, table["first_limb"], sizes)
-        csum = np.cumsum(weights)
-        total = int(csum[-1])
-        cuts = {0, self.nlimbs}
-        for k in range(1, num_blocks):
-            target_weight = total * k / num_blocks
-            cut = int(np.searchsorted(csum, target_weight, side="left"))
-            cuts.add(min(cut + 1, self.nlimbs))
-        bounds = sorted(cuts)
-        blocks: List[LimbBlock] = []
-        for block_id, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            groups = 0
-            entries = 0
-            for processor in range(self.n):
-                gids = self._block_groups(processor, lo, hi)
-                groups += int(gids.size)
-                entries += self._entry_count(processor, gids)
-            blocks.append(
-                LimbBlock(
-                    block_id=block_id,
-                    limb_lo=lo,
-                    limb_hi=hi,
-                    groups=groups,
-                    entries=entries,
-                )
-            )
-        return blocks
-
-    def _entry_count(self, processor: int, gids) -> int:
-        starts = np.asarray(self.tables[processor]["starts"])
-        return int((starts[gids + 1] - starts[gids]).sum()) if gids.size else 0
-
-    def _block_groups(self, processor: int, lo: int, hi: int):
-        """Group ids of *processor* whose first entry limb ∈ [lo, hi)."""
-        first_limb = self.tables[processor]["first_limb"]
-        key = (processor, -1)
-        cached = self._span_cache.get(key)
-        if cached is None:
-            order = np.argsort(first_limb, kind="stable")
-            cached = (order, np.asarray(first_limb)[order])
-            self._span_cache[key] = cached
-        order, sorted_limbs = cached
-        s, e = np.searchsorted(sorted_limbs, [lo, hi])
-        return np.sort(order[s:e])
-
-    def _block_entries(self, processor: int, block_id: int):
-        """``(gids, entry_sel, local_starts)`` for one (processor, block).
-
-        ``entry_sel`` gathers the block's entries out of the flat table;
-        ``local_starts`` delimits groups within the gathered entries
-        (``reduceat`` boundaries).  Cached — workers build each pair
-        once.
-        """
-        key = (processor, block_id)
-        cached = self._span_cache.get(key)
-        if cached is not None:
-            return cached
-        block = self.blocks[block_id]
-        gids = self._block_groups(processor, block.limb_lo, block.limb_hi)
-        starts = self.tables[processor]["starts"]
-        counts = starts[gids + 1] - starts[gids]
-        total = int(counts.sum())
-        if total == 0:
-            cached = (gids, np.zeros(0, np.int64), np.zeros(0, np.int64))
-        else:
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(
-                np.int64
-            )
-            base = np.repeat(starts[gids], counts)
-            intra = np.arange(total, dtype=np.int64) - np.repeat(
-                offsets, counts
-            )
-            cached = (gids, base + intra, offsets)
-        self._span_cache[key] = cached
-        return cached
-
-    def block_descriptors(self) -> List[Dict[str, int]]:
-        """JSON descriptors of every block (shard parameters)."""
-        return [block.to_params() for block in self.blocks]
-
-    # -- member masks ------------------------------------------------------
-
-    def nonfaulty_limbs(self, processor: int):
-        """Point-level limbs where *processor* is nonfaulty (N member)."""
-        if self.arrays is None:
-            raise ConfigurationError(
-                "nonfaulty_limbs needs a partition built from SystemArrays"
-            )
-        return run_mask_to_limbs(
-            self.arrays.nonfaulty_mask(processor),
-            self.num_runs,
-            self.width,
-        )
-
-    # -- per-block sweeps --------------------------------------------------
-
-    def believes_true_views(
-        self, processor: int, block_id: int, pmask, phi
-    ) -> List[int]:
-        """Views of the block whose group passes ``B_p^S φ``.
-
-        A group passes iff no member point (``val ∧ pmask``) violates φ
-        — vacuously true with no member occurrence, exactly the
-        reference semantics.
-        """
-        gids, entry_sel, local_starts = self._block_entries(
-            processor, block_id
-        )
-        # Sweep size per (processor, block): entry count is a property of
-        # the partition layout, so this histogram is identical whether the
-        # plan runs monolithic or sharded (the merge-parity tests rely on
-        # it).
-        obs.observe("partition_sweep_entries", len(entry_sel))
-        table = self.tables[processor]
-        if gids.size == 0 or entry_sel.size == 0:
-            return [int(v) for v in np.asarray(table["gv"])[gids]]
-        ent_idx = table["idx"][entry_sel]
-        ent_val = table["val"][entry_sel]
-        bad = (ent_val & pmask[ent_idx] & ~phi[ent_idx]) != 0
-        grp_bad = np.bitwise_or.reduceat(bad, local_starts)
-        return np.asarray(table["gv"])[gids[~grp_bad]].tolist()
-
-    def component_labels(
-        self, block_id: int, state_flags, nf_limbs: List[object]
-    ) -> Tuple[List[int], List[int]]:
-        """Block-local reachability components of ``N ∧ Z``.
-
-        ``state_flags`` marks the decision views Z (bool per view id);
-        ``nf_limbs[p]`` is processor
-        *p*'s nonfaulty point mask.  Two runs are connected when some
-        block group with its view in Z has nonfaulty-owner occurrences
-        in both.  Returns ``(runs, reps)``: the touched runs and each
-        one's block-local component representative (its component's
-        minimum touched run) — merged across blocks by
-        :func:`merge_component_labels` at the stage barrier.
-        """
-        pairs_group: List[Any] = []
-        pairs_run: List[Any] = []
-        group_base = 0
-        for processor in range(self.n):
-            gids, entry_sel, local_starts = self._block_entries(
-                processor, block_id
-            )
-            table = self.tables[processor]
-            if gids.size == 0:
-                group_base += int(np.asarray(table["gv"]).size)
-                continue
-            gv = np.asarray(table["gv"])
-            in_z = state_flags[gv[gids]]
-            if not in_z.any():
-                group_base += int(gv.size)
-                continue
-            z_gids = gids[in_z]
-            starts = table["starts"]
-            counts = starts[z_gids + 1] - starts[z_gids]
-            total = int(counts.sum())
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1])).astype(
-                np.int64
-            )
-            base = np.repeat(starts[z_gids], counts)
-            intra = np.arange(total, dtype=np.int64) - np.repeat(
-                offsets, counts
-            )
-            sel = base + intra
-            ent_idx = table["idx"][sel]
-            ent_val = table["val"][sel]
-            rel = ent_val & nf_limbs[processor][ent_idx]
-            grp_of_entry = np.repeat(z_gids, counts)
-            nz = np.flatnonzero(rel)
-            if nz.size == 0:
-                group_base += int(gv.size)
-                continue
-            rel = rel[nz]
-            ent_idx = ent_idx[nz]
-            grp_of_entry = grp_of_entry[nz]
-            unpacked = np.unpackbits(
-                rel.astype("<u8").view(np.uint8), bitorder="little"
-            ).astype(bool)
-            bit_pos = (
-                ent_idx[:, None] * LIMB_BITS
-                + np.arange(LIMB_BITS, dtype=np.int64)
-            ).ravel()[unpacked]
-            runs = bit_pos // self.width
-            groups = np.repeat(grp_of_entry, LIMB_BITS)[unpacked]
-            pairs_group.append(groups + group_base)
-            pairs_run.append(runs)
-            group_base += int(gv.size)
-        if not pairs_group:
-            obs.observe("partition_component_runs", 0)
-            return [], []
-        # Each view occurs at most once per run, so the (group, run)
-        # incidences are distinct.
-        labels = reachability_labels(
-            self.num_runs,
-            np.concatenate(pairs_run),
-            np.concatenate(pairs_group),
-            group_base,
-        )
-        runs = np.flatnonzero(labels >= 0)
-        obs.observe("partition_component_runs", int(runs.size))
-        return runs.tolist(), labels[runs].tolist()
-
-    def probe_believes(
-        self, processor: int, view: int, pmask, phi
-    ) -> bool:
-        """``B_p^S φ`` verdict at one local state (group lookup)."""
-        table = self.tables[processor]
-        gv = table["gv"]
-        key = (processor, -2)
-        cached = self._span_cache.get(key)
-        if cached is None:
-            order = np.argsort(gv, kind="stable")
-            cached = (order, np.asarray(gv)[order])
-            self._span_cache[key] = cached
-        order, sorted_gv = cached
-        pos = int(np.searchsorted(sorted_gv, view))
-        if pos >= sorted_gv.size or int(sorted_gv[pos]) != view:
-            raise EvaluationError(
-                f"view {view} is not a state of processor {processor}"
-            )
-        g = int(order[pos])
-        starts = table["starts"]
-        s, e = int(starts[g]), int(starts[g + 1])
-        span = table["idx"][s:e]
-        bad = (table["val"][s:e] & pmask[span] & ~phi[span]) != 0
-        return not bool(bad.any())
-
-    def state_flags(self, states: Iterable[int]):
-        """Z as a per-view-id flag vector."""
-        flags = np.zeros(self.num_views, dtype=bool)
-        state_list = np.asarray(sorted(set(states)), dtype=np.int64)
-        if state_list.size:
-            flags[state_list] = True
-        return flags
-
-
-def merge_component_labels(
-    num_runs: int, block_results: Sequence[Tuple[Sequence[int], Sequence[int]]]
-):
-    """Fold per-block ``(runs, reps)`` partitions into global labels.
-
-    The barrier merge: each block contributes a partition of its touched
-    runs; a run touched by several blocks welds its blocks' components
-    together.  Only the *conflicting representatives* go through the
-    union-find (a handful per stage), everything else is vectorized.
-    Returns per-run labels with ``-1`` for runs with no occurrence —
-    the same partition the monolithic component scan produces (label
-    values may differ; only the partition matters).
-    """
-    parent: Dict[int, int] = {}
-
-    def find(node: int) -> int:
-        parent.setdefault(node, node)
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    def union(a: int, b: int) -> None:
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_b] = root_a
-
-    labels = np.full(num_runs, -1, dtype=np.int64)
-    for runs, reps in block_results:
-        if not len(runs):
-            continue
-        runs_arr = np.asarray(runs, dtype=np.int64)
-        reps_arr = np.asarray(reps, dtype=np.int64)
-        existing = labels[runs_arr]
-        fresh = existing < 0
-        labels[runs_arr[fresh]] = reps_arr[fresh]
-        clash = ~fresh
-        if clash.any():
-            pairs = sorted_unique(
-                row_keys(np.stack([existing[clash], reps_arr[clash]], axis=1))
-            )
-            for a, b in pairs.view(np.int64).reshape(-1, 2).tolist():
-                union(int(a), int(b))
-    touched = np.flatnonzero(labels >= 0)
-    if touched.size:
-        distinct = sorted_unique(labels[touched])
-        mapping = {int(label): find(int(label)) for label in distinct}
-        lookup = np.vectorize(mapping.__getitem__, otypes=[np.int64])
-        labels[touched] = lookup(labels[touched])
-    return labels

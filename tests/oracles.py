@@ -44,6 +44,10 @@ index and the member matrix above.  The limb kernel of
 ``repro.knowledge.semantics`` must agree with it on every formula;
 :func:`pair_from_formulas` is the per-point state walk that builds a
 decision pair from its rows.
+
+:func:`eig_resolve` is the recursive strict-majority resolution of a
+Byzantine EIG tree, which ``EIGTree.resolve`` computes bottom-up over
+per-``(n, t)`` level tables.
 """
 
 from __future__ import annotations
@@ -908,3 +912,29 @@ def same_decisions(multi_outcome, binary_outcome) -> bool:
             if run.decisions[processor] != twin.decisions[processor]:
                 return False
     return True
+
+
+# -- Byzantine EIG --------------------------------------------------------------
+
+
+def eig_resolve(tree, path=()) -> int:
+    """``newval`` of [Lynch] at *path* of an ``EIGTree``, by recursion."""
+    from repro.byzantine.eig import DEFAULT_VALUE
+
+    if len(path) == tree.t + 1:
+        return tree.claims.get(path, DEFAULT_VALUE)
+    children = [
+        eig_resolve(tree, path + (child,))
+        for child in range(tree.n)
+        if child not in path
+    ]
+    if not children:
+        return tree.claims.get(path, DEFAULT_VALUE)
+    counts: Dict[int, int] = {}
+    for value in children:
+        counts[value] = counts.get(value, 0) + 1
+    best = max(counts.values())
+    winners = [value for value, count in counts.items() if count == best]
+    if len(winners) == 1 and best * 2 > len(children):
+        return winners[0]
+    return DEFAULT_VALUE

@@ -6,8 +6,7 @@ reference evaluator of ``tests/oracles.py`` is the executable
 specification.  These tests assert the two produce identical valuations
 over the boolean algebra, over randomized formula trees on both failure
 modes and over every formula in the E4/E5/E21 explain catalogs, and
-that limb-block components and sharded batches agree with the
-monolithic path.
+that sharded batches agree with the monolithic path.
 """
 
 import random
@@ -174,47 +173,6 @@ class TestRandomizedDifferential:
         _differential(omission3, _random_formula(rng, omission3.n))
 
 
-def cell_partition(system, **layout):
-    """The :class:`~repro.model.partition.LimbBlockPartition` of
-    *system*'s cell, cut by *layout* (``num_blocks`` or
-    ``target_entries``)."""
-    from repro.model.partition import LimbBlockPartition
-    from repro.model.provider import get_provider
-
-    arrays = get_provider().get_arrays(
-        system.mode, system.n, system.t, system.horizon
-    )
-    return LimbBlockPartition.from_arrays(arrays, **layout)
-
-
-def block_component_labels(partition, nonrigid):
-    """Corollary 3.3 reachability labels of *nonrigid*, block by block.
-
-    Computes each block's labels over *partition* and welds them with
-    :func:`~repro.model.partition.merge_component_labels` — the E9 batch
-    plan's component path.
-    """
-    from repro.knowledge.nonrigid import NonfaultyAndDeciding
-    from repro.model.partition import merge_component_labels
-
-    nf_limbs = [
-        partition.nonfaulty_limbs(p) for p in range(partition.n)
-    ]
-    if isinstance(nonrigid, NonfaultyAndDeciding):
-        states = nonrigid._states
-    else:
-        states = range(partition.num_views)
-    flags = partition.state_flags(states)
-    labels = merge_component_labels(
-        partition.num_runs,
-        [
-            partition.component_labels(desc["block"], flags, nf_limbs)
-            for desc in partition.block_descriptors()
-        ],
-    )
-    return [int(label) for label in labels]
-
-
 def induced_partition(labels):
     """The run partition a component labelling induces, and its ``-1``
     (no-occurrence) runs.
@@ -232,79 +190,8 @@ def induced_partition(labels):
     return set(map(frozenset, groups.values())), unlabelled
 
 
-def _seed_block_components(system, nonrigid):
-    """Plant limb-block component labels in *system*'s component cache.
-
-    The partition is forced to several blocks, so the weld is exercised,
-    and the labels land under the nonrigid set's key, where the
-    monolithic scan would put its own.
-    """
-    partition = cell_partition(system, num_blocks=4)
-    assert len(partition.blocks) > 1
-    labels = block_component_labels(partition, nonrigid)
-    system.cached_components(nonrigid.cache_key(), lambda: labels)
-
-
-class TestBlockComponentSeeding:
-    """Limb-block Corollary 3.3 labels seeded into the component cache.
-
-    The welded labelling must be partition-identical to the monolithic
-    same-state scan (label *values* may differ — both sides pick
-    arbitrary representatives — so the comparison canonicalizes to the
-    induced partition, with the ``-1`` no-occurrence sentinel matched
-    run-for-run), and ``C□`` evaluated off the seeded cache must match
-    the unseeded evaluation.
-    """
-
-    @pytest.mark.parametrize("builder", ["crash", "omission"])
-    def test_nonfaulty_partition_identical_to_monolithic(self, builder):
-        from repro.knowledge.nonrigid import NONFAULTY
-        from repro.model.builder import crash_system, omission_system
-
-        from .oracles import components
-
-        system = (crash_system if builder == "crash" else omission_system)(
-            3, 1, 3
-        )
-        system.clear_caches()
-        _seed_block_components(system, NONFAULTY)
-        seeded = system._components_cache[NONFAULTY.cache_key()]
-        monolithic = components(system, NONFAULTY)
-        assert induced_partition(seeded) == induced_partition(monolithic)
-
-    def test_nonfaulty_and_deciding_partition_identical(self):
-        from repro.core.construction import two_step_optimization
-        from repro.core.decision_sets import empty_pair
-        from repro.knowledge.nonrigid import nonfaulty_and_zeros
-        from repro.model.builder import crash_system
-
-        from .oracles import components
-
-        system = crash_system(3, 1, 3)
-        pair = two_step_optimization(system, empty_pair())[0]
-        nonrigid = nonfaulty_and_zeros(pair)
-        system._components_cache.pop(nonrigid.cache_key(), None)
-        _seed_block_components(system, nonrigid)
-        seeded = system._components_cache[nonrigid.cache_key()]
-        monolithic = components(system, nonrigid)
-        assert induced_partition(seeded) == induced_partition(monolithic)
-
-    def test_continual_common_agrees_with_unseeded_evaluation(self):
-        from repro.knowledge.formulas import ContinualCommon, Exists
-        from repro.knowledge.nonrigid import NONFAULTY
-        from repro.model.builder import omission_system
-
-        system = omission_system(3, 1, 3)
-        formula = ContinualCommon(NONFAULTY, Exists(1))
-        system.clear_caches()
-        unseeded = formula.evaluate(system).to_rows()
-        system.clear_caches()
-        _seed_block_components(system, NONFAULTY)
-        assert formula.evaluate(system).to_rows() == unseeded
-
-
 class TestShardedDifferential:
-    """Limb-block-sharded batches vs the monolithic path (E9/E14/E20).
+    """Sharded batches vs the monolithic path (E9/E14/E20).
 
     The deep parity drills (per-kernel E9, fault injection, resume) live
     in ``tests/test_exec.py``; this is the kernel-suite view of the same
@@ -312,13 +199,6 @@ class TestShardedDifferential:
     """
 
     NONPARITY_KEYS = {"instrumentation", "trace", "batch"}
-
-    @pytest.fixture(autouse=True)
-    def _fresh_worker_context(self):
-        from repro.exec.shard import clear_worker_context
-
-        yield
-        clear_worker_context()
 
     @pytest.mark.parametrize("experiment_id", ["E9", "E14", "E20"])
     def test_sharded_matches_monolithic(

@@ -39,17 +39,14 @@ from repro.knowledge.nonrigid import (
     ConstantSet,
     NonfaultyAndDeciding,
 )
+from repro.knowledge.semantics import run_reachability_components
 from repro.model.adversary import ExhaustiveReceiveOmissionAdversary
 from repro.model.builder import crash_system, omission_system
 from repro.model.system import TruthAssignment, build_system
 from repro.protocols.fip import pair_from_formulas
 
 from . import oracles
-from .test_kernels import (
-    block_component_labels,
-    cell_partition,
-    induced_partition,
-)
+from .test_kernels import induced_partition
 
 
 @pytest.fixture(scope="module")
@@ -198,16 +195,16 @@ def corollary_3_3_cases(draw):
     return system, phi, NonfaultyAndDeciding(DecisionPair(zeros, ones), which)
 
 
-@given(case=corollary_3_3_cases(), target_entries=st.integers(1, 256))
+@given(case=corollary_3_3_cases())
 @settings(max_examples=30, deadline=None)
-def test_corollary_3_3_on_random_cells(case, target_entries):
+def test_corollary_3_3_on_random_cells(case):
     """Corollary 3.3: for run-level φ, ``C□_S φ`` holds in a run iff φ
     holds throughout the run's reachability component.
 
     (a) The component evaluation equals the greatest-fixed-point
-    definition.  (b) The components welded from limb blocks of any size
-    induce the same run partition, with the same no-occurrence runs, as
-    the monolithic same-state scan.
+    definition.  (b) The production components induce the same run
+    partition, with the same no-occurrence runs, as the union-find over
+    the same-state index.
     """
     system, phi, nonrigid = case
     assert phi.is_run_level()
@@ -217,10 +214,9 @@ def test_corollary_3_3_on_random_cells(case, target_entries):
     ).evaluate(system)
     assert components == fixpoint
 
-    partition = cell_partition(system, target_entries=target_entries)
-    welded = block_component_labels(partition, nonrigid)
-    monolithic = oracles.components(system, nonrigid)
-    assert induced_partition(welded) == induced_partition(monolithic)
+    labels = run_reachability_components(system, nonrigid)
+    expected = oracles.components(system, nonrigid)
+    assert induced_partition(labels) == induced_partition(expected)
 
 
 # -- production against the reference evaluator -----------------------------
