@@ -11,7 +11,7 @@ or checkpoint-format slowdown fails CI via ``repro-eba bench-compare``.
 from __future__ import annotations
 
 from repro.exec import Shard, ShardPool, register_task, run_batch
-from repro.exec.plan import BatchPlan, Stage
+from repro.exec.plan import BatchPlan
 from repro.experiments.framework import ExperimentResult
 
 
@@ -26,35 +26,31 @@ def _shards(count, width=1000):
             shard_id=f"bench/{index}",
             task="bench.sum",
             params={"start": index * width, "stop": (index + 1) * width},
-            stage="bench",
         )
         for index in range(count)
     ]
 
 
 def _plan(count):
-    def make(context):
-        return _shards(count)
-
-    def reduce(results, context):
-        context["totals"] = [
-            results[f"bench/{index}"]["total"] for index in range(count)
-        ]
-
-    def finalize(context):
+    def finalize(results):
         return ExperimentResult(
             experiment_id="EX",
             title="exec bench",
             paper_claim="(engine benchmark)",
             ok=True,
             table="bench",
-            data={"totals": context["totals"]},
+            data={
+                "totals": [
+                    results[f"bench/{index}"]["total"]
+                    for index in range(count)
+                ]
+            },
         )
 
     return BatchPlan(
         experiment_id="EX",
         params={"count": count},
-        stages=[Stage("bench", make, reduce)],
+        shards=_shards(count),
         finalize=finalize,
     )
 
