@@ -1376,11 +1376,12 @@ def _dispatch(argv: List[str] = None) -> int:
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
         "--workers", type=int, default=2, metavar="N",
-        help="query worker threads (default 2)",
+        help="queries run at once (default 2)",
     )
     serve_parser.add_argument(
         "--max-queue", type=int, default=None, metavar="N",
-        help="admission-queue bound (default: REPRO_SERVE_MAX_QUEUE or 64)",
+        help="queries that may wait for a slot "
+        "(default: REPRO_SERVE_MAX_QUEUE or 64)",
     )
     serve_parser.add_argument(
         "--max-points", type=int, default=None, metavar="N",

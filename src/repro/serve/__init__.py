@@ -6,13 +6,14 @@ yet a cold ``repro-eba`` invocation pays interpreter start-up, imports,
 system build or cache load and index warm-up before
 answering a single formula.  This package keeps all of that **resident**:
 
-* :mod:`repro.serve.server` — the asyncio daemon speaking
-  newline-delimited JSON over a unix socket (TCP optional), with a
-  bounded request queue, per-query budgets and graceful drain-on-signal;
+* :mod:`repro.serve.server` — the daemon speaking newline-delimited
+  JSON over a unix socket (TCP optional): each connection's thread runs
+  its requests and answers them in the order sent; graceful drain;
 * :mod:`repro.serve.protocol` — the wire schema: request validation,
   error codes, the formula JSON AST, and frame encode/decode;
-* :mod:`repro.serve.queue` — the bounded admission queue (429-style
-  rejection + ``serve_queue_depth`` gauge) and the
+* :mod:`repro.serve.queue` — the admission gate (``--workers``
+  requests run at once, at most ``--max-queue`` wait in arrival order;
+  429-style rejection + ``serve_queue_depth`` gauge) and the
   :class:`~repro.serve.queue.QueryBudget` limits;
 * :mod:`repro.serve.session` — the query engine: resolves systems
   through the hot :class:`~repro.model.provider.SystemProvider`, answers
@@ -32,16 +33,16 @@ K/E/C□ verdicts per observed round), ``stats`` and ``healthz`` (live
 
 from .client import ServeClient, ServeError, daemon_available
 from .protocol import PROTOCOL_VERSION, build_formula
-from .queue import QueryBudget, RequestQueue
+from .queue import AdmissionGate, QueryBudget
 from .server import KnowledgeServer, ServeConfig, run_server
 from .session import QueryEngine
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "AdmissionGate",
     "KnowledgeServer",
     "QueryBudget",
     "QueryEngine",
-    "RequestQueue",
     "ServeClient",
     "ServeConfig",
     "ServeError",

@@ -14,7 +14,7 @@ streaming ops (``monitor``) interleave ``{"id": 7, "ok": true,
 "stream": true, "event": {...}}`` frames before the terminal response,
 which carries ``"done": true``.  Clients match frames to requests by
 ``id`` (any JSON scalar; the server echoes it verbatim), so one
-connection may pipeline requests.
+connection may pipeline requests, which are answered in order.
 
 Validation mirrors :mod:`repro.obs.journal`: each op has a fixed table of
 required and optional parameter types (:data:`REQUEST_OPS`), extra fields
@@ -99,7 +99,7 @@ REQUEST_OPS: Dict[str, tuple] = {
     "stats": ({}, {}),
     "healthz": ({}, {}),
     # Test/bench-only op, admitted when the server runs with debug=True:
-    # holds a worker for `seconds`, which makes queue backpressure and
+    # holds a slot for `seconds`, which makes queue backpressure and
     # drain behaviour deterministic to exercise.
     "debug_sleep": ({"seconds": _NUMBER}, {}),
 }

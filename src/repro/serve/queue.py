@@ -1,29 +1,21 @@
-"""Bounded admission queue and per-query budgets for the daemon.
+"""Admission gate and per-query budgets for the daemon.
 
-The daemon is sized for sustained load, not bursts: requests that cannot
-be queued are **rejected at admission** (the 429 analog — error code
-``queue_full`` with the bound that was hit) instead of accumulating
-unboundedly and OOMing the process.  :class:`RequestQueue` is the bridge
-between the asyncio acceptor (producer, never blocks) and the worker
-threads (consumers, block on :meth:`RequestQueue.pop`):
-
-* :meth:`RequestQueue.try_push` admits or rejects in O(1) under a lock
-  and keeps the ``serve_queue_depth`` gauge current, so a Prometheus
-  scrape shows backpressure as it happens;
-* rejections bump ``serve_rejected_<cause>`` counters (causes
-  ``queue_full`` and ``shutdown``), the per-cause convention shared with
-  ``exec_shard_retries_<cause>``;
-* :meth:`RequestQueue.close` drains consumers: blocked ``pop`` calls
-  return ``None`` and further pushes are rejected with cause
-  ``shutdown`` — the graceful-drain half of SIGTERM handling.
+Requests that can neither run nor wait are **rejected at admission**
+(the 429 analog: ``queue_full`` with the bound that was hit) instead of
+accumulating unboundedly.  Each connection's thread runs its own
+requests; :class:`AdmissionGate` lets ``--workers`` of them run at once
+and at most ``--max-queue`` more wait, in arrival order.  It keeps the
+``serve_queue_depth`` gauge (requests waiting for a slot) current,
+counts rejections as ``serve_rejected_<cause>`` (``queue_full``,
+``shutdown``), and :meth:`AdmissionGate.close` is the drain's half:
+later requests are rejected, running and waiting ones finish.
 
 :class:`QueryBudget` carries the per-query limits: ``max_points`` bounds
-the system size a query may evaluate over (checked against
-``System.num_points()`` once the cell is resolved, before any formula
-work) and ``timeout`` bounds wall time — enforced for real on the forked
-heavy path, where the supervised pool SIGKILLs a worker that exceeds it.
-Budgets resolve from ``REPRO_SERVE_MAX_POINTS`` / ``REPRO_SERVE_TIMEOUT``
-when not given explicitly.
+the size of the cell a query may evaluate over (checked against the
+cell's point count before it is built) and ``timeout`` bounds wall
+time, enforced on the forked heavy path, where the supervised pool
+SIGKILLs a worker that exceeds it.  Both resolve from
+``REPRO_SERVE_MAX_POINTS`` / ``REPRO_SERVE_TIMEOUT`` when not given.
 """
 
 from __future__ import annotations
@@ -33,7 +25,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Optional
+from typing import Deque, Optional
 
 from .. import obs
 from ..errors import ConfigurationError, ReproError
@@ -41,7 +33,7 @@ from ..errors import ConfigurationError, ReproError
 __all__ = [
     "BudgetExceeded",
     "QueryBudget",
-    "RequestQueue",
+    "AdmissionGate",
     "DEFAULT_MAX_POINTS",
     "DEFAULT_TIMEOUT",
     "DEFAULT_MAX_QUEUE",
@@ -59,7 +51,7 @@ DEFAULT_MAX_POINTS = 4_000_000
 #: Default per-query wall budget in seconds.
 DEFAULT_TIMEOUT = 120.0
 
-#: Default admission-queue bound.
+#: Default bound on requests waiting for a slot.
 DEFAULT_MAX_QUEUE = 64
 
 
@@ -71,33 +63,18 @@ class BudgetExceeded(ReproError):
         self.limit = limit
 
 
-def _env_positive_int(name: str, default: int) -> int:
+def _env_positive(name: str, default, kind=int):
+    """*name* from the environment as a positive ``int`` or ``float``."""
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
         return default
     try:
-        value = int(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigurationError(
-            f"{name} must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(f"{name} must be an integer >= 1, got {raw!r}")
-    return value
-
-
-def _env_positive_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be a number > 0, got {raw!r}"
-        ) from None
+        value = 0
     if value <= 0:
-        raise ConfigurationError(f"{name} must be a number > 0, got {raw!r}")
+        what = "an integer >= 1" if kind is int else "a number > 0"
+        raise ConfigurationError(f"{name} must be {what}, got {raw!r}")
     return value
 
 
@@ -117,12 +94,12 @@ class QueryBudget:
             max_points=(
                 max_points
                 if max_points is not None
-                else _env_positive_int(MAX_POINTS_ENV, DEFAULT_MAX_POINTS)
+                else _env_positive(MAX_POINTS_ENV, DEFAULT_MAX_POINTS)
             ),
             timeout=(
                 timeout
                 if timeout is not None
-                else _env_positive_float(TIMEOUT_ENV, DEFAULT_TIMEOUT)
+                else _env_positive(TIMEOUT_ENV, DEFAULT_TIMEOUT, float)
             ),
         )
         if budget.max_points < 1:
@@ -143,84 +120,90 @@ class QueryBudget:
             )
 
 
-class RequestQueue:
-    """Bounded FIFO between the acceptor and the worker threads."""
+class AdmissionGate:
+    """At most *slots* requests run at once; at most *max_depth* wait.
 
-    def __init__(self, max_depth: Optional[int] = None) -> None:
+    A request that finds a free slot and nobody waiting runs at once;
+    otherwise it waits behind earlier arrivals, and :meth:`leave` hands
+    the leaving request's slot straight to the oldest waiter.
+    """
+
+    def __init__(self, slots: int, max_depth: Optional[int] = None) -> None:
         if max_depth is None:
-            max_depth = _env_positive_int(MAX_QUEUE_ENV, DEFAULT_MAX_QUEUE)
+            max_depth = _env_positive(MAX_QUEUE_ENV, DEFAULT_MAX_QUEUE)
+        if slots < 1:
+            raise ConfigurationError(f"need slots >= 1, got {slots}")
         if max_depth < 1:
             raise ConfigurationError(f"need max_depth >= 1, got {max_depth}")
+        self.slots = slots
         self.max_depth = max_depth
-        self._items: Deque[Any] = deque()
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
+        self._running = 0
+        #: One locked lock per waiting request, oldest first; releasing
+        #: it is that request's turn.
+        self._waiting: Deque[threading.Lock] = deque()
         self._closed = False
         self.admitted = 0
         self.rejected = 0
+        # Exported from the start, not from the first request that waits.
+        obs.gauge("serve_queue_depth", 0)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._items)
+            return len(self._waiting)
 
     @property
     def closed(self) -> bool:
         return self._closed
 
-    def try_push(self, item: Any) -> bool:
-        """Admit *item*, or reject it (full queue / closed) returning False."""
-        with self._not_empty:
+    def enter(self) -> Optional[float]:
+        """Take a slot, waiting for it in arrival order.
+
+        Returns the seconds waited, or ``None`` when the request is
+        rejected: the gate is closed, or *max_depth* requests wait.
+        """
+        with self._lock:
             if self._closed:
                 self.rejected += 1
                 obs.count("serve_rejected_shutdown")
-                return False
-            if len(self._items) >= self.max_depth:
+                return None
+            if self._running < self.slots and not self._waiting:
+                self._running += 1
+                self.admitted += 1
+                return 0.0
+            if len(self._waiting) >= self.max_depth:
                 self.rejected += 1
                 obs.count("serve_rejected_queue_full")
-                return False
-            self._items.append((time.perf_counter(), item))
+                return None
             self.admitted += 1
-            obs.gauge("serve_queue_depth", len(self._items))
-            self._not_empty.notify()
-            return True
+            turn = threading.Lock()
+            turn.acquire()
+            self._waiting.append(turn)
+            obs.gauge("serve_queue_depth", len(self._waiting))
+        began = time.perf_counter()
+        turn.acquire()
+        return time.perf_counter() - began
 
-    def pop(self, timeout: Optional[float] = None):
-        """The oldest admitted item, blocking up to *timeout* seconds.
-
-        Returns ``(queued_seconds, item)`` — the time the request waited
-        in the queue rides along so the server can report it — or
-        ``None`` on timeout or once the queue is closed and drained.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._not_empty:
-            while not self._items:
-                if self._closed:
-                    return None
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._not_empty.wait(remaining)
-            enqueued, item = self._items.popleft()
-            obs.gauge("serve_queue_depth", len(self._items))
-            return (time.perf_counter() - enqueued, item)
+    def leave(self) -> None:
+        """Give up a slot: to the oldest waiter, if any."""
+        with self._lock:
+            if self._waiting:
+                self._waiting.popleft().release()
+                obs.gauge("serve_queue_depth", len(self._waiting))
+            else:
+                self._running -= 1
 
     def close(self) -> None:
-        """Reject further pushes; wake every blocked consumer.
-
-        Already-admitted items stay poppable — the daemon drains them
-        before exiting.
-        """
-        with self._not_empty:
+        """Reject every later :meth:`enter`; waiting requests keep
+        their turn, so the daemon finishes them before exiting."""
+        with self._lock:
             self._closed = True
-            self._not_empty.notify_all()
 
     def snapshot(self) -> dict:
         """Depth/bound/admission tallies for ``stats`` and ``healthz``."""
         with self._lock:
             return {
-                "depth": len(self._items),
+                "depth": len(self._waiting),
                 "max_depth": self.max_depth,
                 "admitted": self.admitted,
                 "rejected": self.rejected,

@@ -36,7 +36,7 @@ from repro.model.adversary import (
 )
 from repro.model.config import all_configurations
 from repro.model.failures import FailureMode
-from repro.model.fastbuild import build_arrays
+from repro.model.fastbuild import build_arrays, pattern_count
 from repro.model.partition import SystemArrays
 from repro.model.provider import SystemProvider
 from repro.model.system import build_system
@@ -138,6 +138,19 @@ class TestByteParity:
         fast = build_arrays(mode, n, t, horizon)
         reference = project(build_graph(adversary_cls(n, t, horizon)))
         assert_arrays_byte_identical(fast, reference)
+
+    @pytest.mark.parametrize(
+        "mode,adversary_cls,n,t,horizon",
+        _CELLS,
+        ids=[f"{m.value}-n{n}t{t}h{h}" for m, _, n, t, h in _CELLS],
+    )
+    def test_pattern_count_gives_the_point_count(
+        self, mode, adversary_cls, n, t, horizon
+    ):
+        arrays = build_arrays(mode, n, t, horizon)
+        runs, width, _ = arrays.views.shape
+        points = (1 << n) * pattern_count(mode, n, t, horizon) * (horizon + 1)
+        assert points == runs * width
 
     @pytest.mark.parametrize(
         "cell,digest",
