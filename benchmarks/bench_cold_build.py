@@ -1,10 +1,10 @@
 """Cold-path construction gate: arrays-first build vs the object graph.
 
-Standalone runner (not a pytest file — every measurement needs a fresh,
-empty cache directory, which pytest-benchmark's repeated calibration
-rounds would defeat):
+Standalone runner (not a pytest file — every measurement needs a fresh
+provider, which pytest-benchmark's repeated calibration rounds would
+defeat):
 
-1. **arrays-first**: a cold ``SystemProvider.get_arrays`` on the
+1. **arrays-first**: a cold ``SystemProvider.get`` on the
    E9-class omission cell — the fastbuild path that enumerates straight
    into ``SystemArrays`` index tables, never materializing ``Run`` or
    ``ViewTable`` objects — followed by the NONFAULTY Corollary 3.3
@@ -18,7 +18,7 @@ rounds would defeat):
    projected from the finished graph (``project``).  (Every builder in
    ``src/`` is arrays-first, so none can serve as the baseline.)
 
-Both legs start from an empty cache, so the ratio is the cold-path win
+Both legs start from a fresh provider, so the ratio is the cold-path win
 the arrays-first builder exists for.  The script exits non-zero unless
 arrays-first beats the baseline by at least ``--gate`` (default 2x, the
 acceptance bar).  ``--extra-out`` writes ``name=seconds``
@@ -34,9 +34,7 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
-import tempfile
 import time
 from typing import Dict
 
@@ -73,28 +71,24 @@ def _evaluate(arrays) -> int:
 
 
 def _cold_leg(n: int, t: int, horizon: int, *, legacy: bool) -> float:
-    """One cold build+eval from an empty cache; returns the wall time."""
+    """One cold build+eval in a fresh provider; returns the wall time."""
     from repro.model.adversary import exhaustive_adversary
     from repro.model.failures import FailureMode
     from repro.model.provider import SystemProvider
     from tests.oracles import build_graph, project
 
-    directory = tempfile.mkdtemp(prefix="repro-cold-bench-")
-    try:
-        provider = SystemProvider(cache_dir=directory)
-        start = time.perf_counter()
-        if legacy:
-            arrays = project(
-                build_graph(
-                    exhaustive_adversary(FailureMode.OMISSION, n, t, horizon)
-                )
+    provider = SystemProvider()
+    start = time.perf_counter()
+    if legacy:
+        arrays = project(
+            build_graph(
+                exhaustive_adversary(FailureMode.OMISSION, n, t, horizon)
             )
-        else:
-            arrays = provider.get_arrays(FailureMode.OMISSION, n, t, horizon)
-        _evaluate(arrays)
-        return time.perf_counter() - start
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
+        )
+    else:
+        arrays = provider.get(FailureMode.OMISSION, n, t, horizon).arrays()
+    _evaluate(arrays)
+    return time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -106,8 +100,8 @@ def main(argv=None) -> int:
     parser.add_argument("--horizon", type=int, default=2)
     parser.add_argument(
         "--rounds", type=int, default=2,
-        help="best-of rounds for the arrays-first leg (each from a "
-        "fresh empty cache); the slow baseline leg always runs once",
+        help="best-of rounds for the arrays-first leg (each in a "
+        "fresh provider); the slow baseline leg always runs once",
     )
     parser.add_argument(
         "--gate", type=float, default=2.0,

@@ -4,7 +4,7 @@ These measure the acceptance criteria of the provider refactor directly:
 
 * warm-path speedup — the second request for crash ``n=5, t=2`` through the
   provider must be at least 5x faster than the cold enumeration (it is an
-  in-memory LRU hit; the cross-process disk path is exercised separately);
+  in-memory LRU hit);
 * instrumentation overhead — keeping :mod:`repro.obs` enabled must cost at
   most 5% on an enumeration-heavy workload.
 
@@ -24,9 +24,9 @@ from repro.model.system import build_system
 from conftest import OVERHEAD_BUILDS, best_enabled_disabled
 
 
-def test_provider_warm_path_speedup(tmp_path):
+def test_provider_warm_path_speedup():
     """Acceptance: repeated build of crash n=5, t=2 must be >=5x faster."""
-    provider = SystemProvider(cache_dir=str(tmp_path))
+    provider = SystemProvider()
 
     start = time.perf_counter()
     cold = provider.get(FailureMode.CRASH, 5, 2, 1)
@@ -42,24 +42,6 @@ def test_provider_warm_path_speedup(tmp_path):
         f"warm path {warm_seconds:.6f}s not 5x faster than "
         f"cold {cold_seconds:.3f}s"
     )
-
-
-def test_provider_disk_warm_path(tmp_path, benchmark):
-    """Loading crash n=5, t=2 from the disk cache beats re-enumeration."""
-    seeder = SystemProvider(cache_dir=str(tmp_path))
-    start = time.perf_counter()
-    built = seeder.get(FailureMode.CRASH, 5, 2, 1)
-    cold_seconds = time.perf_counter() - start
-
-    def load_cold_process():
-        reader = SystemProvider(cache_dir=str(tmp_path))
-        system = reader.get(FailureMode.CRASH, 5, 2, 1)
-        assert reader.cache_info()["disk_hits"] == 1
-        return system
-
-    loaded = benchmark(load_cold_process)
-    assert len(loaded.runs) == len(built.runs)
-    benchmark.extra_info["cold_build_seconds"] = round(cold_seconds, 3)
 
 
 def test_instrumentation_overhead_within_5_percent():

@@ -4,7 +4,7 @@ Standalone runner (not a pytest file — it spawns a ``repro-eba serve``
 subprocess and times real wire round-trips):
 
 1. **cold**: ``repro-eba query eval --local`` subprocesses — interpreter
-   start-up, imports, cache load, evaluation — the price every
+   start-up, imports, cell build, evaluation — the price every
    one-shot CLI invocation pays;
 2. **warm sequential**: the same eval against a resident daemon, p50/p99
    over many round-trips;

@@ -8,7 +8,7 @@ Usage::
     repro-eba protocols            # show the protocol registry
     repro-eba compare P0opt P0 --mode crash -n 4 -t 1
     repro-eba diagram P0opt --config 011 --crash 0:1:1
-    repro-eba stats                # system-cache state and disk inventory
+    repro-eba stats                # instrumentation and system-cache state
     repro-eba stats --json         # the same, machine-readable
     repro-eba run E2 --stats       # append instrumentation totals
     repro-eba trace run E04 --out trace.json   # Chrome/Perfetto trace
@@ -47,9 +47,9 @@ recorded by ``benchmarks/regression.py``.
 ``--stats`` (available on ``run``, ``compare`` and ``diagram``) prints the
 process-wide :mod:`repro.obs` instrumentation — stage wall times, runs
 built, cache hits/misses, fixpoint iterations, histogram digests — after
-the command's normal output.  ``stats`` inspects the persistent caches
-themselves (plus the span tracer's ring-buffer health: capacity, fill,
-watermark and dropped-span total); ``stats --clear`` empties the caches.
+the command's normal output.  ``stats`` prints the same for a fresh
+process, with the system cache's counters and the span tracer's
+ring-buffer health (capacity, fill, watermark and dropped-span total).
 ``metrics`` renders the same instrumentation as Prometheus text
 exposition — of this process, or of a batch run's ``telemetry.jsonl``
 via ``--journal``.  ``batch top`` tails a batch's ``health.json`` and
@@ -273,32 +273,9 @@ def _print_stats() -> None:
         f"{info['hits']} hits, {info['misses']} misses, "
         f"{info['evictions']} evictions"
     )
-    print(
-        f"  disk:   {'enabled' if info['disk_enabled'] else 'disabled'} "
-        f"({info['cache_dir']}), "
-        f"{info['disk_hits']} hits, {info['disk_misses']} misses, "
-        f"{info['disk_prunes']} stale file(s) pruned, "
-        f"{info['disk_stale']} stale on disk"
-    )
-    counters = obs.snapshot()["counters"]
-    print(
-        f"  degraded: {counters.get('arrays_cache_repairs', 0)} "
-        f"arrays_cache_repairs"
-    )
 
 
-def _cmd_stats(clear: bool, as_json: bool = False) -> int:
-    from .model.builder import clear_system_cache
-    from .model.provider import get_provider
-
-    if clear:
-        stats = clear_system_cache(disk=True)
-        print(
-            f"cleared: {stats['evicted']} in-memory system(s), "
-            f"{stats['arrays_evicted']} in-memory array projection(s), "
-            f"{stats['disk_files_removed']} disk file(s)"
-        )
-        return 0
+def _cmd_stats(as_json: bool = False) -> int:
     if as_json:
         import json as json_module
 
@@ -309,21 +286,10 @@ def _cmd_stats(clear: bool, as_json: bool = False) -> int:
             "instrumentation": obs.snapshot(),
             "tracer": trace.tracer_status(),
             "system_cache": system_cache_info(),
-            "disk_entries": get_provider().disk_entries(),
         }
         print(json_module.dumps(payload, indent=2, sort_keys=True))
         return 0
     _print_stats()
-    entries = get_provider().disk_entries()
-    if entries:
-        print("disk cache inventory:")
-        for entry in entries:
-            marker = "  (stale)" if entry.get("stale") else ""
-            print(
-                f"  {entry['file']:<48} {entry['bytes']:>12} bytes{marker}"
-            )
-    else:
-        print("disk cache inventory: (empty)")
     return 0
 
 
@@ -928,18 +894,21 @@ def _cmd_serve(args) -> int:
     from .serve.queue import QueryBudget
     from .serve.server import ServeConfig, run_server
 
-    budget = QueryBudget.resolve(args.max_points, args.timeout)
-    config = ServeConfig(
-        socket_path=None if args.port is not None else args.socket,
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        budget=budget,
-        journal_path=args.journal,
-        debug=args.debug,
-    )
-    return run_server(config)
+    try:
+        config = ServeConfig(
+            socket_path=None if args.port is not None else args.socket,
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            max_queue=args.max_queue,
+            budget=QueryBudget.resolve(args.max_points),
+            journal_path=args.journal,
+            debug=args.debug,
+        )
+        return run_server(config)
+    except ReproError as error:
+        print(f"repro-eba: {error}", file=sys.stderr)
+        return 2
 
 
 def _parse_catalog_ref(spec: str) -> Dict[str, str]:
@@ -1068,9 +1037,8 @@ def _cmd_query(args) -> int:
             print(f"query failed: {error}", file=sys.stderr)
             return 1
         return 0
-    # In-process fallback: a cold path by definition — build what the
-    # query needs directly, no fork-pool.
-    from .serve.queue import BudgetExceeded, QueryBudget
+    # In-process fallback: build what the query needs in this process.
+    from .serve.queue import QueryBudget
     from .serve.session import QueryEngine
 
     if op in ("stats", "healthz"):
@@ -1080,19 +1048,18 @@ def _cmd_query(args) -> int:
             file=sys.stderr,
         )
         return 2
-    engine = QueryEngine(
-        budget=QueryBudget.resolve(args.max_points, args.timeout),
-        fork_policy="never",
-    )
+    try:
+        engine = QueryEngine(budget=QueryBudget.resolve(args.max_points))
+    except ReproError as error:
+        print(f"repro-eba: {error}", file=sys.stderr)
+        return 2
     try:
         result = engine.execute(op, params, emit=show)
         show(result)
-    except (BudgetExceeded, ReproError, KeyError) as error:
+    except (ReproError, KeyError) as error:
         message = error.args[0] if error.args else str(error)
         print(f"query failed: {message}", file=sys.stderr)
         return 1
-    finally:
-        engine.close()
     return 0
 
 
@@ -1182,10 +1149,6 @@ def _dispatch(argv: List[str] = None) -> int:
     subparsers.add_parser("protocols", help="show the protocol registry")
     stats_parser = subparsers.add_parser(
         "stats", help="show instrumentation and system-cache state"
-    )
-    stats_parser.add_argument(
-        "--clear", action="store_true",
-        help="clear the in-memory and on-disk system caches",
     )
     stats_parser.add_argument(
         "--json", action="store_true",
@@ -1389,10 +1352,6 @@ def _dispatch(argv: List[str] = None) -> int:
         "(default: REPRO_SERVE_MAX_POINTS or 4000000)",
     )
     serve_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-query wall budget (default: REPRO_SERVE_TIMEOUT or 120)",
-    )
-    serve_parser.add_argument(
         "--journal", default=None, metavar="PATH",
         help="write one serve_request telemetry event per request to PATH",
     )
@@ -1459,17 +1418,13 @@ def _dispatch(argv: List[str] = None) -> int:
         "--max-points", type=int, default=None, metavar="N",
         help="in-process fallback: point budget override",
     )
-    query_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="in-process fallback: wall budget override",
-    )
     args = parser.parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "protocols":
         return _cmd_protocols()
     if args.command == "stats":
-        return _cmd_stats(args.clear, args.json)
+        return _cmd_stats(args.json)
     if args.command == "trace":
         return _cmd_trace(args.trace_ids, args.out, args.format)
     if args.command == "explain":

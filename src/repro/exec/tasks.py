@@ -7,7 +7,7 @@ with the experiment's own ``build_result``:
 
 * **E9** (Proposition 6.3) is one ``e9.cell`` shard: the worker runs
   :func:`~repro.experiments.e09_omission_nontermination.measure` on the
-  omission cell (loading or building its ``.npz`` through the provider);
+  omission cell, which the worker builds through the provider;
 * **E14** shards per sweep cell (``e14.cell``) plus one message-count
   shard (``e14.messages``);
 * **E20** shards per ``(n, t)`` cell (``e20.cell``).

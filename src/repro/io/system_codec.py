@@ -1,16 +1,14 @@
-"""Wrap a stored cell as a system and build any system's object graph.
+"""Wrap a built cell as a system and build any system's object graph.
 
-Every system is built arrays-first (:mod:`repro.model.fastbuild`); a
-cached exhaustive cell is stored as one versioned ``.npz`` of its
-:class:`~repro.model.partition.SystemArrays` and validated on every load
-(:meth:`~repro.model.partition.SystemArrays.validate`).
-:func:`system_from_arrays` wraps those arrays as a
+Every system is built arrays-first (:mod:`repro.model.fastbuild`).
+:func:`system_from_arrays` wraps an exhaustive cell's
+:class:`~repro.model.partition.SystemArrays` as a
 :class:`~repro.model.system.System` without building anything: the
 evaluators read the arrays, and the object graph that simulation and
 explanation read — the :class:`~repro.model.runs.Run` list and the
 :class:`~repro.model.views.ViewTable` — is built by the functions below
 the first time something reads it (``System.runs``, ``System.table``),
-for a cached cell and for a restricted system alike.  What they build
+for an exhaustive cell and for a restricted system alike.  What they build
 equals the object-graph build that ``tests/oracles.py`` keeps as the
 reference: same run order, same scenarios, same view ids and
 ``ViewTable`` entries (``tests/test_system_codec.py`` and
@@ -44,13 +42,12 @@ from ..model.views import ViewInfo, ViewTable
 
 
 def system_from_arrays(arrays: SystemArrays) -> System:
-    """The :class:`System` stored as *arrays*, as a view over them.
+    """The :class:`System` held in *arrays*, as a view over them.
 
-    *arrays* must be an exhaustive cell that passed
-    :meth:`SystemArrays.validate`; the object-graph builders rely on the
-    invariants it checks.  Arrays whose run count is not the cell's
-    configurations times patterns (a restricted system's) raise
-    :class:`~repro.errors.ConfigurationError`.
+    *arrays* must be an exhaustive cell as
+    :func:`~repro.model.fastbuild.build_arrays` builds it.  Arrays whose
+    run count is not the cell's configurations times patterns (a
+    restricted system's) raise :class:`~repro.errors.ConfigurationError`.
     """
     mode = FailureMode(arrays.mode)
     n, t, horizon = arrays.n, arrays.t, arrays.horizon

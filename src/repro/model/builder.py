@@ -1,11 +1,10 @@
 """Convenience constructors for enumerated systems.
 
 The exhaustive cells (:func:`crash_system`, :func:`omission_system`,
-:func:`system_for`) come from the layered
-:class:`~repro.model.provider.SystemProvider` cache, so that tests and
-experiments touching the same ``(mode, n, t, horizon)`` parameters share
-one enumeration — in-process through a bounded LRU, and across processes
-through the versioned on-disk cache under ``.repro_cache/``.
+:func:`system_for`) come from the
+:class:`~repro.model.provider.SystemProvider`'s bounded LRU, so that
+tests and experiments touching the same ``(mode, n, t, horizon)``
+parameters in one process share one enumeration.
 :func:`restricted_system` builds a sub-system over an explicit pattern
 family (and, optionally, a configuration subset) with
 :func:`~repro.model.system.build_system`, never cached.  Both paths build
@@ -106,13 +105,13 @@ def restricted_system(
         return build_system(adversary, configs=configs)
 
 
-def clear_system_cache(*, disk: bool = False) -> Dict[str, int]:
+def clear_system_cache() -> Dict[str, int]:
     """Drop the process-wide system cache (mainly for tests).
 
     Returns eviction statistics — see
     :meth:`~repro.model.provider.SystemProvider.clear`.
     """
-    return PROVIDER.clear(disk=disk)
+    return PROVIDER.clear()
 
 
 def system_cache_info() -> Dict[str, object]:

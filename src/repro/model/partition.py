@@ -2,10 +2,9 @@
 
 :class:`SystemArrays` is a system's compact, numpy-native form (view-id
 matrix, per-view owner/time/parent, initial values, nonfaulty sets,
-delivery tensors).  It is the one stored form of a cached cell: one
-versioned ``.npz`` per cell, managed by
-:class:`~repro.model.provider.SystemProvider`, over which
-:mod:`repro.io.system_codec` wraps the ``System``.
+delivery tensors).  It is what :mod:`repro.model.fastbuild` builds and
+:class:`~repro.model.provider.SystemProvider` keeps, and
+:mod:`repro.io.system_codec` wraps the ``System`` over it.
 
 The module-level passes read those arrays: Corollary 3.3 reachability
 components (:func:`reachability_labels`, :func:`component_holds`) and
@@ -15,17 +14,9 @@ the first-firing scan of a decision pair (:func:`first_fire_times`,
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
-
-from ..errors import ConfigurationError
-from .adversary import exhaustive_adversary
-from .failures import FailureMode
-
-#: Format stamp of the stored ``.npz`` cell.
-ARRAYS_VERSION = 1
 
 
 # -- run-level passes ------------------------------------------------------
@@ -149,7 +140,7 @@ def fired_views(views, value, time) -> Tuple[List[int], List[int]]:
     )
 
 
-# -- the stored cell --------------------------------------------------------
+# -- the cell ---------------------------------------------------------------
 
 
 class SystemArrays:
@@ -222,166 +213,6 @@ class SystemArrays:
         self.deliveries = deliveries
         self.occurs = occurs
         self._time_levels: Optional[List[object]] = None
-
-    # -- npz round-trip ----------------------------------------------------
-
-    def save(self, path: str) -> None:
-        """Write the cell as one uncompressed ``.npz``.
-
-        Deflating the members took longer than building the cell does;
-        :meth:`load` reads compressed files as well."""
-        meta = json.dumps(
-            {
-                "arrays_version": ARRAYS_VERSION,
-                "mode": self.mode,
-                "n": self.n,
-                "t": self.t,
-                "horizon": self.horizon,
-                "num_views": self.num_views,
-            }
-        )
-        np.savez(
-            path,
-            meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8),
-            views=self.views,
-            owner=self.owner,
-            vtime=self.vtime,
-            prev=self.prev,
-            init=self.init,
-            nonfaulty=self.nonfaulty,
-            deliveries=self.deliveries,
-            occurs=self.occurs,
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "SystemArrays":
-        """Read a cell written by :meth:`save`; raises on a version
-        mismatch (:meth:`validate` checks the rest)."""
-        with np.load(path, allow_pickle=False) as bundle:
-            meta = json.loads(bytes(bundle["meta"]).decode("utf-8"))
-            if meta.get("arrays_version") != ARRAYS_VERSION:
-                raise ConfigurationError(
-                    f"{path} has arrays_version "
-                    f"{meta.get('arrays_version')!r}, need {ARRAYS_VERSION}"
-                )
-            return cls(
-                mode=meta["mode"],
-                n=meta["n"],
-                t=meta["t"],
-                horizon=meta["horizon"],
-                num_views=meta["num_views"],
-                views=bundle["views"],
-                owner=bundle["owner"],
-                vtime=bundle["vtime"],
-                prev=bundle["prev"],
-                init=bundle["init"],
-                nonfaulty=bundle["nonfaulty"],
-                deliveries=bundle["deliveries"],
-                occurs=bundle["occurs"],
-            )
-
-    def validate(self, mode: str, n: int, t: int, horizon: int) -> None:
-        """Raise :class:`ConfigurationError` unless these arrays are the
-        exhaustive cell ``(mode, n, t, horizon)``.
-
-        Vectorized checks, so a foreign or tampered file fails closed
-        instead of answering for another cell: the meta against the
-        request; every array's shape and dtype; view ids in range, owned
-        by their column's processor, at their row's time, chained to the
-        owner's previous view, all occurring, numbered by first
-        appearance; the runs laid out as the exhaustive enumeration lays
-        them out (configurations outer, patterns inner — ``2**n`` times
-        the pattern count); and the ids an exact interning of the runs'
-        states.  Arrays that pass are the cell ``fastbuild`` builds.
-        """
-        from . import fastbuild
-
-        found = (self.mode, self.n, self.t, self.horizon)
-        if found != (mode, n, t, horizon):
-            raise ConfigurationError(
-                f"arrays hold cell {found}, need {(mode, n, t, horizon)}"
-            )
-        # Raises for a cell no exhaustive enumeration covers.
-        exhaustive_adversary(FailureMode(mode), n, t, horizon)
-        deliveries, nonfaulty = fastbuild.pattern_tensors(
-            FailureMode(mode), n, t, horizon
-        )
-        configs = 1 << n
-        runs = configs * len(deliveries)
-        width, num_views = horizon + 1, self.num_views
-        for name, shape, dtype in (
-            ("views", (runs, width, n), np.int32),
-            ("owner", (num_views,), np.int32),
-            ("vtime", (num_views,), np.int16),
-            ("prev", (num_views,), np.int32),
-            ("init", (runs, n), np.int8),
-            ("nonfaulty", (runs, n), np.bool_),
-            ("deliveries", (runs, horizon, n, n), np.bool_),
-            ("occurs", (num_views,), np.bool_),
-        ):
-            array = getattr(self, name)
-            if array.shape != shape or array.dtype != dtype:
-                raise ConfigurationError(
-                    f"{name} is {array.dtype}{array.shape}, "
-                    f"need {np.dtype(dtype)}{shape}"
-                )
-        ids = self.views
-        if ids.min() < 0 or ids.max() >= num_views:
-            raise ConfigurationError("view id out of range")
-        if (self.owner[ids] != np.arange(n)).any():
-            raise ConfigurationError("view owned by the wrong processor")
-        if (self.vtime[ids] != np.arange(width)[:, None]).any():
-            raise ConfigurationError("view at the wrong time")
-        if (self.prev[ids[:, 0]] != -1).any() or (
-            self.prev[ids[:, 1:]] != ids[:, :-1]
-        ).any():
-            raise ConfigurationError("view not chained to its predecessor")
-        # Dense first-appearance ids: in scan order every id is one already
-        # seen (at most the running maximum) or the next new one.
-        scan = ids.ravel()
-        running = np.maximum.accumulate(scan)
-        if (
-            scan[0] != 0
-            or running[-1] != num_views - 1
-            or (scan[1:] > running[:-1] + 1).any()
-        ):
-            raise ConfigurationError("ids not numbered by first appearance")
-        if not self.occurs.all():
-            raise ConfigurationError("occurs misses an occurring view")
-        procs = np.arange(n)
-        deliveries[:, :, procs, procs] = True
-        values = (np.arange(configs)[:, None] >> (n - 1 - procs)) & 1
-        if (
-            (self.init.reshape(configs, -1, n) != values[:, None, :]).any()
-            or (self.nonfaulty.reshape(configs, -1, n) != nonfaulty).any()
-            or (
-                self.deliveries.reshape((configs,) + deliveries.shape)
-                != deliveries
-            ).any()
-        ):
-            raise ConfigurationError(
-                "runs not in the exhaustive enumeration's order"
-            )
-        # The ids intern the runs' states: all occurrences of a view hold
-        # one state (the initial value at time 0, else the views
-        # delivered one round earlier), and distinct views of one owner,
-        # time and predecessor hold distinct states.
-        value = np.zeros(num_views, dtype=np.int8)
-        value[ids[:, 0]] = self.init
-        delivered = self.deliveries.copy()
-        delivered[:, :, procs, procs] = False
-        senders = (ids[:, :-1, None, :] + 1) * delivered
-        heard = np.zeros((num_views, n), dtype=np.int32)
-        heard[ids[:, 1:]] = senders
-        if (value[ids[:, 0]] != self.init).any() or (
-            heard[ids[:, 1:]] != senders
-        ).any():
-            raise ConfigurationError("a view id holds two states")
-        states = np.column_stack(
-            (self.owner, self.vtime, self.prev, value, heard)
-        )
-        if len(sorted_unique(row_keys(states))) != num_views:
-            raise ConfigurationError("a state holds two view ids")
 
     # -- run-level facts ---------------------------------------------------
 

@@ -12,9 +12,8 @@ Every hot path of the stack reports into one lightweight, always-on
   **iterations-to-convergence** and **eliminated limbs per round**
   histograms — the distribution-shaped quantities (elimination depth for
   ``C□``/``C◇``, frontier decay) that cumulative counters hide;
-* the :class:`~repro.model.provider.SystemProvider` counts system-cache and
-  disk-cache hits/misses, and ``arrays_cache_repairs`` — a cached
-  ``.npz`` that failed to load or validate, unlinked and rebuilt;
+* the :class:`~repro.model.provider.SystemProvider` counts system-cache
+  hits, misses (each one build) and evictions;
 * the sharded batch engine in :mod:`repro.exec` counts shard lifecycle
   events, records per-shard wall-time histograms
   (``exec_shard_seconds``) and folds each worker's delta back into the
@@ -22,7 +21,7 @@ Every hot path of the stack reports into one lightweight, always-on
   exactly like counters add;
 * every :func:`stage` additionally records its duration into a histogram
   of the same name, so cumulative timers come with distributions
-  (system build and cache-load latencies included) for free.
+  (system build latencies included) for free.
 
 The cost model stays "a few dict operations per event": counters are dict
 increments, timers wrap whole stages, and a histogram observe is one

@@ -3,8 +3,8 @@
 The paper's characterization turns "can the processes decide yet?" into a
 knowledge test, which is exactly the shape of an online query service —
 yet a cold ``repro-eba`` invocation pays interpreter start-up, imports,
-system build or cache load and index warm-up before
-answering a single formula.  This package keeps all of that **resident**:
+system build and index warm-up before answering a single formula.  This
+package keeps all of that **resident**:
 
 * :mod:`repro.serve.server` — the daemon speaking newline-delimited
   JSON over a unix socket (TCP optional): each connection's thread runs
@@ -15,19 +15,19 @@ answering a single formula.  This package keeps all of that **resident**:
   requests run at once, at most ``--max-queue`` wait in arrival order;
   429-style rejection + ``serve_queue_depth`` gauge) and the
   :class:`~repro.serve.queue.QueryBudget` limits;
-* :mod:`repro.serve.session` — the query engine: resolves systems
-  through the hot :class:`~repro.model.provider.SystemProvider`, answers
-  cached-cell queries inline and routes heavy cells through the
-  supervised fork-pool of :mod:`repro.exec` (whose per-shard timeout is
-  the wall-time budget);
+* :mod:`repro.serve.session` — the query engine: checks each cell
+  against the point budget and resolves it through the hot
+  :class:`~repro.model.provider.SystemProvider`, which builds a cell
+  that is not in memory on the requesting thread and keeps it;
 * :mod:`repro.serve.client` — the thin blocking client behind
   ``repro-eba query``, which falls back to in-process evaluation when no
   daemon is up.
 
 Request types: ``eval`` (formula at a point/cell), ``explain``
-(:mod:`repro.knowledge.explain` traces), ``extend`` (load or build the
-cell at a given horizon), ``monitor`` (stream :mod:`repro.sim.monitor`
-K/E/C□ verdicts per observed round), ``stats`` and ``healthz`` (live
+(:mod:`repro.knowledge.explain` traces), ``extend`` (build the cell at
+a given horizon, or find it in memory), ``monitor`` (stream
+:mod:`repro.sim.monitor` K/E/C□ verdicts per observed round), ``stats``
+and ``healthz`` (live
 :mod:`repro.obs` snapshot + Prometheus text).
 """
 

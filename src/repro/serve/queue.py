@@ -10,12 +10,11 @@ counts rejections as ``serve_rejected_<cause>`` (``queue_full``,
 ``shutdown``), and :meth:`AdmissionGate.close` is the drain's half:
 later requests are rejected, running and waiting ones finish.
 
-:class:`QueryBudget` carries the per-query limits: ``max_points`` bounds
-the size of the cell a query may evaluate over (checked against the
-cell's point count before it is built) and ``timeout`` bounds wall
-time, enforced on the forked heavy path, where the supervised pool
-SIGKILLs a worker that exceeds it.  Both resolve from
-``REPRO_SERVE_MAX_POINTS`` / ``REPRO_SERVE_TIMEOUT`` when not given.
+:class:`QueryBudget` carries the per-query limit: ``max_points`` bounds
+the size of the cell a query may evaluate over, checked against the
+cell's point count before it is built, so it bounds the build's time
+and memory too.  It resolves from ``REPRO_SERVE_MAX_POINTS`` when not
+given.
 """
 
 from __future__ import annotations
@@ -35,12 +34,10 @@ __all__ = [
     "QueryBudget",
     "AdmissionGate",
     "DEFAULT_MAX_POINTS",
-    "DEFAULT_TIMEOUT",
     "DEFAULT_MAX_QUEUE",
 ]
 
 MAX_POINTS_ENV = "REPRO_SERVE_MAX_POINTS"
-TIMEOUT_ENV = "REPRO_SERVE_TIMEOUT"
 MAX_QUEUE_ENV = "REPRO_SERVE_MAX_QUEUE"
 
 #: Default point-count budget: generous enough for every experiment cell
@@ -48,67 +45,50 @@ MAX_QUEUE_ENV = "REPRO_SERVE_MAX_QUEUE"
 #: hostile ``(n, t, horizon)`` request.
 DEFAULT_MAX_POINTS = 4_000_000
 
-#: Default per-query wall budget in seconds.
-DEFAULT_TIMEOUT = 120.0
-
 #: Default bound on requests waiting for a slot.
 DEFAULT_MAX_QUEUE = 64
 
 
 class BudgetExceeded(ReproError):
-    """A query hit its point-count or wall-time budget."""
+    """A query's cell is over its point-count budget."""
 
     def __init__(self, limit: str, message: str) -> None:
         super().__init__(message)
         self.limit = limit
 
 
-def _env_positive(name: str, default, kind=int):
-    """*name* from the environment as a positive ``int`` or ``float``."""
+def _env_positive(name: str, default: int) -> int:
+    """*name* from the environment as a positive ``int``."""
     raw = os.environ.get(name)
     if raw is None or not raw.strip():
         return default
     try:
-        value = kind(raw)
+        value = int(raw)
     except ValueError:
         value = 0
     if value <= 0:
-        what = "an integer >= 1" if kind is int else "a number > 0"
-        raise ConfigurationError(f"{name} must be {what}, got {raw!r}")
+        raise ConfigurationError(
+            f"{name} must be an integer >= 1, got {raw!r}"
+        )
     return value
 
 
 @dataclass(frozen=True)
 class QueryBudget:
-    """Per-query limits the daemon enforces before and during evaluation."""
+    """The per-query limit the daemon enforces before evaluation."""
 
     max_points: int = DEFAULT_MAX_POINTS
-    timeout: float = DEFAULT_TIMEOUT
 
     @staticmethod
-    def resolve(
-        max_points: Optional[int] = None, timeout: Optional[float] = None
-    ) -> "QueryBudget":
-        """Explicit arguments, else the ``REPRO_SERVE_*`` env vars."""
-        budget = QueryBudget(
-            max_points=(
-                max_points
-                if max_points is not None
-                else _env_positive(MAX_POINTS_ENV, DEFAULT_MAX_POINTS)
-            ),
-            timeout=(
-                timeout
-                if timeout is not None
-                else _env_positive(TIMEOUT_ENV, DEFAULT_TIMEOUT, float)
-            ),
-        )
-        if budget.max_points < 1:
+    def resolve(max_points: Optional[int] = None) -> "QueryBudget":
+        """The explicit argument, else ``REPRO_SERVE_MAX_POINTS``."""
+        if max_points is None:
+            max_points = _env_positive(MAX_POINTS_ENV, DEFAULT_MAX_POINTS)
+        if max_points < 1:
             raise ConfigurationError(
-                f"need max_points >= 1, got {budget.max_points}"
+                f"need max_points >= 1, got {max_points}"
             )
-        if budget.timeout <= 0:
-            raise ConfigurationError(f"need timeout > 0, got {budget.timeout}")
-        return budget
+        return QueryBudget(max_points=max_points)
 
     def check_points(self, points: int, descriptor: str) -> None:
         """Reject a system too large for this query's budget."""

@@ -13,9 +13,8 @@
   afterwards is answered ``shutting_down``, and the listeners.  Idle
   connections have their read side shut; a busy one shuts its own once
   its request is answered, so the frames it already received are
-  answered too.  Running and waiting requests finish, the fork-pool is
-  torn down, the journal gets a final ``health`` event and the socket
-  file is unlinked.
+  answered too.  Running and waiting requests finish, the journal gets
+  a final ``health`` event and the socket file is unlinked.
 
 Every finished request lands in ``serve_request_seconds``, timed from
 the read of its frame to its terminal frame, and (with a journal) as
@@ -24,6 +23,7 @@ one ``serve_request`` event carrying its wire code.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import selectors
 import signal
@@ -51,8 +51,7 @@ from .session import QueryEngine
 
 __all__ = ["ServeConfig", "KnowledgeServer", "run_server", "DEFAULT_SOCKET"]
 
-#: Default unix-socket path (relative to the working directory, next to
-#: the disk cache the daemon keeps hot).
+#: Default unix-socket path (relative to the working directory).
 DEFAULT_SOCKET = ".repro_serve.sock"
 
 #: Longest request frame, newline excluded; a longer one drops the
@@ -79,7 +78,6 @@ class ServeConfig:
     max_queue: Optional[int] = None
     budget: Optional[QueryBudget] = None
     journal_path: Optional[str] = None
-    fork_policy: str = "auto"
     #: Admit the ``debug_sleep`` op (tests and benchmarks only).
     debug: bool = False
 
@@ -88,6 +86,21 @@ class ServeConfig:
             raise ReproError("serve needs a unix socket path or a TCP port")
         if self.workers < 1:
             raise ReproError(f"need workers >= 1, got {self.workers}")
+
+
+def _release_freed_memory() -> None:
+    """Hand the pages that every malloc arena holds free back to the OS.
+
+    glibc gives each thread a malloc arena and keeps what the thread
+    frees there.  A connection that built cells leaves megabytes free in
+    its thread's arena, and the next connection's thread may be given a
+    new arena instead of that one, so the daemon would hold both.  A
+    no-op where the C library has no ``malloc_trim``.
+    """
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (AttributeError, OSError):
+        pass
 
 
 def _shut(connection: socket.socket, how: int = socket.SHUT_RD) -> None:
@@ -108,9 +121,7 @@ class KnowledgeServer:
         self.budget = (
             config.budget if config.budget is not None else QueryBudget.resolve()
         )
-        self.engine = QueryEngine(
-            budget=self.budget, fork_policy=config.fork_policy
-        )
+        self.engine = QueryEngine(budget=self.budget)
         self.gate = AdmissionGate(config.workers, config.max_queue)
         self.journal = None
         if config.journal_path:
@@ -242,7 +253,6 @@ class KnowledgeServer:
             _shut(connection)
         with self._all_closed:
             self._all_closed.wait_for(lambda: not self._connections)
-        self.engine.close()
         if self.journal is not None:
             self.journal.emit(
                 "health",
@@ -281,6 +291,7 @@ class KnowledgeServer:
                 self._all_closed.notify_all()
             reader.close()
             connection.close()
+            _release_freed_memory()
 
     def _set_busy(self, connection: socket.socket, busy: bool) -> None:
         with self._lock:
@@ -415,10 +426,7 @@ class KnowledgeServer:
             "queue": self.gate.snapshot(),
             "requests_done": done,
             "requests_failed": failed,
-            "budget": {
-                "max_points": self.budget.max_points,
-                "timeout": self.budget.timeout,
-            },
+            "budget": {"max_points": self.budget.max_points},
             "cache": _json_safe(self.engine.provider.cache_info()),
             "obs": obs.snapshot(),
         }
@@ -458,8 +466,7 @@ def run_server(config: ServeConfig) -> int:
         f"repro-eba serve: listening on {', '.join(where)} "
         f"({config.workers} queries at once, queue bound "
         f"{server.gate.max_depth}, budget "
-        f"{server.budget.max_points} points / "
-        f"{server.budget.timeout:g}s)",
+        f"{server.budget.max_points} points)",
         flush=True,
     )
     server.serve_forever()

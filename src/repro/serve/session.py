@@ -1,4 +1,4 @@
-"""The daemon's query engine: resident systems, budgets, inline-vs-fork.
+"""The daemon's query engine: resident systems and per-query budgets.
 
 :class:`QueryEngine` is the layer between the wire protocol and the
 knowledge machinery.  The server calls it on each connection's thread,
@@ -9,32 +9,24 @@ path*, which is what makes the verdict-parity suite meaningful.
 A request is resolved once (its cell, and its formula built).  Its
 cell's point count — ``2**n`` times
 :func:`~repro.model.fastbuild.pattern_count` times ``horizon + 1`` — is
-checked against the budget before the cell is placed, forked or built:
-
-* **inline** — the cell is resident (provider memory LRU, or a
-  current-version disk file that loads in milliseconds); the query runs
-  on the calling thread against the hot
-  :class:`~repro.model.provider.SystemProvider`.
-* **fork** — the cell would need a fresh (doubly-exponential)
-  enumeration, so the query runs in the supervised fork-pool of
-  :mod:`repro.exec` (one ``serve.query`` shard, zero retries), whose
-  per-shard timeout *is* the wall-time budget: a build that exceeds it
-  is SIGKILLed and the client gets ``budget_exceeded``.  The child
-  resolves the request again and writes the finished cell to the shared
-  disk cache, so the *next* query for that cell is inline.
+checked against the budget before anything is built.  A cell within
+the budget runs **inline**, on the calling thread against the shared
+:class:`~repro.model.provider.SystemProvider`: a cell that is not in
+memory is built there, under the provider's build lock, and stays
+resident for the queries after it.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from .. import obs
-from ..errors import ReproError, ShardExecutionError
 from ..model.adversary import exhaustive_adversary
 from ..model.failures import FailureMode
 from ..model.fastbuild import pattern_count
@@ -210,8 +202,12 @@ def _resolve_request(op: str, params: Dict[str, Any]) -> _Request:
             f"{catalog.get('experiment')}/{catalog.get('formula')}",
         )
     formula = build_formula(params["formula"], n)
+    # Named by its spec, so every process describes it the same way.
+    description = json.dumps(
+        params["formula"], sort_keys=True, separators=(",", ":")
+    )
     return _Request(
-        mode, n, t, horizon, lambda _system: formula, repr(formula)
+        mode, n, t, horizon, lambda _system: formula, description
     )
 
 
@@ -247,7 +243,6 @@ def _check_points(
 def _execute_eval(
     provider: SystemProvider, params: Dict[str, Any], request: _Request
 ) -> Dict[str, Any]:
-    """The eval body shared verbatim by the inline and forked paths."""
     started = time.perf_counter()
     system = provider.get(*request[:4])
     truth = request.build(system).evaluate(system)
@@ -314,7 +309,7 @@ def _summary(system, request: _Request) -> Dict[str, Any]:
     }
 
 
-#: The bodies shared verbatim by the inline and forked paths.
+#: The bodies of the ops that name a cell.
 _EXECUTORS = {
     "eval": _execute_eval,
     "explain": _execute_explain,
@@ -322,41 +317,13 @@ _EXECUTORS = {
 }
 
 
-# -- the forked heavy path -----------------------------------------------------
-
-from ..exec.shard import Shard, register_task  # noqa: E402
-
-
-@register_task("serve.query")
-def _task_serve_query(params: Dict[str, Any]) -> Dict[str, Any]:
-    """One served query executed inside a supervised fork.
-
-    The child inherited the parent provider's LRU copy-on-write and
-    shares its disk cache, so a cold build done here is persisted for
-    the parent's next (then inline) query on the same cell.
-    """
-    op = params["op"]
-    body = params["params"]
-    try:
-        request = _resolve_request(op, body)
-        result = _EXECUTORS[op](get_provider(), body, request)
-        return {"ok": True, "result": result}
-    except ProtocolError as error:
-        return {"ok": False, "code": "bad_request", "message": str(error)}
-    except KeyError as error:
-        return {"ok": False, "code": "not_found", "message": str(error)}
-
-
 class QueryEngine:
     """Executes validated requests against resident state.
 
     Args:
         provider: The system provider to keep hot (defaults to the
-            process-wide one, which the fork-pool children inherit).
+            process-wide one).
         budget: Per-query limits; defaults resolve from the environment.
-        fork_policy: ``"auto"`` forks exactly the queries whose cell is
-            not resident; ``"never"`` / ``"always"`` pin the placement
-            (tests and benchmarks use the pins).
     """
 
     def __init__(
@@ -364,70 +331,9 @@ class QueryEngine:
         *,
         provider: Optional[SystemProvider] = None,
         budget: Optional[QueryBudget] = None,
-        fork_policy: str = "auto",
     ) -> None:
-        if fork_policy not in ("auto", "never", "always"):
-            raise ProtocolError(
-                f"fork_policy must be auto/never/always, got {fork_policy!r}"
-            )
         self.provider = provider if provider is not None else get_provider()
         self.budget = budget if budget is not None else QueryBudget.resolve()
-        self.fork_policy = fork_policy
-        self._pool = None
-        self._fork_serial = 0
-
-    # -- placement ---------------------------------------------------------
-
-    def cell_resident(self, mode: FailureMode, n: int, t: int, horizon: int) -> bool:
-        """Whether a query on this cell can run without a fresh build."""
-        return self.provider.has_memory_cell(
-            mode, n, t, horizon
-        ) or self.provider.has_current_cell(mode, n, t, horizon)
-
-    def _placement(self, request: Optional[_Request]) -> str:
-        if request is None:  # monitor, debug_sleep
-            return "inline"
-        if self.fork_policy != "auto":
-            return "inline" if self.fork_policy == "never" else "fork"
-        resident = self.cell_resident(*request[:4])
-        return "inline" if resident else "fork"
-
-    def _fork_pool(self):
-        from ..exec.pool import ShardPool
-
-        if self._pool is None:
-            self._pool = ShardPool(
-                workers=1,
-                timeout=self.budget.timeout,
-                retries=0,
-                backoff=0.01,
-            )
-        return self._pool
-
-    def _run_forked(self, op: str, params: Dict[str, Any]) -> Dict[str, Any]:
-        self._fork_serial += 1
-        shard = Shard(
-            shard_id=f"serve-{op}-{self._fork_serial}",
-            task="serve.query",
-            params={"op": op, "params": params},
-        )
-        try:
-            payloads = self._fork_pool().run([shard])
-        except ShardExecutionError as error:
-            obs.count("serve_fork_failures")
-            if "timeout" in str(error):
-                raise BudgetExceeded(
-                    "timeout",
-                    f"query exceeded the {self.budget.timeout:g}s wall "
-                    f"budget and was killed",
-                ) from None
-            raise
-        payload = payloads[shard.shard_id]
-        if payload.get("ok"):
-            return payload["result"]
-        if payload.get("code") == "bad_request":
-            raise ProtocolError(payload["message"])
-        raise KeyError(payload.get("message", "query failed in worker"))
 
     # -- execution ---------------------------------------------------------
 
@@ -457,24 +363,17 @@ class QueryEngine:
             raise ProtocolError("; ".join(problems))
         obs.count(f"serve_requests_{op}")
         with obs.stage("serve_execute"):
-            request = None
-            if op in _EXECUTORS:
-                # Resolved once here; the budget is checked before the
-                # cell is placed, forked or built.
-                request = _resolve_request(op, params)
-                _check_points(self.budget, *request[:4])
-            placement = self._placement(request)
-            obs.count(f"serve_placement_{placement}")
             if op == "debug_sleep":
                 time.sleep(float(params["seconds"]))
                 return {"slept": float(params["seconds"])}
             if op == "monitor":
                 return self._run_monitor(params, emit)
-            if placement == "fork":
-                result = self._run_forked(op, params)
-            else:
-                result = _EXECUTORS[op](self.provider, params, request)
-        result["placement"] = placement
+            # Resolved once here; the budget is checked before the cell
+            # is built.
+            request = _resolve_request(op, params)
+            _check_points(self.budget, *request[:4])
+            result = _EXECUTORS[op](self.provider, params, request)
+        result["placement"] = "inline"
         return result
 
     def _run_monitor(
@@ -527,12 +426,6 @@ class QueryEngine:
             "verdicts": monitor.history[-1]["verdicts"],
             "seconds": round(time.perf_counter() - started, 6),
         }
-
-    def close(self) -> None:
-        """Tear down the fork-pool (no orphaned workers after shutdown)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
 
 def _parse_pattern_specs(params: Dict[str, Any]):

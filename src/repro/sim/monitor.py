@@ -9,7 +9,7 @@ current point of the current run.
 
 Each :meth:`StreamingMonitor.advance` fetches the ambient system one
 round deeper through :meth:`~repro.model.provider.SystemProvider.get` —
-an arrays-first build of the cell, or its cached ``.npz`` — then
+an arrays-first build of the cell, or the one already in memory — then
 locates the run of the scenario's *truncated* pattern (the observable
 prefix, :func:`~repro.model.failures.truncate_pattern`) and evaluates
 the formulas at the new horizon.

@@ -70,40 +70,37 @@ class TestTruncatePattern:
 
 
 class TestStreamingMonitor:
-    def _monitor(self, config_bits, pattern, tmp_path, **kwargs):
+    def _monitor(self, config_bits, pattern, **kwargs):
         from repro.sim.monitor import StreamingMonitor
 
-        provider = SystemProvider(cache_dir=str(tmp_path / "cache"))
         return StreamingMonitor(
             FailureMode.CRASH,
             3,
             1,
             InitialConfiguration(config_bits),
             pattern,
-            provider=provider,
+            provider=SystemProvider(),
             **kwargs,
         )
 
-    def test_known_verdicts_all_nonfaulty_know(self, tmp_path):
+    def test_known_verdicts_all_nonfaulty_know(self):
         monitor = self._monitor(
-            [0, 1, 1],
-            FailurePattern({0: CrashBehavior(1, frozenset())}),
-            tmp_path,
+            [0, 1, 1], FailurePattern({0: CrashBehavior(1, frozenset())})
         )
         for record in monitor.run(2):
             assert record["verdicts"]["knows"] == [True, True, True]
             assert record["verdicts"]["everyone"] is True
             assert record["verdicts"]["continual_common"] is False
 
-    def test_absent_value_never_known(self, tmp_path):
-        monitor = self._monitor([0, 0, 0], NO_FAILURES, tmp_path)
+    def test_absent_value_never_known(self):
+        monitor = self._monitor([0, 0, 0], NO_FAILURES)
         record = monitor.advance()
         assert record["verdicts"]["knows"] == [False, False, False]
         assert record["verdicts"]["everyone"] is False
         assert record["verdicts"]["continual_common"] is False
 
-    def test_rounds_advance_the_horizon(self, tmp_path):
-        monitor = self._monitor([0, 1, 1], NO_FAILURES, tmp_path)
+    def test_rounds_advance_the_horizon(self):
+        monitor = self._monitor([0, 1, 1], NO_FAILURES)
         records = monitor.run(3)
         assert [record["round"] for record in records] == [1, 2, 3]
         assert monitor.round == 3
@@ -118,9 +115,7 @@ class TestStreamingMonitor:
 
         path = str(tmp_path / "monitor.jsonl")
         journal = TelemetryJournal(path, batch="test", experiment="monitor")
-        monitor = self._monitor(
-            [0, 1, 1], NO_FAILURES, tmp_path, journal=journal
-        )
+        monitor = self._monitor([0, 1, 1], NO_FAILURES, journal=journal)
         monitor.run(2)
         journal.close()
         assert validate_journal(path) == []

@@ -8,8 +8,8 @@ including the dense first-appearance view-id order.  These tests pin
 that contract per failure mode on exhaustive cells, as a Hypothesis
 property on restricted systems (explicit pattern lists and
 configuration subsets, whose runs and view table must equal the
-oracle's too), plus the provider integration: a cold ``get_arrays``
-takes the fast path (no ``Run`` objects anywhere) with identical output.
+oracle's too), plus the provider integration: a cold ``get`` takes the
+fast path (no ``Run`` objects anywhere) with identical arrays.
 """
 
 from __future__ import annotations
@@ -19,9 +19,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import zipfile
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,7 +35,6 @@ from repro.model.adversary import (
 from repro.model.config import all_configurations
 from repro.model.failures import FailureMode
 from repro.model.fastbuild import build_arrays, pattern_count
-from repro.model.partition import SystemArrays
 from repro.model.provider import SystemProvider
 from repro.model.system import build_system
 
@@ -171,37 +168,20 @@ class TestByteParity:
             tracemalloc.stop()
         assert peak < 40e6
 
-    def test_save_load_round_trip(self, tmp_path):
-        fast = build_arrays(FailureMode.CRASH, 3, 1, 2)
-        path = str(tmp_path / "cell.npz")
-        fast.save(path)
-        with zipfile.ZipFile(path) as archive:
-            kinds = {info.compress_type for info in archive.infolist()}
-        assert kinds == {zipfile.ZIP_STORED}
-        assert_arrays_byte_identical(SystemArrays.load(path), fast)
-        # A deflated file, as np.savez_compressed writes, still loads.
-        deflated = str(tmp_path / "deflated.npz")
-        with np.load(path) as bundle:
-            np.savez_compressed(deflated, **bundle)
-        loaded = SystemArrays.load(deflated)
-        loaded.validate("crash", 3, 1, 2)
-        assert_arrays_byte_identical(loaded, fast)
-
-    def test_load_and_merge_leave_numpy_ma_unimported(self, tmp_path):
-        """Loading and validating a cell never imports ``numpy.ma`` (the
-        row-wise ``np.unique`` would)."""
+    def test_load_and_merge_leave_numpy_ma_unimported(self):
+        """Building a cell through the provider never imports
+        ``numpy.ma`` (the row-wise ``np.unique`` would)."""
         import repro
 
-        path = str(tmp_path / "cell.npz")
-        build_arrays(FailureMode.OMISSION, 3, 1, 2).save(path)
         script = (
             "import sys\n"
-            "from repro.model.partition import SystemArrays\n"
-            "SystemArrays.load(sys.argv[1]).validate('omission', 3, 1, 2)\n"
+            "from repro.model.failures import FailureMode\n"
+            "from repro.model.provider import get_provider\n"
+            "get_provider().get(FailureMode.OMISSION, 3, 1, 2)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         result = subprocess.run(
-            [sys.executable, "-c", script, path],
+            [sys.executable, "-c", script],
             capture_output=True,
             text=True,
             timeout=120,
@@ -314,18 +294,18 @@ class TestRestrictedParity:
 
 
 class TestProviderIntegration:
-    def test_cold_get_arrays_takes_fast_path(self, tmp_path):
+    def test_cold_get_arrays_takes_fast_path(self):
         from repro import obs
 
-        provider = SystemProvider(cache_dir=str(tmp_path))
+        provider = SystemProvider()
         before = obs.snapshot()["counters"].get("system_fast_builds", 0)
-        arrays = provider.get_arrays(FailureMode.CRASH, 3, 1, 2)
+        system = provider.get(FailureMode.CRASH, 3, 1, 2)
         after = obs.snapshot()["counters"].get("system_fast_builds", 0)
         assert after == before + 1
         # The object graph was never materialized on the way.
-        assert not provider.has_memory_cell(FailureMode.CRASH, 3, 1, 2)
+        assert system._runs is None and system._table is None
         reference = project(build_graph(ExhaustiveCrashAdversary(3, 1, 2)))
-        assert_arrays_byte_identical(arrays, reference)
+        assert_arrays_byte_identical(system.arrays(), reference)
 
     @pytest.mark.parametrize(
         "cell",
@@ -337,12 +317,10 @@ class TestProviderIntegration:
         ],
         ids=["n1", "h0", "t-eq-n", "general-omission"],
     )
-    def test_unsupported_cells_rejected(self, tmp_path, cell):
+    def test_unsupported_cells_rejected(self, cell):
         with pytest.raises(ConfigurationError):
             build_arrays(*cell)
-        provider = SystemProvider(cache_dir=str(tmp_path))
-        with pytest.raises(ConfigurationError):
-            provider.get_arrays(*cell)
+        provider = SystemProvider()
         with pytest.raises(ConfigurationError):
             provider.get(*cell)
-        assert os.listdir(str(tmp_path)) == []
+        assert provider.cache_info()["size"] == 0

@@ -195,24 +195,20 @@ class TestCliTools:
         (line,) = captured.err.splitlines()
         assert line.startswith("repro-eba: ") and "FloodSBA" in line
 
-    def test_stats_json_round_trips(self, capsys, monkeypatch, tmp_path):
+    def test_stats_json_round_trips(self, capsys):
         import json
 
         from repro import obs
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         obs.count("system_cache_hits")  # ensure a non-empty payload
         assert main(["stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {
-            "instrumentation", "system_cache", "disk_entries", "tracer",
-        }
+        assert set(payload) == {"instrumentation", "system_cache", "tracer"}
         instrumentation = payload["instrumentation"]
         assert set(instrumentation) == {
             "counters", "timers", "histograms", "gauges"
         }
         assert instrumentation["counters"]["system_cache_hits"] >= 1
-        assert isinstance(payload["disk_entries"], list)
         tracer = payload["tracer"]
         assert tracer["capacity"] >= 1
         assert "dropped" in tracer and "watermark" in tracer

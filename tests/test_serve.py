@@ -400,7 +400,7 @@ def test_fuzzed_formulas_match_in_process_or_are_rejected(spec):
     from . import oracles
 
     system = crash_system(3, 1, 3)
-    engine = QueryEngine(fork_policy="never")
+    engine = QueryEngine()
     params = {"formula": spec, "mode": "crash", "n": 3, "t": 1, "horizon": 3}
     try:
         result = engine.execute("eval", params)
@@ -506,17 +506,14 @@ class TestAdmissionGate:
 
 class TestQueryBudget:
     def test_check_points_over_budget(self):
-        budget = QueryBudget(max_points=100, timeout=1.0)
+        budget = QueryBudget(max_points=100)
         with pytest.raises(BudgetExceeded) as info:
             budget.check_points(101, "test system")
         assert info.value.limit == "max_points"
 
     def test_resolves_from_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_MAX_POINTS", "1234")
-        monkeypatch.setenv("REPRO_SERVE_TIMEOUT", "5.5")
-        budget = QueryBudget.resolve()
-        assert budget.max_points == 1234
-        assert budget.timeout == 5.5
+        assert QueryBudget.resolve().max_points == 1234
 
     def test_bad_environment_rejected(self, monkeypatch):
         from repro.errors import ConfigurationError
@@ -532,7 +529,7 @@ class TestQueryBudget:
 
 class TestQueryEngineInProcess:
     def test_eval_formula_ast(self, crash3):
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         result = engine.execute(
             "eval",
             {
@@ -547,7 +544,7 @@ class TestQueryEngineInProcess:
         assert len(result["digest"]) == 64
 
     def test_eval_catalog_reference(self):
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         result = engine.execute(
             "eval",
             {"catalog": {"experiment": "E4", "formula": "everyone-exists1"}},
@@ -555,9 +552,37 @@ class TestQueryEngineInProcess:
         assert result["formula"] == "E4/everyone-exists1"
         assert "kernel" not in result
 
+    def test_ast_formula_named_by_its_spec(self):
+        from repro.model.provider import SystemProvider
+
+        spec = {"of": {"value": 1, "kind": "exists"}, "kind": "continual_common"}
+        params = {"formula": spec, "horizon": 2}
+        names = [
+            QueryEngine(provider=SystemProvider()).execute(
+                "eval", dict(params)
+            )["formula"]
+            for _ in range(2)
+        ]
+        assert names[0] == names[1]
+        assert " at 0x" not in names[0]
+        assert names[0] == (
+            '{"kind":"continual_common","of":{"kind":"exists","value":1}}'
+        )
+
+    def test_first_eval_builds_its_cell_inline_and_keeps_it(self):
+        from repro.model.provider import SystemProvider
+
+        provider = SystemProvider()
+        engine = QueryEngine(provider=provider)
+        result = engine.execute(
+            "eval", {"formula": {"kind": "true"}, "n": 3, "horizon": 2}
+        )
+        assert result["placement"] == "inline"
+        assert provider.cache_info()["keys"] == [("crash", 3, 1, 2)]
+
     @pytest.mark.parametrize("param", ["bogus", "kernel"])
     def test_params_the_wire_rejects_raise(self, param):
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         params = {
             "catalog": {"experiment": "E4", "formula": "common-exists1"},
             param: 1,
@@ -566,7 +591,7 @@ class TestQueryEngineInProcess:
             engine.execute("eval", params)
 
     def test_unknown_catalog_entry_raises_key_error(self):
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         with pytest.raises(KeyError):
             engine.execute(
                 "eval",
@@ -574,7 +599,7 @@ class TestQueryEngineInProcess:
             )
 
     def test_point_outside_system_raises_key_error(self):
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         with pytest.raises(KeyError):
             engine.execute(
                 "eval",
@@ -586,15 +611,12 @@ class TestQueryEngineInProcess:
             )
 
     def test_point_budget_enforced(self):
-        engine = QueryEngine(
-            budget=QueryBudget(max_points=10, timeout=30.0),
-            fork_policy="never",
-        )
+        engine = QueryEngine(budget=QueryBudget(max_points=10))
         with pytest.raises(BudgetExceeded):
             engine.execute("eval", {"formula": {"kind": "true"}, "horizon": 2})
 
     def test_explain_round_trip(self):
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         result = engine.execute(
             "explain",
             {"catalog": {"experiment": "E4", "formula": "common-exists1"}},
@@ -604,14 +626,14 @@ class TestQueryEngineInProcess:
         assert "rendered" in result
 
     def test_extend_grows_resident_cell(self):
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         result = engine.execute(
             "extend", {"mode": "crash", "n": 3, "t": 1, "horizon": 3}
         )
         assert result["system"]["horizon"] == 3
 
     def test_monitor_streams_per_round(self):
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         events = []
         result = engine.execute(
             "monitor",
@@ -633,51 +655,10 @@ class TestQueryEngineInProcess:
             "continual_common",
         }
 
-    def test_forked_query_matches_inline_and_pool_closes(self, crash3):
-        inline = QueryEngine(fork_policy="never")
-        forked = QueryEngine(fork_policy="always")
-        params = {
-            "catalog": {"experiment": "E4", "formula": "everyone-exists1"}
-        }
-        try:
-            a = inline.execute("eval", dict(params))
-            b = forked.execute("eval", dict(params))
-            assert a["digest"] == b["digest"]
-            assert a["count_true"] == b["count_true"]
-            assert b["placement"] == "fork"
-        finally:
-            inline.close()
-            forked.close()
-        assert forked._pool is None
-
-    def test_fork_timeout_is_budget_exceeded(self):
-        # The cell has 7,833,640 points: under this point budget, which
-        # is checked before the fork, and large enough that enumeration
-        # cannot finish in 0.4s.
-        engine = QueryEngine(
-            budget=QueryBudget(max_points=8_000_000, timeout=0.4),
-            fork_policy="always",
-        )
-        try:
-            with pytest.raises(BudgetExceeded) as info:
-                engine.execute(
-                    "eval",
-                    {
-                        "formula": {"kind": "true"},
-                        "mode": "omission",
-                        "n": 3,
-                        "t": 2,
-                        "horizon": 4,
-                    },
-                )
-            assert info.value.limit == "timeout"
-        finally:
-            engine.close()
-
 
 class TestResolveAndBudget:
     """An ``eval`` is resolved once; a cell over the point budget is
-    rejected before it is placed, forked or built."""
+    rejected before it is built."""
 
     def test_inline_eval_builds_its_formula_once(self, crash3, monkeypatch):
         from repro.serve import session
@@ -689,16 +670,15 @@ class TestResolveAndBudget:
             return build_formula(spec, n)
 
         monkeypatch.setattr(session, "build_formula", counting)
-        engine = QueryEngine(fork_policy="auto")
+        engine = QueryEngine()
         result = engine.execute(
             "eval", {"formula": {"kind": "exists", "value": 1}, "horizon": 3}
         )
         assert result["placement"] == "inline"
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("fork_policy", ["auto", "never"])
-    def test_bad_requests_raise_as_before(self, fork_policy):
-        engine = QueryEngine(fork_policy=fork_policy)
+    def test_bad_requests_raise_as_before(self):
+        engine = QueryEngine()
         with pytest.raises(ProtocolError, match="unknown formula kind"):
             engine.execute("eval", {"formula": {"kind": "telepathy"}})
         with pytest.raises(KeyError):
@@ -731,42 +711,32 @@ class TestResolveAndBudget:
             ),
         ],
     )
-    @pytest.mark.parametrize("fork_policy", ["auto", "never"])
-    def test_over_budget_cell_is_never_built(
-        self, tmp_path, op, params, fork_policy
-    ):
+    def test_over_budget_cell_is_never_built(self, op, params):
         from repro import obs
         from repro.model.provider import SystemProvider
 
+        provider = SystemProvider()
         engine = QueryEngine(
-            provider=SystemProvider(cache_dir=str(tmp_path)),
-            budget=QueryBudget(max_points=400, timeout=30.0),
-            fork_policy=fork_policy,
+            provider=provider, budget=QueryBudget(max_points=400)
         )
         def builds():
             return obs.snapshot()["counters"].get("system_fast_builds", 0)
 
         before = builds()
-        try:
-            with pytest.raises(BudgetExceeded, match="400-point") as info:
-                engine.execute(op, params)
-        finally:
-            engine.close()
+        with pytest.raises(BudgetExceeded, match="400-point") as info:
+            engine.execute(op, params)
         assert info.value.limit == "max_points"
         assert builds() == before
-        assert os.listdir(tmp_path) == []
+        assert provider.cache_info()["misses"] == 0
 
-    def test_eight_million_point_cell_refused_at_once(self, tmp_path):
+    def test_eight_million_point_cell_refused_at_once(self):
         """Crash n=2 t=1 h=1000 (8,012,004 points) is refused under the
         default budget without a build, which would take seconds and
-        hundreds of megabytes and leave its ``.npz`` behind."""
+        hundreds of megabytes."""
         from repro.model.provider import SystemProvider
 
-        engine = QueryEngine(
-            provider=SystemProvider(cache_dir=str(tmp_path)),
-            budget=QueryBudget(),
-            fork_policy="auto",
-        )
+        provider = SystemProvider()
+        engine = QueryEngine(provider=provider, budget=QueryBudget())
         began = time.monotonic()
         with pytest.raises(BudgetExceeded, match="has 8012004 points"):
             engine.execute(
@@ -774,18 +744,15 @@ class TestResolveAndBudget:
                 {"formula": {"kind": "true"}, "n": 2, "t": 1, "horizon": 1000},
             )
         assert time.monotonic() - began < 1.0
-        assert os.listdir(tmp_path) == []
+        assert provider.cache_info()["misses"] == 0
 
     @pytest.mark.parametrize("cell", _HOSTILE_CELLS)
-    def test_hostile_cell_refused_before_the_exact_count(self, tmp_path, cell):
+    def test_hostile_cell_refused_before_the_exact_count(self, cell):
         from repro import obs
         from repro.model.provider import SystemProvider
 
-        engine = QueryEngine(
-            provider=SystemProvider(cache_dir=str(tmp_path)),
-            budget=QueryBudget(),
-            fork_policy="auto",
-        )
+        provider = SystemProvider()
+        engine = QueryEngine(provider=provider, budget=QueryBudget())
         builds = obs.snapshot()["counters"].get("system_fast_builds", 0)
         began = time.monotonic()
         with pytest.raises(BudgetExceeded, match=r"has at least 2\*\*") as info:
@@ -793,13 +760,10 @@ class TestResolveAndBudget:
         assert time.monotonic() - began < 1.0
         assert info.value.limit == "max_points"
         assert obs.snapshot()["counters"].get("system_fast_builds", 0) == builds
-        assert os.listdir(tmp_path) == []
+        assert provider.cache_info()["misses"] == 0
 
     def test_budget_message_names_the_cell(self):
-        engine = QueryEngine(
-            budget=QueryBudget(max_points=400, timeout=30.0),
-            fork_policy="never",
-        )
+        engine = QueryEngine(budget=QueryBudget(max_points=400))
         with pytest.raises(BudgetExceeded) as info:
             engine.execute(
                 "eval",
@@ -810,23 +774,6 @@ class TestResolveAndBudget:
             "over the 400-point budget"
         )
 
-    def test_placement_counters_named_as_documented(self, crash3):
-        from repro import obs
-
-        params = {
-            "catalog": {"experiment": "E4", "formula": "everyone-exists1"}
-        }
-        inline = QueryEngine(fork_policy="never")
-        forked = QueryEngine(fork_policy="always")
-        try:
-            inline.execute("eval", dict(params))
-            forked.execute("eval", dict(params))
-        finally:
-            forked.close()
-        counters = obs.snapshot()["counters"]
-        assert counters["serve_placement_inline"] >= 1
-        assert counters["serve_placement_fork"] >= 1
-
 
 class TestOutOfRangeFields:
     """Fields outside the cell are ``bad_request`` (a ProtocolError) or,
@@ -835,7 +782,7 @@ class TestOutOfRangeFields:
 
     @staticmethod
     def _eval(formula, **params):
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         return engine.execute(
             "eval", dict({"formula": formula, "horizon": 3}, **params)
         )
@@ -896,7 +843,7 @@ class TestOutOfRangeFields:
         assert problems == ["eval: unknown param 'kernel'"]
 
     def test_explain_point_outside_system_is_not_found(self):
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         with pytest.raises(KeyError, match="outside system"):
             engine.execute(
                 "explain",
@@ -906,38 +853,16 @@ class TestOutOfRangeFields:
                 },
             )
 
-    def test_forked_bad_cell_stays_bad_request(self):
-        engine = QueryEngine(fork_policy="always")
-        try:
-            with pytest.raises(ProtocolError, match="need n >= 2"):
-                engine.execute(
-                    "explain",
-                    {
-                        "catalog": {
-                            "experiment": "E4",
-                            "formula": "common-exists1",
-                        },
-                        "n": 3,
-                        "t": 5,
-                    },
-                )
-        finally:
-            engine.close()
-
 
 # ---------------------------------------------------------------------------
 # satellite: provider thread-safety regression
 
 
 class TestProviderConcurrency:
-    def test_concurrent_get_extend_and_arrays(self, tmp_path, crash3):
+    def test_concurrent_get_extend_and_arrays(self, crash3):
         from repro.model.provider import SystemProvider
 
-        provider = SystemProvider(
-            max_memory_entries=4,
-            max_arrays_entries=2,
-            cache_dir=str(tmp_path),
-        )
+        provider = SystemProvider(max_memory_entries=4)
         errors = []
         barrier = threading.Barrier(8)
 
@@ -949,11 +874,7 @@ class TestProviderConcurrency:
                     assert system.horizon == 2
                     grown = provider.get(FailureMode.CRASH, 3, 1, 3)
                     assert grown.horizon == 3
-                    arrays = provider.get_arrays(FailureMode.CRASH, 3, 1, 2)
-                    assert arrays is not None
-                    assert provider.has_memory_cell(
-                        FailureMode.CRASH, 3, 1, 2
-                    ) in (True, False)
+                    assert system.arrays() is not None
                     provider.cache_info()
             except Exception as error:  # noqa: BLE001 — collected below
                 errors.append(error)
@@ -961,35 +882,21 @@ class TestProviderConcurrency:
         threads = [
             threading.Thread(target=hammer, args=(i,)) for i in range(8)
         ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         assert errors == []
         info = provider.cache_info()
         assert info["size"] <= 4
-        assert info["arrays_size"] <= 2
-
-    def test_clear_reports_arrays_lru(self, tmp_path):
-        from repro.model.provider import SystemProvider
-
-        provider = SystemProvider(cache_dir=str(tmp_path))
-        provider.get(FailureMode.CRASH, 3, 1, 1)
-        provider.get_arrays(FailureMode.CRASH, 3, 1, 1)
-        stats = provider.clear()
-        assert stats["evicted"] >= 1
-        assert stats["arrays_evicted"] == 1
-        assert provider.cache_info()["arrays_size"] == 0
-
-    def test_has_memory_cell_does_not_touch_counters(self, tmp_path):
-        from repro.model.provider import SystemProvider
-
-        provider = SystemProvider(cache_dir=str(tmp_path))
-        assert not provider.has_memory_cell(FailureMode.CRASH, 3, 1, 1)
-        provider.get(FailureMode.CRASH, 3, 1, 1)
-        before = provider.cache_info()["hits"]
-        assert provider.has_memory_cell(FailureMode.CRASH, 3, 1, 1)
-        assert provider.cache_info()["hits"] == before
+        # Each cell was built once, whichever thread missed it first.
+        assert info["misses"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -1140,6 +1047,15 @@ class TestDaemonRoundTrips:
             )
             assert extended["system"]["horizon"] == 3
 
+    def test_first_eval_on_a_cold_cell_is_inline_and_stays(self, daemon):
+        cell = {"mode": "receive-omission", "n": 3, "t": 1, "horizon": 1}
+        key = [cell["mode"], cell["n"], cell["t"], cell["horizon"]]
+        with ServeClient(daemon["socket"]) as client:
+            assert key not in client.stats()["cache"]["keys"]
+            result = client.request("eval", formula={"kind": "true"}, **cell)
+            assert result["placement"] == "inline"
+            assert key in client.stats()["cache"]["keys"]
+
     def test_monitor_streams_rounds(self, daemon):
         with ServeClient(daemon["socket"]) as client:
             frames = list(
@@ -1219,7 +1135,7 @@ class TestDaemonRoundTrips:
 
     def test_served_verdicts_match_in_process(self, daemon):
         """Acceptance: byte-identical digests, E4/E5/E21."""
-        engine = QueryEngine(fork_policy="never")
+        engine = QueryEngine()
         with ServeClient(daemon["socket"]) as client:
             for experiment, formula_key in _parity_cases():
                 params = {
@@ -1454,6 +1370,35 @@ class TestConnectionThreads:
         assert not server._connections
         assert not os.path.exists(socket_path)
 
+    def test_ended_connection_releases_freed_memory(
+        self, tmp_path, monkeypatch
+    ):
+        """A connection's thread trims the malloc arenas as it ends, so
+        what its requests freed is not held beside the next thread's."""
+        from repro.serve import server as server_module
+
+        ended = threading.Event()
+        monkeypatch.setattr(server_module, "_release_freed_memory", ended.set)
+        socket_path = str(tmp_path / "trim.sock")
+        server = server_module.KnowledgeServer(
+            server_module.ServeConfig(socket_path=socket_path)
+        )
+        binder = threading.Thread(target=server.start)
+        binder.start()
+        binder.join()
+        acceptor = threading.Thread(target=server.serve_forever)
+        acceptor.start()
+        try:
+            with ServeClient(socket_path, timeout=30) as client:
+                assert client.healthz()["ok"] is True
+            assert ended.wait(timeout=30)
+        finally:
+            server.request_shutdown("test")
+            acceptor.join(timeout=30)
+        assert not acceptor.is_alive()
+        monkeypatch.undo()
+        server_module._release_freed_memory()  # the real one never raises
+
     def test_eval_answered_with_64_idle_connections_open(self, daemon):
         idle = []
         try:
@@ -1597,6 +1542,59 @@ class TestGracefulShutdown:
             assert daemon_available(socket_path)
         finally:
             _stop_daemon(process, socket_path)
+
+
+class TestCliSettingsErrors:
+    """``serve`` and the ``query`` fallback report bad settings as one
+    ``repro-eba: ...`` line and exit 2, like every other command."""
+
+    @staticmethod
+    def _refused(capsys, argv, needle):
+        from repro.cli import main
+
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-eba: ") and needle in line
+        assert captured.out == ""
+
+    def test_serve_with_no_workers(self, capsys, tmp_path):
+        socket_path = str(tmp_path / "serve.sock")
+        self._refused(
+            capsys,
+            ["serve", "--socket", socket_path, "--workers", "0"],
+            "workers >= 1",
+        )
+        assert not os.path.exists(socket_path)
+
+    def test_serve_with_a_bad_point_budget_env(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SERVE_MAX_POINTS", "abc")
+        socket_path = str(tmp_path / "serve.sock")
+        self._refused(
+            capsys, ["serve", "--socket", socket_path], "REPRO_SERVE_MAX_POINTS"
+        )
+        assert not os.path.exists(socket_path)
+
+    def test_serve_on_a_live_socket(self, capsys, tmp_path):
+        socket_path = str(tmp_path / "live.sock")
+        with socket_module.socket(socket_module.AF_UNIX) as live:
+            live.bind(socket_path)
+            live.listen(1)
+            self._refused(
+                capsys,
+                ["serve", "--socket", socket_path],
+                "already has a live daemon",
+            )
+
+    def test_query_fallback_with_a_zero_point_budget(self, capsys):
+        self._refused(
+            capsys,
+            ["query", "eval", "--local", "--catalog", "E4/common-exists1",
+             "--max-points", "0"],
+            "max_points >= 1",
+        )
 
 
 class TestQueryCliFallback:

@@ -1,6 +1,6 @@
-"""A loaded system: ``system_from_arrays`` equals the object-graph build.
+"""A built cell: ``system_from_arrays`` equals the object-graph build.
 
-Every cached cell's ``System`` is a view over its stored arrays whose
+Every exhaustive cell's ``System`` is a view over its arrays whose
 object graph is built on first read, so what it builds must reproduce
 the object-graph oracle (``tests/oracles.py``) exactly: run order,
 scenarios, each run's views, nonfaulty set and deliveries, the view
@@ -88,7 +88,6 @@ def assert_identical(actual, expected):
 def test_materialized_system_equals_build_system(mode, n, t, horizon):
     arrays = build_arrays(mode, n, t, horizon)
     assert arrays.num_runs == run_count(mode, n, t, horizon)
-    arrays.validate(mode.value, n, t, horizon)
     assert_identical(
         system_from_arrays(arrays),
         build_graph(exhaustive_adversary(mode, n, t, horizon)),
@@ -100,11 +99,8 @@ def test_restricted_system_is_not_the_cell():
         exhaustive_adversary(FailureMode.CRASH, 3, 1, 1),
         configs=[InitialConfiguration((0, 1, 1))],
     )
-    arrays = system.arrays()
     with pytest.raises(ConfigurationError):
-        arrays.validate("crash", 3, 1, 1)
-    with pytest.raises(ConfigurationError):
-        system_from_arrays(arrays)
+        system_from_arrays(system.arrays())
 
 
 # -- lazy object graph --------------------------------------------------------
@@ -114,17 +110,16 @@ LAZY_CELLS = [(mode, 3, 1, 2) for mode in MODES]
 
 
 def materializations() -> int:
-    """Whole-structure builds of loaded systems' object graphs so far —
+    """Whole-structure builds of systems' object graphs so far —
     run lists, view tables, state indexes — one ``materialize_system``
     stage observation each."""
     histogram = obs.snapshot()["histograms"].get("materialize_system")
     return 0 if histogram is None else histogram["count"]
 
 
-def loaded(tmp_path, cell):
-    """A fresh system of *cell*, loaded from (or built into) a cache
-    under *tmp_path*."""
-    return SystemProvider(cache_dir=str(tmp_path)).get(*cell)
+def loaded(cell):
+    """A fresh system of *cell*, built by a provider of its own."""
+    return SystemProvider().get(*cell)
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,11 +166,9 @@ FIRST_READS = {
 @pytest.mark.parametrize(
     "cell", LAZY_CELLS, ids=[mode.value for mode, *_ in LAZY_CELLS]
 )
-def test_loaded_system_equals_build_system_in_any_read_order(
-    tmp_path, cell, first
-):
+def test_loaded_system_equals_build_system_in_any_read_order(cell, first):
     expected = built(cell)
-    system = loaded(tmp_path, cell)
+    system = loaded(cell)
     before = materializations()
     FIRST_READS[first](system, expected)
     assert_identical(system, expected)
@@ -183,8 +176,8 @@ def test_loaded_system_equals_build_system_in_any_read_order(
     assert materializations() == before + 3
 
 
-def test_scenarios_outside_the_cell_raise(tmp_path):
-    system = loaded(tmp_path, (FailureMode.CRASH, 3, 1, 2))
+def test_scenarios_outside_the_cell_raise():
+    system = loaded((FailureMode.CRASH, 3, 1, 2))
     with pytest.raises(EvaluationError):
         system.run_index_for(InitialConfiguration((0, 1)), NO_FAILURES)
     with pytest.raises(EvaluationError):
@@ -196,7 +189,7 @@ def test_scenarios_outside_the_cell_raise(tmp_path):
         system.run_index_for(InitialConfiguration((0, 1, 1)), two_faulty)
 
 
-def test_concurrent_first_reads_see_whole_structures(tmp_path):
+def test_concurrent_first_reads_see_whole_structures():
     """Four threads (more than the two cores the suite assumes) make the
     first reads of one fresh system at once, switching often."""
     cell = (FailureMode.OMISSION, 3, 1, 3)
@@ -206,7 +199,7 @@ def test_concurrent_first_reads_see_whole_structures(tmp_path):
     sys.setswitchinterval(1e-5)
     try:
         for _ in range(3):
-            system = loaded(tmp_path, cell)
+            system = loaded(cell)
             barrier = threading.Barrier(4)
             results = [None] * 4
 
@@ -243,7 +236,7 @@ def test_concurrent_first_reads_see_whole_structures(tmp_path):
         sys.setswitchinterval(interval)
 
 
-def test_formula_path_builds_no_object_graph(tmp_path, monkeypatch):
+def test_formula_path_builds_no_object_graph(monkeypatch):
     from repro.experiments.registry import run_experiment
     from repro.knowledge.explain import explain
     from repro.knowledge.formulas import ContinualCommon, Exists, Knows
@@ -251,11 +244,11 @@ def test_formula_path_builds_no_object_graph(tmp_path, monkeypatch):
     from repro.model import builder
     from repro.serve.session import QueryEngine
 
-    provider = SystemProvider(cache_dir=str(tmp_path))
+    provider = SystemProvider()
     monkeypatch.setattr(builder, "PROVIDER", provider)
     before = materializations()
     run_experiment("E9", n=4, t=2, horizon=1)
-    engine = QueryEngine(provider=provider, fork_policy="never")
+    engine = QueryEngine(provider=provider)
     engine.execute(
         "eval",
         {

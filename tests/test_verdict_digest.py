@@ -67,7 +67,7 @@ def test_pinned_digest(evaluator):
     (``chunked``), and as the digest of the reference evaluator's rows
     (``reference``)."""
     if evaluator == "chunked":
-        result = QueryEngine(fork_policy="never").execute(
+        result = QueryEngine().execute(
             "eval",
             {"catalog": {"experiment": "E4", "formula": "common-exists1"}},
         )
@@ -107,7 +107,7 @@ def test_served_digest_of_wide_rows(t, horizon, spec):
     from repro.model.builder import crash_system
     from repro.serve.protocol import build_formula
 
-    result = QueryEngine(fork_policy="never").execute(
+    result = QueryEngine().execute(
         "eval",
         {"formula": spec, "mode": "crash", "n": 2, "t": t, "horizon": horizon},
     )
