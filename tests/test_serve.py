@@ -677,8 +677,28 @@ class TestResolveAndBudget:
         assert result["placement"] == "inline"
         assert len(calls) == 1
 
-    def test_bad_requests_raise_as_before(self):
-        engine = QueryEngine()
+    #: Whether the provider holds the request's cell when the request
+    #: comes: ``"auto"`` -- an earlier request built it and the provider
+    #: kept it, as it keeps every cell it builds; ``"never"`` -- nothing
+    #: has built it.
+    EARLIER_BUILDS = ["auto", "never"]
+
+    @pytest.mark.parametrize("earlier_build", EARLIER_BUILDS)
+    def test_bad_requests_raise_as_before(self, earlier_build):
+        from repro.model.provider import SystemProvider
+
+        engine = QueryEngine(provider=SystemProvider())
+        if earlier_build == "auto":
+            engine.execute(
+                "eval",
+                {
+                    "formula": {"kind": "exists", "value": 1},
+                    "n": 3,
+                    "t": 1,
+                    "horizon": 2,
+                },
+            )
+            assert engine.provider.cache_info()["size"] == 1
         with pytest.raises(ProtocolError, match="unknown formula kind"):
             engine.execute("eval", {"formula": {"kind": "telepathy"}})
         with pytest.raises(KeyError):
@@ -711,11 +731,21 @@ class TestResolveAndBudget:
             ),
         ],
     )
-    def test_over_budget_cell_is_never_built(self, op, params):
+    @pytest.mark.parametrize("earlier_build", EARLIER_BUILDS)
+    def test_over_budget_cell_is_never_built(self, op, params, earlier_build):
+        """The budget is checked before the provider is asked, so a
+        cell already in memory is refused as a missing one is."""
         from repro import obs
         from repro.model.provider import SystemProvider
 
         provider = SystemProvider()
+        if earlier_build == "auto":
+            # Under the default budget the same request builds its cell.
+            QueryEngine(provider=provider, budget=QueryBudget()).execute(
+                op, params
+            )
+            assert provider.cache_info()["size"] >= 1
+        misses = provider.cache_info()["misses"]
         engine = QueryEngine(
             provider=provider, budget=QueryBudget(max_points=400)
         )
@@ -727,7 +757,7 @@ class TestResolveAndBudget:
             engine.execute(op, params)
         assert info.value.limit == "max_points"
         assert builds() == before
-        assert provider.cache_info()["misses"] == 0
+        assert provider.cache_info()["misses"] == misses
 
     def test_eight_million_point_cell_refused_at_once(self):
         """Crash n=2 t=1 h=1000 (8,012,004 points) is refused under the
